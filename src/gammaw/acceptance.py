@@ -36,7 +36,7 @@ from .gamma_calculus import (
 from .presets import gaussian_problem, pq_problem, zero_weight
 from .semigroup_mc import (
     MCConfig,
-    estimate_Qt,
+    estimate_Qt_many,
     mehler_fk_term,
     mehler_Qt,
     taylor_Qt,
@@ -250,7 +250,8 @@ def ac4(ov: dict) -> CriterionResult:
             viol += rep.n_violations
             derr += rep.n_domain_errors
             checked += rep.n_checked
-            worst = min(worst, rep.worst_margin)
+            if rep.worst_margin is not None:
+                worst = min(worst, rep.worst_margin)
         ok = viol == 0 and derr == 0 and checked == n_fields * pts_per
         passed &= ok
         lines.append(
@@ -424,10 +425,13 @@ def ac9(ov: dict) -> CriterionResult:
     lines, rows = [], []
     passed = True
     n_bad = 0
-    for label, f in battery(2):
-        for x in _grid2((0.0, 0.0), (0.5, -0.3)):
-            for t in (0.1, 0.5):
-                est = estimate_Qt(p, f, x, t, cfg)
+    fields = battery(2)
+    x_grid, t_grid = _grid2((0.0, 0.0), (0.5, -0.3)), (0.1, 0.5)
+    # one ensemble per start point serves every field and both times
+    ests = [estimate_Qt_many(p, [f for _, f in fields], x, t_grid, cfg) for x in x_grid]
+    for i, (label, f) in enumerate(fields):
+        for x, by_field in zip(x_grid, ests):
+            for t, est in zip(t_grid, by_field[i]):
                 ref = mehler_Qt(p, f, x, t)
                 gap = abs(est.mean - ref)
                 tol = 3.0 * est.stderr + 1e-9 * max(1.0, abs(ref))

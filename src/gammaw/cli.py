@@ -125,7 +125,10 @@ def cmd_check_curvature(cfg: RunConfig) -> int:
         viol += rep.n_violations
         derr += rep.n_domain_errors
         checked += rep.n_checked
-        worst = min(worst, rep.worst_margin)
+        if rep.worst_margin is not None:
+            worst = min(worst, rep.worst_margin)
+    if derr == checked:
+        raise DomainError(f"pointwise check: all {checked} samples are outside the domain of the fields")
     print(
         f"pointwise check (kappa={_fmt_bound(kappa)}): {viol} violations on "
         f"{checked} samples ({derr} domain errors), worst margin {worst:.3e}"

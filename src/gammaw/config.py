@@ -79,8 +79,12 @@ def _points(text: str) -> tuple[tuple[float, ...], ...]:
     return tuple(out)
 
 
+def _fmt_float(v: float) -> str:
+    return repr(float(v))
+
+
 def _fmt_floats(values) -> str:
-    return ", ".join(f"{v:g}" for v in values)
+    return ", ".join(_fmt_float(v) for v in values)
 
 
 def _fmt_points(points) -> str:
@@ -289,18 +293,18 @@ class RunConfig:
             "multistart_count": str(self.search.multistart_count),
             "local_steps": str(self.search.local_steps),
             "seed": str(self.search.seed),
-            "tol": f"{self.search.tol:g}",
+            "tol": _fmt_float(self.search.tol),
         }
         cp["mc"] = {
             "n_paths": str(self.mc.n_paths),
-            "dt": f"{self.mc.dt:g}",
+            "dt": _fmt_float(self.mc.dt),
             "seed": str(self.mc.seed),
             "antithetic": "true" if self.mc.antithetic else "false",
         }
         cp["check"] = {
-            "kappa": self.kappa if isinstance(self.kappa, str) else f"{self.kappa:g}",
-            "rho": self.rho if isinstance(self.rho, str) else f"{self.rho:g}",
-            "c": self.c if isinstance(self.c, str) else f"{self.c:g}",
+            "kappa": self.kappa if isinstance(self.kappa, str) else _fmt_float(self.kappa),
+            "rho": self.rho if isinstance(self.rho, str) else _fmt_float(self.rho),
+            "c": self.c if isinstance(self.c, str) else _fmt_float(self.c),
         }
         cp["grids"] = {
             "t_values": _fmt_floats(self.t_values),

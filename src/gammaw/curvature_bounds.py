@@ -293,7 +293,8 @@ def estimate_c(p: ProblemSpec, rho: float, s: SearchConfig) -> BoundEstimate:
     """max(2 sup|grad W|, sup over {W != 0} of (LW/W - rho)_-), by box search.
 
     Diverging means c = +inf and the square-root commutation bound carries no
-    information for this weight.
+    information for this weight.  Raises DomainError when no candidate point
+    lies in W's domain, since c is a maximum of nonnegative terms.
     """
     if p.W.is_zero():
         return BoundEstimate(
@@ -338,6 +339,10 @@ def estimate_c(p: ProblemSpec, rho: float, s: SearchConfig) -> BoundEstimate:
 
     est_a = _negated(_extremize_min(batch_a, local_a, p.dim, s))
     est_b = _negated(_extremize_min(batch_b, local_b, p.dim, s))
+    if est_a.witness is None and est_b.witness is None:
+        raise DomainError(
+            f"estimate_c: no search point up to radius {s.radii_schedule[-1]:g} lies in the domain of W"
+        )
     # combine on traces: a branch's own divergence verdict must not leak an
     # inf into the max when the other branch dominates everywhere
     val_a, val_b = est_a.trace[-1], est_b.trace[-1]

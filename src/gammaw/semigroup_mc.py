@@ -20,13 +20,19 @@ the shared outer trajectory.
 
 Noise streams are labeled tuples hashed into independent Philox states, so
 paths are reproducible per (seed, stream, step) regardless of chunking or
-evaluation order.
+evaluation order.  An ensemble depends on U, the start point, the MC config,
+the stream and the time schedule, never on the test function, so the
+``*_many`` estimators simulate each ensemble once for a whole battery of
+fields and a whole t-grid; the single-field estimators are those cores
+called with one field and one t, and give bit-identical numbers.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -44,13 +50,17 @@ __all__ = [
     "AggregatePathFailure",
     "em_path",
     "estimate_Qt",
+    "estimate_Qt_many",
     "estimate_Qt_sq",
+    "estimate_Qt_sq_many",
     "mehler_Qt",
     "mehler_grad_Qt",
     "taylor_Qt",
     "estimate_fk_term",
+    "estimate_fk_term_many",
     "mehler_fk_term",
     "estimate_grad_Qt",
+    "estimate_grad_Qt_many",
 ]
 
 _BLOWUP_RADIUS = 1e8
@@ -141,19 +151,35 @@ def _noise_block(noise, stream: tuple[int, ...], step: int, m: int, n: int, anti
     return noise.normals((*stream, step), (m, n))
 
 
-def _simulate(
+def _em_step(p: ProblemSpec, X: np.ndarray, alive: np.ndarray, dt_s: float, xi: np.ndarray) -> None:
+    """One Euler-Maruyama step of every live path, in place; failed paths
+    freeze at their last finite state."""
+    _, grads, err = _tape.eval_values_grads(p.U, X)
+    bad_grad = alive & (err != 0)
+    alive &= ~bad_grad
+    new_x = X - grads * dt_s + math.sqrt(2.0 * dt_s) * xi
+    blown = alive & (np.max(np.abs(new_x), axis=1) > _BLOWUP_RADIUS)
+    alive &= ~blown
+    X[alive] = new_x[alive]
+
+
+def _simulate_grid(
     p: ProblemSpec,
     x0: np.ndarray,
-    t: float,
+    t_grid,
     cfg: MCConfig,
     noise,
     stream: tuple[int, ...],
     n_paths: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evolve paths to time t; returns (endpoints, alive mask).
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Evolve one ensemble through every time of ``t_grid``; returns
+    (endpoints, alive mask) per time, in the order of ``t_grid``.
 
     ``x0`` is a single start (n,) broadcast to all paths, or per-path starts
-    (m, n).  Failed paths freeze at their last finite state.
+    (m, n).  Times are visited in increasing order and share their full
+    steps.  A time that ends on a short step takes it from a copy of the
+    full-step state, under the (stream, step) label a simulation to that
+    time alone would use, so every snapshot is bit-identical to it.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
@@ -166,18 +192,53 @@ def _simulate(
         m = X.shape[0]
     n = p.dim
     alive = np.ones(m, dtype=bool)
-    k, rem = _split_steps(t, cfg.dt)
-    schedule = [cfg.dt] * k + ([rem] if rem > 0.0 else [])
-    for step, dt_s in enumerate(schedule):
-        xi = _noise_block(noise, stream, step, m, n, cfg.antithetic)
-        _, grads, err = _tape.eval_values_grads(p.U, X)
-        bad_grad = alive & (err != 0)
-        alive &= ~bad_grad
-        new_x = X - grads * dt_s + math.sqrt(2.0 * dt_s) * xi
-        blown = alive & (np.max(np.abs(new_x), axis=1) > _BLOWUP_RADIUS)
-        alive &= ~blown
-        X[alive] = new_x[alive]
-    return X, alive
+    snapshots: list = [None] * len(t_grid)
+    done = 0
+    for idx in sorted(range(len(t_grid)), key=lambda i: t_grid[i]):
+        k, rem = _split_steps(t_grid[idx], cfg.dt)
+        for step in range(done, k):
+            _em_step(p, X, alive, cfg.dt, _noise_block(noise, stream, step, m, n, cfg.antithetic))
+        done = k
+        Xt, alive_t = X.copy(), alive.copy()
+        if rem > 0.0:
+            _em_step(p, Xt, alive_t, rem, _noise_block(noise, stream, k, m, n, cfg.antithetic))
+        snapshots[idx] = (Xt, alive_t)
+    return snapshots
+
+
+def _simulate(
+    p: ProblemSpec,
+    x0: np.ndarray,
+    t: float,
+    cfg: MCConfig,
+    noise,
+    stream: tuple[int, ...],
+    n_paths: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evolve paths to time t; returns (endpoints, alive mask)."""
+    return _simulate_grid(p, x0, (t,), cfg, noise, stream, n_paths)[0]
+
+
+def _endpoint_values(
+    p: ProblemSpec,
+    fields,
+    x0: np.ndarray,
+    t_grid,
+    cfg: MCConfig,
+    noise,
+    stream: tuple[int, ...],
+) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Simulate one ensemble through ``t_grid`` and evaluate every field on
+    each snapshot: [field][t] -> (values, usable mask)."""
+    snapshots = _simulate_grid(p, x0, t_grid, cfg, noise, stream)
+    table = []
+    for f in fields:
+        row = []
+        for X, alive in snapshots:
+            vals, err = _tape.eval_values(f, X)
+            row.append((vals, alive & (err == 0)))
+        table.append(row)
+    return table
 
 
 def em_path(p: ProblemSpec, x0, t: float, cfg: MCConfig, noise) -> np.ndarray:
@@ -211,6 +272,53 @@ def _check_failures(ok: np.ndarray, what: str) -> None:
         raise AggregatePathFailure(f"{what}: {100 * frac:.1f}% of paths failed")
 
 
+def _replica_products(
+    p: ProblemSpec,
+    fields,
+    x,
+    t_grid,
+    cfg: MCConfig,
+    streams,
+    what: str,
+) -> list[list[MCEstimate]]:
+    """[field][t] estimates of E[prod_k f(X^k_t)] with one independent
+    ensemble X^k per stream, so the mean is (Q_t f(x))^len(streams).  Each
+    ensemble is simulated once for all fields and times; t = 0 is exact."""
+    x = np.asarray(x, dtype=float)
+    noise = GaussianNoise(cfg.seed)
+    sampled_t = [t for t in t_grid if t != 0.0]
+    replicas = [_endpoint_values(p, fields, x, sampled_t, cfg, noise, s) for s in streams]
+    out = []
+    for i, f in enumerate(fields):
+        sampled = zip(*(r[i] for r in replicas))
+        row = []
+        for t in t_grid:
+            if t == 0.0:
+                exact = math.prod([f.value(x)] * len(streams))
+                row.append(MCEstimate(mean=exact, stderr=0.0, n_paths=0, dt=cfg.dt))
+                continue
+            draws = next(sampled)
+            prods = reduce(operator.mul, (vals for vals, _ in draws))
+            ok = reduce(operator.and_, (good for _, good in draws))
+            _check_failures(ok, what)
+            row.append(_mc_stats(_pair_samples(prods, ok, cfg.antithetic), cfg))
+        out.append(row)
+    return out
+
+
+def estimate_Qt_many(
+    p: ProblemSpec,
+    fields,
+    x,
+    t_grid,
+    cfg: MCConfig,
+    stream: tuple[int, ...] = (0,),
+) -> list[list[MCEstimate]]:
+    """Monte Carlo Q_t f(x) for every field and every t from one ensemble;
+    entry [i][j] is fields[i] at t_grid[j]."""
+    return _replica_products(p, fields, x, t_grid, cfg, (stream,), "estimate_Qt")
+
+
 def estimate_Qt(
     p: ProblemSpec,
     f: ScalarField,
@@ -220,15 +328,20 @@ def estimate_Qt(
     stream: tuple[int, ...] = (0,),
 ) -> MCEstimate:
     """Monte Carlo Q_t f(x) with standard error."""
-    x = np.asarray(x, dtype=float)
-    if t == 0.0:
-        return MCEstimate(mean=f.value(x), stderr=0.0, n_paths=cfg.n_paths, dt=cfg.dt)
-    noise = GaussianNoise(cfg.seed)
-    X, alive = _simulate(p, x, t, cfg, noise, stream)
-    vals, err = _tape.eval_values(f, X)
-    ok = alive & (err == 0)
-    _check_failures(ok, "estimate_Qt")
-    return _mc_stats(_pair_samples(vals, ok, cfg.antithetic), cfg)
+    return estimate_Qt_many(p, [f], x, [t], cfg, stream)[0][0]
+
+
+def estimate_Qt_sq_many(
+    p: ProblemSpec,
+    fields,
+    x,
+    t_grid,
+    cfg: MCConfig,
+    streams: tuple[tuple[int, ...], tuple[int, ...]] = ((7,), (8,)),
+) -> list[list[MCEstimate]]:
+    """:func:`estimate_Qt_sq` for every field and every t; entry [i][j] is
+    fields[i] at t_grid[j]."""
+    return _replica_products(p, fields, x, t_grid, cfg, streams, "estimate_Qt_sq")
 
 
 def estimate_Qt_sq(
@@ -244,21 +357,7 @@ def estimate_Qt_sq(
     Squaring a single ensemble mean would be biased upward by its variance;
     f(Z) f(Z') with Z, Z' independent has expectation exactly (Q_t f)^2.
     """
-    x = np.asarray(x, dtype=float)
-    if t == 0.0:
-        v = f.value(x)
-        return MCEstimate(mean=v * v, stderr=0.0, n_paths=cfg.n_paths, dt=cfg.dt)
-    noise = GaussianNoise(cfg.seed)
-    prods = None
-    ok = None
-    for stream in streams:
-        X, alive = _simulate(p, x, t, cfg, noise, stream)
-        vals, err = _tape.eval_values(f, X)
-        good = alive & (err == 0)
-        prods = vals if prods is None else prods * vals
-        ok = good if ok is None else ok & good
-    _check_failures(ok, "estimate_Qt_sq")
-    return _mc_stats(_pair_samples(prods, ok, cfg.antithetic), cfg)
+    return estimate_Qt_sq_many(p, [f], x, [t], cfg, streams)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +466,53 @@ def _simpson_weights(t: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return s, w
 
 
+def estimate_fk_term_many(
+    p: ProblemSpec,
+    fields,
+    x,
+    t: float,
+    time_nodes: int,
+    cfg: MCConfig,
+) -> list[MCEstimate]:
+    """:func:`estimate_fk_term` for every field, one entry per field.  The
+    outer trajectory and the continuations are simulated once and shared;
+    only the endpoint evaluations are per field."""
+    x = np.asarray(x, dtype=float)
+    if t == 0.0 or p.W.is_zero():
+        return [MCEstimate(mean=0.0, stderr=0.0, n_paths=0, dt=cfg.dt) for _ in fields]
+    s_nodes, weights = _simpson_weights(t, time_nodes)
+    noise = GaussianNoise(cfg.seed)
+    w_sq = p.W * p.W
+
+    m = cfg.n_paths
+    if cfg.antithetic and m % 2:
+        m += 1
+    Y = np.repeat(x[None, :], m, axis=0)
+    oks = [np.ones(m, dtype=bool) for _ in fields]
+    accs = [np.zeros(m) for _ in fields]
+    for j, (s_j, w_j) in enumerate(zip(s_nodes, weights)):
+        if j > 0:
+            seg = s_j - s_nodes[j - 1]
+            Y, seg_alive = _simulate(p, Y, seg, cfg, noise, stream=(3, j))
+            for ok in oks:
+                ok &= seg_alive
+        w2_vals, w2_err = _tape.eval_values(w_sq, Y)
+        Z, za = _simulate(p, Y, t - s_j, cfg, noise, stream=(4, j, 0))
+        Zp, zpa = _simulate(p, Y, t - s_j, cfg, noise, stream=(4, j, 1))
+        for f, ok, acc in zip(fields, oks, accs):
+            fz, ez = _tape.eval_values(f, Z)
+            fzp, ezp = _tape.eval_values(f, Zp)
+            node_ok = za & zpa & (w2_err == 0) & (ez == 0) & (ezp == 0)
+            ok &= node_ok
+            contrib = 2.0 * w_j * w2_vals * fz * fzp
+            acc += np.where(node_ok, contrib, 0.0)
+    out = []
+    for ok, acc in zip(oks, accs):
+        _check_failures(ok, "estimate_fk_term")
+        out.append(_mc_stats(_pair_samples(acc, ok, cfg.antithetic), cfg))
+    return out
+
+
 def estimate_fk_term(
     p: ProblemSpec,
     f: ScalarField,
@@ -382,35 +528,7 @@ def estimate_fk_term(
     unbiased sample for the inner square is f(Z) f(Z').  Totals are kept per
     path so the standard error reflects the correlation across nodes.
     """
-    x = np.asarray(x, dtype=float)
-    if t == 0.0 or p.W.is_zero():
-        return MCEstimate(mean=0.0, stderr=0.0, n_paths=cfg.n_paths, dt=cfg.dt)
-    s_nodes, weights = _simpson_weights(t, time_nodes)
-    noise = GaussianNoise(cfg.seed)
-    w_sq = p.W * p.W
-
-    m = cfg.n_paths
-    if cfg.antithetic and m % 2:
-        m += 1
-    Y = np.repeat(x[None, :], m, axis=0)
-    ok = np.ones(m, dtype=bool)
-    acc = np.zeros(m)
-    for j, (s_j, w_j) in enumerate(zip(s_nodes, weights)):
-        if j > 0:
-            seg = s_j - s_nodes[j - 1]
-            Y, seg_alive = _simulate(p, Y, seg, cfg, noise, stream=(3, j))
-            ok &= seg_alive
-        w2_vals, w2_err = _tape.eval_values(w_sq, Y)
-        Z, za = _simulate(p, Y, t - s_j, cfg, noise, stream=(4, j, 0))
-        Zp, zpa = _simulate(p, Y, t - s_j, cfg, noise, stream=(4, j, 1))
-        fz, ez = _tape.eval_values(f, Z)
-        fzp, ezp = _tape.eval_values(f, Zp)
-        node_ok = za & zpa & (w2_err == 0) & (ez == 0) & (ezp == 0)
-        ok &= node_ok
-        contrib = 2.0 * w_j * w2_vals * fz * fzp
-        acc += np.where(node_ok, contrib, 0.0)
-    _check_failures(ok, "estimate_fk_term")
-    return _mc_stats(_pair_samples(acc, ok, cfg.antithetic), cfg)
+    return estimate_fk_term_many(p, [f], x, t, time_nodes, cfg)[0]
 
 
 def mehler_fk_term(
@@ -490,6 +608,67 @@ def _qt_values(
 # ---------------------------------------------------------------------------
 
 
+def estimate_grad_Qt_many(
+    p: ProblemSpec,
+    fields,
+    x,
+    t_grid,
+    cfg: MCConfig,
+    h: float = 1e-3,
+) -> list[list[GradEstimate]]:
+    """:func:`estimate_grad_Qt` for every field and every t; entry [i][j] is
+    fields[i] at t_grid[j].  The ensembles from x +- h e_d are simulated once
+    for all fields and times."""
+    x = np.asarray(x, dtype=float)
+    if p.gaussian_U:
+        return [
+            [
+                GradEstimate(
+                    grad=mehler_grad_Qt(p, f, x, t),
+                    stderr=np.zeros(p.dim),
+                    unusable=False,
+                    n_paths=0,
+                    dt=cfg.dt,
+                    h=0.0,
+                )
+                for t in t_grid
+            ]
+            for f in fields
+        ]
+    noise = GaussianNoise(cfg.seed)
+    grads = [[np.zeros(p.dim) for _ in t_grid] for _ in fields]
+    stderrs = [[np.zeros(p.dim) for _ in t_grid] for _ in fields]
+    n_used = [[cfg.n_paths for _ in t_grid] for _ in fields]
+    for d in range(p.dim):
+        e = np.zeros(p.dim)
+        e[d] = h
+        plus = _endpoint_values(p, fields, x + e, t_grid, cfg, noise, (1,))
+        minus = _endpoint_values(p, fields, x - e, t_grid, cfg, noise, (1,))
+        for i in range(len(fields)):
+            for j in range(len(t_grid)):
+                (vp, okp), (vm, okm) = plus[i][j], minus[i][j]
+                ok = okp & okm
+                _check_failures(ok, "estimate_grad_Qt")
+                diffs = (vp - vm) / (2.0 * h)
+                est = _mc_stats(_pair_samples(diffs, ok, cfg.antithetic), cfg)
+                grads[i][j][d], stderrs[i][j][d] = est.mean, est.stderr
+                n_used[i][j] = est.n_paths
+    return [
+        [
+            GradEstimate(
+                grad=grads[i][j],
+                stderr=stderrs[i][j],
+                unusable=bool(cfg.stderr_cap is not None and np.any(stderrs[i][j] > cfg.stderr_cap)),
+                n_paths=n_used[i][j],
+                dt=cfg.dt,
+                h=h,
+            )
+            for j in range(len(t_grid))
+        ]
+        for i in range(len(fields))
+    ]
+
+
 def estimate_grad_Qt(
     p: ProblemSpec,
     f: ScalarField,
@@ -501,40 +680,4 @@ def estimate_grad_Qt(
     """grad Q_t f(x): Mehler route for Gaussian U, else central differences
     with common random numbers (the same noise stream drives both x +- h e_i,
     so the difference cancels almost all Monte Carlo variance)."""
-    x = np.asarray(x, dtype=float)
-    if p.gaussian_U:
-        grad = mehler_grad_Qt(p, f, x, t)
-        return GradEstimate(
-            grad=grad,
-            stderr=np.zeros(p.dim),
-            unusable=False,
-            n_paths=0,
-            dt=cfg.dt,
-            h=0.0,
-        )
-    noise = GaussianNoise(cfg.seed)
-    grad = np.zeros(p.dim)
-    stderr = np.zeros(p.dim)
-    n_used = cfg.n_paths
-    for i in range(p.dim):
-        e = np.zeros(p.dim)
-        e[i] = h
-        xp, ap = _simulate(p, x + e, t, cfg, noise, stream=(1,))
-        xm, am = _simulate(p, x - e, t, cfg, noise, stream=(1,))
-        vp, ep_ = _tape.eval_values(f, xp)
-        vm, em_ = _tape.eval_values(f, xm)
-        ok = ap & am & (ep_ == 0) & (em_ == 0)
-        _check_failures(ok, "estimate_grad_Qt")
-        diffs = (vp - vm) / (2.0 * h)
-        est = _mc_stats(_pair_samples(diffs, ok, cfg.antithetic), cfg)
-        grad[i], stderr[i] = est.mean, est.stderr
-        n_used = est.n_paths
-    unusable = bool(cfg.stderr_cap is not None and np.any(stderr > cfg.stderr_cap))
-    return GradEstimate(
-        grad=grad,
-        stderr=stderr,
-        unusable=unusable,
-        n_paths=n_used,
-        dt=cfg.dt,
-        h=h,
-    )
+    return estimate_grad_Qt_many(p, [f], x, [t], cfg, h)[0][0]

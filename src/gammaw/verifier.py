@@ -32,11 +32,13 @@ from .gamma_calculus import (
     sqrt_gamma_w_field,
 )
 from .semigroup_mc import (
+    GradEstimate,
     MCConfig,
-    estimate_fk_term,
-    estimate_grad_Qt,
-    estimate_Qt,
-    estimate_Qt_sq,
+    MCEstimate,
+    estimate_fk_term_many,
+    estimate_grad_Qt_many,
+    estimate_Qt_many,
+    estimate_Qt_sq_many,
     mehler_grad_Qt,
     mehler_Qt,
 )
@@ -231,12 +233,13 @@ def battery(dim: int) -> list[tuple[str, ScalarField]]:
 
 
 def run_battery(op, p: ProblemSpec, fields, *args, **kwargs) -> VerificationReport:
-    """Run a verifier op over labelled fields and merge the reports."""
-    report: VerificationReport | None = None
-    for label, f in fields:
-        r = op(p, f, *args, f_label=label, **kwargs)
-        report = r if report is None else report.merged(r)
-    return report if report is not None else VerificationReport(check_id="empty")
+    """Run a verifier op over labelled fields in one call, so each ensemble
+    is simulated once for the whole battery; cases come in (field, t, x)
+    order."""
+    fields = list(fields)
+    if not fields:
+        return VerificationReport(check_id="empty")
+    return op(p, fields, *args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -244,56 +247,85 @@ def run_battery(op, p: ProblemSpec, fields, *args, **kwargs) -> VerificationRepo
 # ---------------------------------------------------------------------------
 
 
-def _lhs_gamma_w_of_qt(p: ProblemSpec, f: ScalarField, x, t: float, cfg: MCConfig):
-    """GammaW(Q_t f)(x) and its stderr: exact via Mehler for Gaussian U,
-    otherwise common-random-number finite differences plus a delta-method
-    error bar."""
-    w = p.W.value(x)
+def _labelled(f, f_label: str) -> list[tuple[str, ScalarField]]:
+    """One field, or a battery of (label, field) pairs, as a list of pairs."""
+    return [(f_label, f)] if isinstance(f, ScalarField) else list(f)
+
+
+def _battery_report(check_id: str, fields, t_grid, x_grid, meta: dict, sides) -> VerificationReport:
+    """Cases in (field, t, x) order.  ``sides(x)`` returns, for every field
+    and t, the tuple (lhs, lhs_se, rhs, rhs_se) at x, estimating them all
+    from shared ensembles."""
+    tables = [(x, sides(x)) for x in x_grid]
+    report = VerificationReport(check_id, meta=meta)
+    for i, (label, _) in enumerate(fields):
+        for j, t in enumerate(t_grid):
+            for x, table in tables:
+                report.cases.append(_case(check_id, t, x, label, *table[i][j], dict(meta)))
+    return report
+
+
+def _join_sides(lhs, rhs, coefs):
+    """[field][t] tables of (lhs, lhs_se) and of rhs estimates, joined into
+    (lhs, lhs_se, coef rhs, coef rhs_se) with coefs[j] scaling the j-th t."""
+    return [
+        [(l, l_se, k * r.mean, k * r.stderr) for (l, l_se), r, k in zip(l_row, r_row, coefs)]
+        for l_row, r_row in zip(lhs, rhs)
+    ]
+
+
+def _qt_and_grad(p: ProblemSpec, fields, x, t_grid, cfg: MCConfig):
+    """[field][t] pairs (Q_t f(x), grad Q_t f(x)) as (MCEstimate,
+    GradEstimate): Mehler closed forms with zero stderr for Gaussian U,
+    otherwise Monte Carlo with common-random-number finite differences."""
+    gests = estimate_grad_Qt_many(p, fields, x, t_grid, cfg)
     if p.gaussian_U:
-        qt = mehler_Qt(p, f, x, t)
-        grad = mehler_grad_Qt(p, f, x, t)
-        return float(grad @ grad) + w * w * qt * qt, 0.0, qt, grad
-    gest = estimate_grad_Qt(p, f, x, t, cfg)
-    qt_est = estimate_Qt(p, f, x, t, cfg, stream=(5,))
-    grad, qt = gest.grad, qt_est.mean
-    lhs = float(grad @ grad) + w * w * qt * qt
+        qts = [[MCEstimate(mehler_Qt(p, f, x, t), 0.0, 0, cfg.dt) for t in t_grid] for f in fields]
+    else:
+        qts = estimate_Qt_many(p, fields, x, t_grid, cfg, stream=(5,))
+    return [list(zip(q_row, g_row)) for q_row, g_row in zip(qts, gests)]
+
+
+def _gamma_w_lhs(w: float, qt: MCEstimate, gest: GradEstimate) -> tuple[float, float]:
+    """GammaW(Q_t f) = |grad Q_t f|^2 + W^2 (Q_t f)^2 with a delta-method
+    error bar."""
+    grad, q = gest.grad, qt.mean
+    lhs = float(grad @ grad) + w * w * q * q
     var = float(np.sum((2.0 * grad * gest.stderr) ** 2))
-    var += (2.0 * w * w * qt * qt_est.stderr) ** 2
-    se = math.inf if gest.unusable else math.sqrt(var)
-    return lhs, se, qt, grad
+    var += (2.0 * w * w * q * qt.stderr) ** 2
+    return lhs, math.inf if gest.unusable else math.sqrt(var)
 
 
 def verify_commutation(
     p: ProblemSpec,
-    f: ScalarField,
+    f,
     kappa: float,
     t_grid,
     x_grid,
     cfg: MCConfig,
     f_label: str = "f",
 ) -> VerificationReport:
-    """GammaW(Q_t f) <= e^{-2 kappa t} Q_t(GammaW(f)) over the grid."""
-    gw_f = gamma_w_field(p, f, f)
-    report = VerificationReport("commutation", meta=_meta(cfg, kappa=kappa))
-    for t in t_grid:
-        for x in x_grid:
-            lhs, lhs_se, _, _ = _lhs_gamma_w_of_qt(p, f, x, t, cfg)
-            rhs_est = estimate_Qt(p, gw_f, x, t, cfg, stream=(0,))
-            coef = math.exp(-2.0 * kappa * t)
-            report.cases.append(
-                _case(
-                    "commutation", t, x, f_label,
-                    lhs, lhs_se,
-                    coef * rhs_est.mean, coef * rhs_est.stderr,
-                    _meta(cfg, kappa=kappa),
-                )
-            )
-    return report
+    """GammaW(Q_t f) <= e^{-2 kappa t} Q_t(GammaW(f)) over the grid.
+
+    ``f`` is one field (labelled ``f_label``) or a battery of (label, field)
+    pairs."""
+    fields = _labelled(f, f_label)
+    fs = [g for _, g in fields]
+    gw = [gamma_w_field(p, g, g) for g in fs]
+    t_grid = list(t_grid)
+    coefs = [math.exp(-2.0 * kappa * t) for t in t_grid]
+
+    def sides(x):
+        w = p.W.value(x)
+        lhs = [[_gamma_w_lhs(w, q, g) for q, g in row] for row in _qt_and_grad(p, fs, x, t_grid, cfg)]
+        return _join_sides(lhs, estimate_Qt_many(p, gw, x, t_grid, cfg, stream=(0,)), coefs)
+
+    return _battery_report("commutation", fields, t_grid, x_grid, _meta(cfg, kappa=kappa), sides)
 
 
 def verify_variance(
     p: ProblemSpec,
-    f: ScalarField,
+    f,
     kappa: float,
     t_grid,
     x_grid,
@@ -303,28 +335,33 @@ def verify_variance(
 ) -> VerificationReport:
     """Q_t(f^2) - (Q_t f)^2 + 2 int_0^t Q_s(W^2 (Q_{t-s} f)^2) ds
     <= (1 - e^{-2 kappa t})/kappa Q_t(GammaW(f)), with the kappa -> 0
-    coefficient meaning 2t."""
-    gw_f = gamma_w_field(p, f, f)
-    f_sq = f * f
-    report = VerificationReport("variance", meta=_meta(cfg, kappa=kappa, time_nodes=time_nodes))
-    for t in t_grid:
-        for x in x_grid:
-            qt_fsq = estimate_Qt(p, f_sq, x, t, cfg, stream=(6,))
-            qt_sq = estimate_Qt_sq(p, f, x, t, cfg)
-            fk = estimate_fk_term(p, f, x, t, time_nodes, cfg)
-            lhs = qt_fsq.mean - qt_sq.mean + fk.mean
-            lhs_se = math.sqrt(qt_fsq.stderr**2 + qt_sq.stderr**2 + fk.stderr**2)
-            coef = _variance_coefficient(kappa, t)
-            rhs_est = estimate_Qt(p, gw_f, x, t, cfg, stream=(0,))
-            report.cases.append(
-                _case(
-                    "variance", t, x, f_label,
-                    lhs, lhs_se,
-                    coef * rhs_est.mean, coef * rhs_est.stderr,
-                    _meta(cfg, kappa=kappa, time_nodes=time_nodes),
-                )
-            )
-    return report
+    coefficient meaning 2t.
+
+    ``f`` is one field (labelled ``f_label``) or a battery of (label, field)
+    pairs."""
+    fields = _labelled(f, f_label)
+    fs = [g for _, g in fields]
+    gw = [gamma_w_field(p, g, g) for g in fs]
+    f_sq = [g * g for g in fs]
+    t_grid = list(t_grid)
+    coefs = [_variance_coefficient(kappa, t) for t in t_grid]
+
+    def sides(x):
+        qt_fsq = estimate_Qt_many(p, f_sq, x, t_grid, cfg, stream=(6,))
+        qt_sq = estimate_Qt_sq_many(p, fs, x, t_grid, cfg)
+        # the memory term's Simpson nodes depend on t: one call per t, [t][field]
+        fk = zip(*[estimate_fk_term_many(p, fs, x, t, time_nodes, cfg) for t in t_grid])
+        lhs = [
+            [
+                (a.mean - b.mean + c.mean, math.sqrt(a.stderr**2 + b.stderr**2 + c.stderr**2))
+                for a, b, c in zip(*rows)
+            ]
+            for rows in zip(qt_fsq, qt_sq, fk)
+        ]
+        return _join_sides(lhs, estimate_Qt_many(p, gw, x, t_grid, cfg, stream=(0,)), coefs)
+
+    meta = _meta(cfg, kappa=kappa, time_nodes=time_nodes)
+    return _battery_report("variance", fields, t_grid, x_grid, meta, sides)
 
 
 def _variance_coefficient(kappa: float, t: float) -> float:
@@ -346,9 +383,23 @@ def _reject_negative(f: ScalarField, x_grid, dim: int) -> None:
             raise NegativeBatteryError(f"test function is negative at {x!r}")
 
 
+def _sqrt_lhs(w: float, qt: MCEstimate, gest: GradEstimate) -> tuple[float, float]:
+    """|grad Q_t f| + W Q_t f with a delta-method error bar."""
+    norm = float(np.linalg.norm(gest.grad))
+    lhs = norm + w * qt.mean
+    if gest.unusable:
+        return lhs, math.inf
+    dir_se = (
+        float(np.linalg.norm(gest.grad * gest.stderr)) / norm
+        if norm > 0.0
+        else float(np.linalg.norm(gest.stderr))
+    )
+    return lhs, math.hypot(dir_se, w * qt.stderr)
+
+
 def verify_sqrt_commutation(
     p: ProblemSpec,
-    f: ScalarField,
+    f,
     rho: float,
     c: float,
     t_grid,
@@ -357,43 +408,25 @@ def verify_sqrt_commutation(
     f_label: str = "f",
 ) -> VerificationReport:
     """sqrt(Gamma(Q_t f)) + W Q_t f <= e^{(c-rho)t} Q_t(sqrt(Gamma(f)) + W f)
-    for nonnegative f."""
-    _reject_negative(f, x_grid, p.dim)
-    payload = sqrt_gamma_w_field(p, f)
-    report = VerificationReport("sqrt", meta=_meta(cfg, rho=rho, c=c))
-    for t in t_grid:
-        for x in x_grid:
-            w = p.W.value(x)
-            if p.gaussian_U:
-                qt = mehler_Qt(p, f, x, t)
-                grad = mehler_grad_Qt(p, f, x, t)
-                lhs = float(np.linalg.norm(grad)) + w * qt
-                lhs_se = 0.0
-            else:
-                gest = estimate_grad_Qt(p, f, x, t, cfg)
-                qt_est = estimate_Qt(p, f, x, t, cfg, stream=(5,))
-                norm = float(np.linalg.norm(gest.grad))
-                lhs = norm + w * qt_est.mean
-                if gest.unusable:
-                    lhs_se = math.inf
-                else:
-                    dir_se = (
-                        float(np.linalg.norm(gest.grad * gest.stderr)) / norm
-                        if norm > 0.0
-                        else float(np.linalg.norm(gest.stderr))
-                    )
-                    lhs_se = math.hypot(dir_se, w * qt_est.stderr)
-            rhs_est = estimate_Qt(p, payload, x, t, cfg, stream=(0,))
-            coef = math.exp((c - rho) * t)
-            report.cases.append(
-                _case(
-                    "sqrt", t, x, f_label,
-                    lhs, lhs_se,
-                    coef * rhs_est.mean, coef * rhs_est.stderr,
-                    _meta(cfg, rho=rho, c=c),
-                )
-            )
-    return report
+    for nonnegative f.
+
+    ``f`` is one field (labelled ``f_label``) or a battery of (label, field)
+    pairs."""
+    fields = _labelled(f, f_label)
+    fs = [g for _, g in fields]
+    x_grid = list(x_grid)
+    for g in fs:
+        _reject_negative(g, x_grid, p.dim)
+    payloads = [sqrt_gamma_w_field(p, g) for g in fs]
+    t_grid = list(t_grid)
+    coefs = [math.exp((c - rho) * t) for t in t_grid]
+
+    def sides(x):
+        w = p.W.value(x)
+        lhs = [[_sqrt_lhs(w, q, g) for q, g in row] for row in _qt_and_grad(p, fs, x, t_grid, cfg)]
+        return _join_sides(lhs, estimate_Qt_many(p, payloads, x, t_grid, cfg, stream=(0,)), coefs)
+
+    return _battery_report("sqrt", fields, t_grid, x_grid, _meta(cfg, rho=rho, c=c), sides)
 
 
 def degenerate_w_check(
@@ -405,22 +438,16 @@ def degenerate_w_check(
 ) -> VerificationReport:
     """W(x)^2 <= e^{-2 kappa t} Q_t(W^2)(x): the constant-function reduction
     of the commutation bound (take f = 1, so GammaW(f) = W^2)."""
-    w_sq = p.W * p.W
-    report = VerificationReport("degenerate", meta=_meta(cfg, kappa=kappa))
-    for t in t_grid:
-        for x in x_grid:
-            w = p.W.value(x)
-            rhs_est = estimate_Qt(p, w_sq, x, t, cfg, stream=(0,))
-            coef = math.exp(-2.0 * kappa * t)
-            report.cases.append(
-                _case(
-                    "degenerate", t, x, "W^2",
-                    w * w, 0.0,
-                    coef * rhs_est.mean, coef * rhs_est.stderr,
-                    _meta(cfg, kappa=kappa),
-                )
-            )
-    return report
+    fields = [("W^2", p.W * p.W)]
+    t_grid = list(t_grid)
+    coefs = [math.exp(-2.0 * kappa * t) for t in t_grid]
+
+    def sides(x):
+        w = p.W.value(x)
+        rhs = estimate_Qt_many(p, [fields[0][1]], x, t_grid, cfg, stream=(0,))
+        return _join_sides([[(w * w, 0.0)] * len(t_grid)], rhs, coefs)
+
+    return _battery_report("degenerate", fields, t_grid, x_grid, _meta(cfg, kappa=kappa), sides)
 
 
 # ---------------------------------------------------------------------------

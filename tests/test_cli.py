@@ -55,6 +55,21 @@ def test_config_round_trip():
     assert cfg.x_points == ((0.0, 0.0), (1.0, 1.0))
 
 
+def test_config_round_trip_keeps_every_digit():
+    cfg = RunConfig.default()
+    cfg.apply_overrides([
+        "mc.dt=0.0012345678",
+        "search.tol=1.234567891e-07",
+        "check.kappa=-1.0123456789",
+        "grids.t_values=0.1234567891, 0.5",
+        "grids.x_points=(0.3333333333, 1)",
+    ])
+    again = RunConfig.from_text(cfg.to_text())
+    assert again.mc.dt == 0.0012345678
+    assert again.t_values == (0.1234567891, 0.5)
+    assert again == cfg
+
+
 def test_config_overrides():
     cfg = RunConfig.default()
     cfg.apply_overrides(["mc.n_paths=500", "search.seed=9"])
@@ -114,6 +129,33 @@ def test_check_curvature_diverging_rho_exits_1(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "unbounded below" in out
+
+
+# W = sqrt(x0 - 10) is undefined on the pointwise sweep's box [-3, 3]^2, and on
+# the whole search box at radius 5
+OUTSIDE_DOMAIN = [
+    "check-curvature",
+    "--override", "problem.W=sqrt(x0-10)",
+    "--override", "search.grid_per_axis=9",
+    "--override", "search.multistart_count=1",
+    "--override", "search.local_steps=20",
+]
+
+
+def test_check_curvature_c_without_domain_points_exits_3(capsys):
+    code = main([*OUTSIDE_DOMAIN, "--override", "search.radii=5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "DIVERGENT" not in captured.out
+    assert "domain of W" in captured.err
+
+
+def test_check_curvature_all_pointwise_domain_errors_exits_3(capsys):
+    code = main([*OUTSIDE_DOMAIN, "--override", "search.radii=20"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "c (rho=1):" in captured.out
+    assert "outside the domain" in captured.err
 
 
 def test_verify_commutation_writes_csv(fast_config, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from gammaw.curvature_bounds import (
     estimate_gamma,
     estimate_rho,
 )
-from gammaw.field_expr import parse_field
+from gammaw.field_expr import DomainError, parse_field
 from gammaw.gamma_calculus import gamma_integrand, sqrt_defect
 from gammaw.presets import gaussian_problem, make_problem, pq_problem
 from gammaw.verifier import random_smooth_field
@@ -183,3 +184,14 @@ def test_pq_boundary_divergence(fast_search):
 def test_bound_estimate_shape():
     est = BoundEstimate(value=1.0, witness=np.zeros(2), diverging=False, trace=[1.0])
     assert est.trace == [1.0]
+
+
+def test_estimate_c_without_domain_points_raises(fast_search):
+    # c is a maximum of nonnegative terms: an empty search is a domain
+    # error, not a divergence to -inf
+    p = make_problem(2, "gaussian", "sqrt(x0-10)")
+    with pytest.raises(DomainError):
+        estimate_c(p, 1.0, replace(fast_search, radii_schedule=(5.0,), box_radius=5.0))
+    # once the box reaches the domain the estimate is finite
+    est = estimate_c(p, 1.0, replace(fast_search, radii_schedule=(20.0,), box_radius=20.0))
+    assert math.isfinite(est.value) and est.value >= 0.0

@@ -5,6 +5,7 @@ import pytest
 
 from gammaw.field_expr import const_field, dot_field, parse_field
 from gammaw.presets import gaussian_problem, make_problem
+from gammaw.verifier import battery
 from gammaw.semigroup_mc import (
     AggregatePathFailure,
     GaussianNoise,
@@ -13,9 +14,13 @@ from gammaw.semigroup_mc import (
     ZeroNoise,
     em_path,
     estimate_fk_term,
+    estimate_fk_term_many,
     estimate_grad_Qt,
+    estimate_grad_Qt_many,
     estimate_Qt,
+    estimate_Qt_many,
     estimate_Qt_sq,
+    estimate_Qt_sq_many,
     gaussian_exp_moment,
     mehler_fk_term,
     mehler_grad_Qt,
@@ -40,6 +45,16 @@ def test_t_zero_is_exact(p2, small_mc):
     sq = estimate_Qt_sq(p2, f, x, 0.0, small_mc)
     assert sq.mean == f.value(x) ** 2
     assert mehler_Qt(p2, f, x, 0.0) == f.value(x)
+
+
+def test_t_zero_reports_no_samples(p2, p2_noweight, small_mc):
+    f = parse_field("exp(0.3*x0) + x1", 2)
+    x = [0.7, -0.2]
+    assert estimate_Qt(p2, f, x, 0.0, small_mc).n_paths == 0
+    assert estimate_Qt_sq(p2, f, x, 0.0, small_mc).n_paths == 0
+    assert estimate_fk_term(p2, f, x, 0.0, 5, small_mc).n_paths == 0
+    assert estimate_fk_term(p2_noweight, f, x, 0.5, 5, small_mc).n_paths == 0
+    assert estimate_Qt(p2, f, x, 0.1, small_mc).n_paths == small_mc.n_paths // 2
 
 
 def test_zero_noise_follows_drift(p2):
@@ -253,3 +268,55 @@ def test_gaussian_exp_moment():
     b = np.array([0.3, 0.4])
     want = math.exp(0.3 - 0.8 + 0.5 * 0.7 * 0.25)
     assert gaussian_exp_moment(mean, 0.7, b) == pytest.approx(want, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Shared ensembles: a multi-field, multi-t call must reproduce the
+# single-field, single-t estimates bit for bit
+# ---------------------------------------------------------------------------
+
+NON_GAUSSIAN_U = "normsq(x)/2 + 0.25*x0^2"
+
+
+def _same_grad(a, b):
+    assert np.array_equal(a.grad, b.grad)
+    assert np.array_equal(a.stderr, b.stderr)
+    assert (a.unusable, a.n_paths, a.dt, a.h) == (b.unusable, b.n_paths, b.dt, b.h)
+
+
+@pytest.mark.parametrize("gaussian", [True, False])
+def test_many_fields_match_single_field_calls(gaussian):
+    p = gaussian_problem(2) if gaussian else make_problem(2, NON_GAUSSIAN_U, "sqrt1sq")
+    cfg = MCConfig(n_paths=400, dt=0.02, seed=31)
+    fields = [f for _, f in battery(2)]
+    assert len(fields) == 5
+    x, t = np.array([0.5, -0.3]), 0.1
+    qt = estimate_Qt_many(p, fields, x, [t], cfg, stream=(5,))
+    qt_sq = estimate_Qt_sq_many(p, fields, x, [t], cfg)
+    fk = estimate_fk_term_many(p, fields, x, t, 5, cfg)
+    grad = estimate_grad_Qt_many(p, fields, x, [t], cfg)
+    for i, f in enumerate(fields):
+        assert qt[i][0] == estimate_Qt(p, f, x, t, cfg, stream=(5,))
+        assert qt_sq[i][0] == estimate_Qt_sq(p, f, x, t, cfg)
+        assert fk[i] == estimate_fk_term(p, f, x, t, 5, cfg)
+        _same_grad(grad[i][0], estimate_grad_Qt(p, f, x, t, cfg))
+    if not gaussian:
+        assert grad[0][0].h > 0.0 and grad[0][0].n_paths > 0
+
+
+@pytest.mark.parametrize("t_grid", [(0.05, 0.1), (0.1, 0.0, 0.05, 0.1)])
+def test_t_grid_matches_single_t_calls(t_grid):
+    # dt = 0.02: t = 0.05 ends on a short step resumed from the full-step
+    # state at t = 0.04, and t = 0.1 continues from that full-step state
+    p = make_problem(2, NON_GAUSSIAN_U, "sqrt1sq")
+    cfg = MCConfig(n_paths=400, dt=0.02, seed=32)
+    fields = [f for _, f in battery(2)[:2]]
+    x = np.array([1.0, 0.5])
+    qt = estimate_Qt_many(p, fields, x, t_grid, cfg)
+    qt_sq = estimate_Qt_sq_many(p, fields, x, t_grid, cfg)
+    grad = estimate_grad_Qt_many(p, fields, x, t_grid, cfg)
+    for i, f in enumerate(fields):
+        for j, t in enumerate(t_grid):
+            assert qt[i][j] == estimate_Qt(p, f, x, t, cfg)
+            assert qt_sq[i][j] == estimate_Qt_sq(p, f, x, t, cfg)
+            _same_grad(grad[i][j], estimate_grad_Qt(p, f, x, t, cfg))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gammaw.field_expr import parse_field
-from gammaw.presets import gaussian_problem
-from gammaw.semigroup_mc import MCConfig
+from gammaw.presets import gaussian_problem, make_problem
+from gammaw.semigroup_mc import GaussianNoise, MCConfig
 from gammaw.verifier import (
     NegativeBatteryError,
     OptimalityTable,
@@ -141,6 +141,48 @@ def test_run_battery_merges(p2):
     )
     assert len(rep.cases) == 5
     assert {c.f_label for c in rep.cases} == {name for name, _ in battery(2)}
+
+
+def test_battery_draws_noise_once_for_all_fields(p2, monkeypatch):
+    # the Euler-Maruyama work of a battery run does not grow with its size
+    labels = []
+    normals = GaussianNoise.normals
+
+    def counting(self, label, shape):
+        labels.append(label)
+        return normals(self, label, shape)
+
+    monkeypatch.setattr(GaussianNoise, "normals", counting)
+    cfg = MCConfig(n_paths=200, dt=0.05, seed=29)
+    fields = battery(2)[:3]
+    grid = ((0.1, 0.2), ((0.0, 0.0), (1.0, 1.0)))
+    rep = run_battery(verify_variance, p2, fields, -1.0, *grid, cfg, time_nodes=5)
+    battery_labels = list(labels)
+    labels.clear()
+    single = verify_variance(p2, fields[0][1], -1.0, *grid, cfg, time_nodes=5)
+    assert len(rep.cases) == 3 * len(single.cases)
+    assert len(battery_labels) == len(labels) > 0
+    assert battery_labels == labels
+
+
+@pytest.mark.parametrize(
+    "op, gaussian, args, kwargs",
+    [
+        (verify_commutation, False, (-1.0,), {}),
+        (verify_variance, True, (-1.0,), {"time_nodes": 5}),
+        (verify_sqrt_commutation, False, (1.0, 2.5), {}),
+    ],
+)
+def test_run_battery_csv_matches_single_field_reports(op, gaussian, args, kwargs):
+    p = gaussian_problem(2) if gaussian else make_problem(2, "normsq(x)/2 + 0.25*x0^2", "sqrt1sq")
+    cfg = MCConfig(n_paths=400, dt=0.02, seed=30)
+    grid = ((0.05, 0.1), ((0.0, 0.0), (1.0, 0.5)))
+    lines = run_battery(op, p, battery(2), *args, *grid, cfg, **kwargs).csv_lines()
+    want = []
+    for label, f in battery(2):
+        single = op(p, f, *args, *grid, cfg, f_label=label, **kwargs).csv_lines()
+        want += single if not want else single[1:]
+    assert lines == want
 
 
 def test_report_merge_requires_same_check():
