@@ -1,16 +1,10 @@
 """Batch evaluation of scalar fields over many points.
 
 An expression tree is flattened once into a register tape (common subtrees
-deduplicated), then the tape is run over a batch of points by one of two
-interchangeable backends:
-
-* a numba kernel that walks the tape per point with reused register buffers;
-* a chunked pure-numpy interpreter.
-
-Set ``GAMMAW_BACKEND=numpy`` to force the fallback; ``numba`` to require the
-compiled kernels (raises if numba is unavailable).  Default is numba when
-importable.  Both backends implement identical semantics, including the
-domain-error codes, and the test suite pins them against each other.
+deduplicated), then a numpy interpreter runs the tape over a batch of points,
+one opcode at a time, vectorized over chunks of points.  Values and
+gradients share that one driver.  The test suite pins the tape against the
+recursive evaluator and the jets of :mod:`gammaw.field_expr`.
 
 Domain violations do not raise here; each point gets an error code (0 ok,
 1 division by zero, 2 log domain, 3 sqrt domain, 4 power domain) and a NaN
@@ -19,8 +13,6 @@ value, so callers can skip or report bad points in bulk.
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,21 +34,7 @@ from .field_expr import (
     Sub,
 )
 
-__all__ = ["Tape", "compile_tape", "eval_values", "eval_values_grads", "backend_name", "HAS_NUMBA"]
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
+__all__ = ["Tape", "compile_tape", "eval_values", "eval_values_grads", "backend_name"]
 
 OP_CONST = 0
 OP_COORD = 1
@@ -180,35 +158,19 @@ def compile_tape(f: ScalarField) -> Tape:
 
 
 def backend_name() -> str:
-    """Active backend after applying the GAMMAW_BACKEND override."""
-    choice = os.environ.get("GAMMAW_BACKEND", "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("GAMMAW_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice not in ("", "auto"):
-        raise ValueError(f"GAMMAW_BACKEND must be 'numba', 'numpy' or 'auto', got {choice!r}")
-    return "numba" if HAS_NUMBA else "numpy"
+    """Name of the batch evaluator; the numpy interpreter is the only one."""
+    return "numpy"
 
 
 def eval_values(f: ScalarField, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate ``f`` at each row of ``pts``; returns (values, error codes)."""
-    tape = compile_tape(f)
-    pts = _as_points(pts, tape.dim)
-    if backend_name() == "numba":
-        return _values_numba(tape.ops, tape.a1, tape.a2, tape.consts, tape.vecs, pts)
-    return _values_numpy(tape, pts)
+    out, _, err = _run(f, pts, want_grads=False)
+    return out, err
 
 
 def eval_values_grads(f: ScalarField, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate values and gradients of ``f`` at each row of ``pts``."""
-    tape = compile_tape(f)
-    pts = _as_points(pts, tape.dim)
-    if backend_name() == "numba":
-        return _grads_numba(tape.ops, tape.a1, tape.a2, tape.consts, tape.vecs, pts)
-    return _grads_numpy(tape, pts)
+    return _run(f, pts, want_grads=True)
 
 
 def _as_points(pts: np.ndarray, dim: int) -> np.ndarray:
@@ -219,230 +181,28 @@ def _as_points(pts: np.ndarray, dim: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# numba kernels: per-point register loop, buffers reused across points
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _pow_pair(v, e):  # returns (value, derivative factor u1, err)
-    ei = round(e)
-    is_int = abs(e - ei) < 1e-12
-    if v > 0.0:
-        return v**e, e * v ** (e - 1.0), 0
-    if not is_int:
-        return np.nan, np.nan, ERR_POW
-    if v == 0.0:
-        if ei < 0:
-            return np.nan, np.nan, ERR_POW
-        val = 1.0 if ei == 0 else 0.0
-        der = 1.0 if ei == 1 else 0.0
-        return val, der, 0
-    return v**e, e * v ** (e - 1.0), 0
-
-
-@njit(cache=True)
-def _values_numba(ops, a1, a2, consts, vecs, pts):
-    m, n = pts.shape
-    k_regs = ops.shape[0]
-    out = np.empty(m)
-    err = np.zeros(m, dtype=np.int64)
-    reg = np.empty(k_regs)
-    for p in range(m):
-        code = 0
-        for k in range(k_regs):
-            op = ops[k]
-            if op == OP_CONST:
-                reg[k] = consts[a1[k]]
-            elif op == OP_COORD:
-                reg[k] = pts[p, a1[k]]
-            elif op == OP_ADD:
-                reg[k] = reg[a1[k]] + reg[a2[k]]
-            elif op == OP_SUB:
-                reg[k] = reg[a1[k]] - reg[a2[k]]
-            elif op == OP_MUL:
-                reg[k] = reg[a1[k]] * reg[a2[k]]
-            elif op == OP_DIV:
-                d = reg[a2[k]]
-                if d == 0.0:
-                    code = ERR_DIV
-                    break
-                reg[k] = reg[a1[k]] / d
-            elif op == OP_POW:
-                val, _, perr = _pow_pair(reg[a1[k]], consts[a2[k]])
-                if perr != 0:
-                    code = perr
-                    break
-                reg[k] = val
-            elif op == OP_EXP:
-                reg[k] = math.exp(reg[a1[k]])
-            elif op == OP_LOG:
-                v = reg[a1[k]]
-                if v <= 0.0:
-                    code = ERR_LOG
-                    break
-                reg[k] = math.log(v)
-            elif op == OP_SQRT:
-                v = reg[a1[k]]
-                if v < 0.0:
-                    code = ERR_SQRT
-                    break
-                reg[k] = math.sqrt(v)
-            elif op == OP_NORMSQ:
-                s = 0.0
-                for j in range(n):
-                    s += pts[p, j] * pts[p, j]
-                reg[k] = s
-            else:  # OP_DOT
-                s = 0.0
-                for j in range(n):
-                    s += vecs[a1[k], j] * pts[p, j]
-                reg[k] = s
-        if code != 0:
-            err[p] = code
-            out[p] = np.nan
-        else:
-            out[p] = reg[k_regs - 1]
-    return out, err
-
-
-@njit(cache=True)
-def _grads_numba(ops, a1, a2, consts, vecs, pts):
-    m, n = pts.shape
-    k_regs = ops.shape[0]
-    out = np.empty(m)
-    grads = np.empty((m, n))
-    err = np.zeros(m, dtype=np.int64)
-    reg = np.empty(k_regs)
-    dreg = np.empty((k_regs, n))
-    for p in range(m):
-        code = 0
-        for k in range(k_regs):
-            op = ops[k]
-            if op == OP_CONST:
-                reg[k] = consts[a1[k]]
-                for j in range(n):
-                    dreg[k, j] = 0.0
-            elif op == OP_COORD:
-                reg[k] = pts[p, a1[k]]
-                for j in range(n):
-                    dreg[k, j] = 0.0
-                dreg[k, a1[k]] = 1.0
-            elif op == OP_ADD:
-                i1, i2 = a1[k], a2[k]
-                reg[k] = reg[i1] + reg[i2]
-                for j in range(n):
-                    dreg[k, j] = dreg[i1, j] + dreg[i2, j]
-            elif op == OP_SUB:
-                i1, i2 = a1[k], a2[k]
-                reg[k] = reg[i1] - reg[i2]
-                for j in range(n):
-                    dreg[k, j] = dreg[i1, j] - dreg[i2, j]
-            elif op == OP_MUL:
-                i1, i2 = a1[k], a2[k]
-                va, vb = reg[i1], reg[i2]
-                reg[k] = va * vb
-                for j in range(n):
-                    dreg[k, j] = va * dreg[i2, j] + vb * dreg[i1, j]
-            elif op == OP_DIV:
-                i1, i2 = a1[k], a2[k]
-                vb = reg[i2]
-                if vb == 0.0:
-                    code = ERR_DIV
-                    break
-                q = reg[i1] / vb
-                reg[k] = q
-                for j in range(n):
-                    dreg[k, j] = (dreg[i1, j] - q * dreg[i2, j]) / vb
-            elif op == OP_POW:
-                i1 = a1[k]
-                val, u1, perr = _pow_pair(reg[i1], consts[a2[k]])
-                if perr != 0:
-                    code = perr
-                    break
-                reg[k] = val
-                for j in range(n):
-                    dreg[k, j] = u1 * dreg[i1, j]
-            elif op == OP_EXP:
-                i1 = a1[k]
-                e = math.exp(reg[i1])
-                reg[k] = e
-                for j in range(n):
-                    dreg[k, j] = e * dreg[i1, j]
-            elif op == OP_LOG:
-                i1 = a1[k]
-                v = reg[i1]
-                if v <= 0.0:
-                    code = ERR_LOG
-                    break
-                reg[k] = math.log(v)
-                for j in range(n):
-                    dreg[k, j] = dreg[i1, j] / v
-            elif op == OP_SQRT:
-                i1 = a1[k]
-                v = reg[i1]
-                if v <= 0.0:
-                    code = ERR_SQRT
-                    break
-                s = math.sqrt(v)
-                reg[k] = s
-                u1 = 0.5 / s
-                for j in range(n):
-                    dreg[k, j] = u1 * dreg[i1, j]
-            elif op == OP_NORMSQ:
-                s = 0.0
-                for j in range(n):
-                    s += pts[p, j] * pts[p, j]
-                    dreg[k, j] = 2.0 * pts[p, j]
-                reg[k] = s
-            else:  # OP_DOT
-                s = 0.0
-                for j in range(n):
-                    c = vecs[a1[k], j]
-                    s += c * pts[p, j]
-                    dreg[k, j] = c
-                reg[k] = s
-        if code != 0:
-            err[p] = code
-            out[p] = np.nan
-            for j in range(n):
-                grads[p, j] = np.nan
-        else:
-            out[p] = reg[k_regs - 1]
-            for j in range(n):
-                grads[p, j] = dreg[k_regs - 1, j]
-    return out, grads, err
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback: vectorized over chunks of points
+# numpy interpreter: vectorized over chunks of points
 # ---------------------------------------------------------------------------
 
 _CHUNK = 8192
 
 
-def _values_numpy(tape: Tape, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m = pts.shape[0]
-    out = np.empty(m)
-    err = np.zeros(m, dtype=np.int64)
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
-        vals, _, codes = _run_numpy(tape, pts[lo:hi], want_grads=False)
-        out[lo:hi], err[lo:hi] = vals, codes
-    return out, err
-
-
-def _grads_numpy(tape: Tape, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _run(f: ScalarField, pts: np.ndarray, want_grads: bool):
+    tape = compile_tape(f)
+    pts = _as_points(pts, tape.dim)
     m, n = pts.shape
     out = np.empty(m)
-    grads = np.empty((m, n))
+    grads = np.empty((m, n)) if want_grads else None
     err = np.zeros(m, dtype=np.int64)
     for lo in range(0, m, _CHUNK):
         hi = min(lo + _CHUNK, m)
-        out[lo:hi], grads[lo:hi], err[lo:hi] = _run_numpy(tape, pts[lo:hi], want_grads=True)
+        out[lo:hi], g, err[lo:hi] = _run_chunk(tape, pts[lo:hi], want_grads)
+        if want_grads:
+            grads[lo:hi] = g
     return out, grads, err
 
 
-def _run_numpy(tape: Tape, pts: np.ndarray, want_grads: bool):
+def _run_chunk(tape: Tape, pts: np.ndarray, want_grads: bool):
     m, n = pts.shape
     k_regs = tape.n_registers
     reg = np.empty((k_regs, m))

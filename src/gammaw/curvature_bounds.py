@@ -246,7 +246,7 @@ def estimate_rho(p: ProblemSpec, s: SearchConfig) -> BoundEstimate:
 
     def local(x: np.ndarray) -> float:
         try:
-            return float(np.linalg.eigvalsh(p.U.jet(x, 2).hessian)[0])
+            return float(np.linalg.eigvalsh(p.U.jet(x).hessian)[0])
         except DomainError:
             return math.inf
 
@@ -313,7 +313,7 @@ def estimate_c(p: ProblemSpec, rho: float, s: SearchConfig) -> BoundEstimate:
 
     def local_a(x: np.ndarray) -> float:
         try:
-            j = p.W.jet(x, 2)
+            j = p.W.jet(x)
         except DomainError:
             return math.inf
         return -2.0 * float(np.linalg.norm(j.gradient))

@@ -13,8 +13,7 @@ Two independent derivative routes are provided:
 
 * :func:`differentiate` builds the symbolic partial derivative as a new field;
 * :func:`eval_jet` propagates truncated Taylor coefficients (value, gradient,
-  Hessian, optionally third/fourth order tensors) through the tree, i.e.
-  forward-mode AD on jets.
+  Hessian) through the tree, i.e. second-order forward-mode AD on jets.
 
 :func:`finite_diff_jet` is a third, deliberately naive route used as a test
 oracle only.
@@ -253,94 +252,30 @@ def _pow_value(v: float, expo: float) -> float:
 
 @dataclass
 class Jet:
-    """Value plus derivative tensors of a field at a point.
+    """Value, gradient and (symmetric) Hessian of a field at a point."""
 
-    ``order`` is 2, 3 or 4; ``third``/``fourth`` are present only when the
-    order calls for them.  All tensors are fully symmetric.
-    """
-
-    order: int
     value: float
     gradient: np.ndarray
     hessian: np.ndarray
-    third: np.ndarray | None = None
-    fourth: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         return self.gradient.shape[0]
 
 
-def _zero_jet(dim: int, order: int, value: float = 0.0) -> Jet:
-    return Jet(
-        order,
-        value,
-        np.zeros(dim),
-        np.zeros((dim, dim)),
-        np.zeros((dim, dim, dim)) if order >= 3 else None,
-        np.zeros((dim, dim, dim, dim)) if order >= 4 else None,
-    )
+def _zero_jet(dim: int, value: float = 0.0) -> Jet:
+    return Jet(value, np.zeros(dim), np.zeros((dim, dim)))
 
 
 def _j_add(a: Jet, b: Jet, sign: float = 1.0) -> Jet:
     return Jet(
-        a.order,
         a.value + sign * b.value,
         a.gradient + sign * b.gradient,
         a.hessian + sign * b.hessian,
-        None if a.order < 3 else a.third + sign * b.third,
-        None if a.order < 4 else a.fourth + sign * b.fourth,
-    )
-
-
-def _sym3_21(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # sum over placements of a rank-2 block and a rank-1 block on 3 slots
-    t = np.einsum("ij,k->ijk", h, g)
-    return t + t.transpose(0, 2, 1) + t.transpose(2, 0, 1)
-
-
-def _sym4_31(t3: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # rank-3 block on 3 of 4 slots, rank-1 on the remaining one (4 placements)
-    t = np.einsum("ijk,l->ijkl", t3, g)
-    return t + t.transpose(0, 1, 3, 2) + t.transpose(0, 3, 1, 2) + t.transpose(3, 0, 1, 2)
-
-
-def _sym4_22_pairs(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
-    # ordered 2+2 placements (6 terms): a_S b_{S^c} over all 2-subsets S
-    return (
-        np.einsum("ij,kl->ijkl", ha, hb)
-        + np.einsum("ik,jl->ijkl", ha, hb)
-        + np.einsum("il,jk->ijkl", ha, hb)
-        + np.einsum("jk,il->ijkl", ha, hb)
-        + np.einsum("jl,ik->ijkl", ha, hb)
-        + np.einsum("kl,ij->ijkl", ha, hb)
-    )
-
-
-def _sym4_22_partitions(h: np.ndarray) -> np.ndarray:
-    # unordered 2|2 partitions (3 terms) of one symmetric rank-2 block
-    return (
-        np.einsum("ij,kl->ijkl", h, h)
-        + np.einsum("ik,jl->ijkl", h, h)
-        + np.einsum("il,jk->ijkl", h, h)
-    )
-
-
-def _sym4_211(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # 2|1|1 partitions (6 terms): pair block h, singles g g
-    t = np.einsum("ij,k,l->ijkl", h, g, g)
-    return (
-        t
-        + t.transpose(0, 2, 1, 3)
-        + t.transpose(0, 2, 3, 1)
-        + t.transpose(2, 0, 1, 3)
-        + t.transpose(2, 0, 3, 1)
-        + t.transpose(2, 3, 0, 1)
     )
 
 
 def _j_mul(a: Jet, b: Jet) -> Jet:
-    order = a.order
     value = a.value * b.value
     grad = a.value * b.gradient + b.value * a.gradient
     hess = (
@@ -349,56 +284,25 @@ def _j_mul(a: Jet, b: Jet) -> Jet:
         + np.outer(a.gradient, b.gradient)
         + np.outer(b.gradient, a.gradient)
     )
-    third = fourth = None
-    if order >= 3:
-        third = (
-            a.value * b.third
-            + b.value * a.third
-            + _sym3_21(a.hessian, b.gradient)
-            + _sym3_21(b.hessian, a.gradient)
-        )
-    if order >= 4:
-        fourth = (
-            a.value * b.fourth
-            + b.value * a.fourth
-            + _sym4_31(a.third, b.gradient)
-            + _sym4_31(b.third, a.gradient)
-            + _sym4_22_pairs(a.hessian, b.hessian)
-        )
-    return Jet(order, value, grad, hess, third, fourth)
+    return Jet(value, grad, hess)
 
 
 def _j_compose(u: Sequence[float], a: Jet) -> Jet:
-    """Chain rule for a univariate outer map: u = (u(v), u'(v), ...)."""
-    order = a.order
+    """Chain rule for a univariate outer map: u = (u(v), u'(v), u''(v))."""
     g, h = a.gradient, a.hessian
     value = u[0]
     grad = u[1] * g
     hess = u[2] * np.outer(g, g) + u[1] * h
-    third = fourth = None
-    if order >= 3:
-        third = (
-            u[3] * np.einsum("i,j,k->ijk", g, g, g)
-            + u[2] * _sym3_21(h, g)
-            + u[1] * a.third
-        )
-    if order >= 4:
-        fourth = (
-            u[4] * np.einsum("i,j,k,l->ijkl", g, g, g, g)
-            + u[3] * _sym4_211(h, g)
-            + u[2] * (_sym4_22_partitions(h) + _sym4_31(a.third, g))
-            + u[1] * a.fourth
-        )
-    return Jet(order, value, grad, hess, third, fourth)
+    return Jet(value, grad, hess)
 
 
-def _pow_derivs(v: float, expo: float, order: int) -> list[float]:
-    """Derivatives of v^expo up to ``order`` with the hard domain policy."""
+def _pow_derivs(v: float, expo: float) -> list[float]:
+    """v^expo and its first two derivatives, with the hard domain policy."""
     k = _as_int_exponent(expo)
     out: list[float] = []
     if v > 0.0:
         coeff = 1.0
-        for m in range(order + 1):
+        for m in range(3):
             out.append(coeff * v ** (expo - m))
             coeff *= expo - m
         return out
@@ -408,36 +312,36 @@ def _pow_derivs(v: float, expo: float, order: int) -> list[float]:
         if k < 0:
             raise DomainError("pole: 0 raised to a negative power")
         # v^k at v = 0: only the k-th derivative survives (= k!)
-        for m in range(order + 1):
+        for m in range(3):
             out.append(float(math.factorial(k)) if m == k else 0.0)
         return out
     coeff = 1.0
-    for m in range(order + 1):
+    for m in range(3):
         out.append(coeff * float(v ** (k - m)) if k - m >= 0 or v != 0.0 else 0.0)
         coeff *= k - m
     return out
 
 
-def _exp_derivs(v: float, order: int) -> list[float]:
+def _exp_derivs(v: float) -> list[float]:
     e = math.exp(v)
-    return [e] * (order + 1)
+    return [e] * 3
 
 
-def _log_derivs(v: float, order: int) -> list[float]:
+def _log_derivs(v: float) -> list[float]:
     if v <= 0.0:
         raise DomainError(f"log needs a positive argument (got {v})")
     out = [math.log(v)]
     coeff = 1.0
-    for m in range(1, order + 1):
+    for m in range(1, 3):
         out.append(coeff / v**m)
         coeff *= -m
     return out
 
 
-def _sqrt_derivs(v: float, order: int) -> list[float]:
+def _sqrt_derivs(v: float) -> list[float]:
     if v <= 0.0:
         raise DomainError(f"sqrt differentiation needs a positive argument (got {v})")
-    return _pow_derivs(v, 0.5, order)
+    return _pow_derivs(v, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -482,49 +386,49 @@ def _eval_node(n: Node, x: np.ndarray) -> float:
     raise TypeError(f"unknown node {n!r}")
 
 
-def _jet_node(n: Node, x: np.ndarray, order: int) -> Jet:
+def _jet_node(n: Node, x: np.ndarray) -> Jet:
     dim = x.shape[0]
     if isinstance(n, Const):
-        return _zero_jet(dim, order, n.c)
+        return _zero_jet(dim, n.c)
     if isinstance(n, Coord):
-        j = _zero_jet(dim, order, float(x[n.i]))
+        j = _zero_jet(dim, float(x[n.i]))
         j.gradient[n.i] = 1.0
         return j
     if isinstance(n, Add):
-        return _j_add(_jet_node(n.a, x, order), _jet_node(n.b, x, order))
+        return _j_add(_jet_node(n.a, x), _jet_node(n.b, x))
     if isinstance(n, Sub):
-        return _j_add(_jet_node(n.a, x, order), _jet_node(n.b, x, order), sign=-1.0)
+        return _j_add(_jet_node(n.a, x), _jet_node(n.b, x), sign=-1.0)
     if isinstance(n, Mul):
-        return _j_mul(_jet_node(n.a, x, order), _jet_node(n.b, x, order))
+        return _j_mul(_jet_node(n.a, x), _jet_node(n.b, x))
     if isinstance(n, Div):
-        b = _jet_node(n.b, x, order)
+        b = _jet_node(n.b, x)
         if b.value == 0.0:
             raise DomainError("division by zero")
-        recip = _pow_derivs(b.value, -1.0, order) if b.value > 0 else None
+        recip = _pow_derivs(b.value, -1.0) if b.value > 0 else None
         if recip is None:
             # negative denominator: 1/v derivatives directly
-            recip = [((-1.0) ** m) * math.factorial(m) / b.value ** (m + 1) for m in range(order + 1)]
-        return _j_mul(_jet_node(n.a, x, order), _j_compose(recip, b))
+            recip = [((-1.0) ** m) * math.factorial(m) / b.value ** (m + 1) for m in range(3)]
+        return _j_mul(_jet_node(n.a, x), _j_compose(recip, b))
     if isinstance(n, Pow):
-        a = _jet_node(n.a, x, order)
-        return _j_compose(_pow_derivs(a.value, n.expo, order), a)
+        a = _jet_node(n.a, x)
+        return _j_compose(_pow_derivs(a.value, n.expo), a)
     if isinstance(n, Exp):
-        a = _jet_node(n.a, x, order)
-        return _j_compose(_exp_derivs(a.value, order), a)
+        a = _jet_node(n.a, x)
+        return _j_compose(_exp_derivs(a.value), a)
     if isinstance(n, Log):
-        a = _jet_node(n.a, x, order)
-        return _j_compose(_log_derivs(a.value, order), a)
+        a = _jet_node(n.a, x)
+        return _j_compose(_log_derivs(a.value), a)
     if isinstance(n, Sqrt):
-        a = _jet_node(n.a, x, order)
-        return _j_compose(_sqrt_derivs(a.value, order), a)
+        a = _jet_node(n.a, x)
+        return _j_compose(_sqrt_derivs(a.value), a)
     if isinstance(n, NormSq):
-        j = _zero_jet(dim, order, float(np.dot(x, x)))
+        j = _zero_jet(dim, float(np.dot(x, x)))
         j.gradient[:] = 2.0 * x
         j.hessian[:] = 2.0 * np.eye(dim)
         return j
     if isinstance(n, Dot):
         c = np.asarray(n.coeffs, dtype=float)
-        j = _zero_jet(dim, order, float(np.dot(c, x)))
+        j = _zero_jet(dim, float(np.dot(c, x)))
         j.gradient[:] = c
         return j
     raise TypeError(f"unknown node {n!r}")
@@ -697,14 +601,12 @@ class ScalarField:
             raise ValueError(f"coordinate index {i} out of range for dim {self.dim}")
         return ScalarField(_diff_node(self.root, i), self.dim)
 
-    def jet(self, x, order: int = 2) -> Jet:
-        if order not in (2, 3, 4):
-            raise ValueError("jet order must be 2, 3 or 4")
+    def jet(self, x) -> Jet:
         x = _as_point(x, self.dim)
-        return _jet_node(self.root, x, order)
+        return _jet_node(self.root, x)
 
     def gradient(self, x) -> np.ndarray:
-        return self.jet(x, 2).gradient
+        return self.jet(x).gradient
 
     def is_zero(self) -> bool:
         """Structurally the zero field (after constant folding)."""
@@ -788,13 +690,13 @@ def differentiate(f: ScalarField, i: int) -> ScalarField:
     return f.diff(i)
 
 
-def eval_jet(f: ScalarField, x, order: int = 2) -> Jet:
-    """Forward-mode jet (value/gradient/Hessian, optionally 3rd/4th tensors)."""
-    return f.jet(x, order)
+def eval_jet(f: ScalarField, x) -> Jet:
+    """Forward-mode jet: value, gradient and Hessian."""
+    return f.jet(x)
 
 
 def finite_diff_jet(f: ScalarField, x, h: float = 1e-5) -> Jet:
-    """Central-difference order-2 jet; a slow independent oracle for tests."""
+    """Central-difference jet; a slow independent oracle for tests."""
     x = _as_point(x, f.dim)
     n = f.dim
     val = f.value(x)
@@ -819,7 +721,7 @@ def finite_diff_jet(f: ScalarField, x, h: float = 1e-5) -> Jet:
                 + f.value(x - ei - ej)
             ) / (4 * h**2)
             hess[i, j] = hess[j, i] = v
-    return Jet(2, val, grad, hess)
+    return Jet(val, grad, hess)
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,8 @@ class GammaPointReport:
 
 def apply_L(p: ProblemSpec, f: ScalarField, x) -> float:
     """L f (x) = trace Hess f (x) - grad U (x) . grad f (x)."""
-    jf = f.jet(x, 2)
-    ju = p.U.jet(x, 2)
+    jf = f.jet(x)
+    ju = p.U.jet(x)
     return float(np.trace(jf.hessian) - ju.gradient @ jf.gradient)
 
 
@@ -96,13 +96,13 @@ def apply_L_symbolic(p: ProblemSpec, f: ScalarField) -> ScalarField:
 
 def gamma(p: ProblemSpec, f: ScalarField, g: ScalarField, x) -> float:
     """Gamma(f,g)(x) = grad f . grad g."""
-    return float(f.jet(x, 2).gradient @ g.jet(x, 2).gradient)
+    return float(f.jet(x).gradient @ g.jet(x).gradient)
 
 
 def gamma2(p: ProblemSpec, f: ScalarField, x) -> float:
     """Gamma2(f)(x) = sum_ij (d2_ij f)^2 + (grad f)^T Hess U (grad f)."""
-    jf = f.jet(x, 2)
-    ju = p.U.jet(x, 2)
+    jf = f.jet(x)
+    ju = p.U.jet(x)
     return float(np.sum(jf.hessian**2) + jf.gradient @ ju.hessian @ jf.gradient)
 
 
@@ -114,9 +114,9 @@ def gamma_w(p: ProblemSpec, f: ScalarField, g: ScalarField, x) -> float:
 
 def gamma2_w(p: ProblemSpec, f: ScalarField, x) -> float:
     """Gamma2W(f)(x) via the order-2 expansion (see module docstring)."""
-    jf = f.jet(x, 2)
-    ju = p.U.jet(x, 2)
-    jw = p.W.jet(x, 2)
+    jf = f.jet(x)
+    ju = p.U.jet(x)
+    jw = p.W.jet(x)
     fv, wv = jf.value, jw.value
     grad_f, grad_w = jf.gradient, jw.gradient
     base = float(np.sum(jf.hessian**2) + grad_f @ ju.hessian @ grad_f)
@@ -146,11 +146,11 @@ def gamma2_w_definitional(p: ProblemSpec, f: ScalarField, x) -> float:
 
 def gamma_integrand(p: ProblemSpec, x) -> float:
     """lap W / W - 3|grad W|^2/W^2 - grad U . grad W / W at x, for W(x) != 0."""
-    jw = p.W.jet(x, 2)
+    jw = p.W.jet(x)
     wv = jw.value
     if abs(wv) < WEIGHT_EPS:
         raise WeightVanishesError(f"W vanishes at {np.asarray(x)!r}")
-    ju = p.U.jet(x, 2)
+    ju = p.U.jet(x)
     lap_w = float(np.trace(jw.hessian))
     gw2 = float(jw.gradient @ jw.gradient)
     return lap_w / wv - 3.0 * gw2 / (wv * wv) - float(ju.gradient @ jw.gradient) / wv
@@ -163,8 +163,8 @@ def sqrt_defect(p: ProblemSpec, g: ScalarField, x, rho: float, c: float) -> tupl
     and bound = -c (|grad g| + W g); the inequality lhs >= bound is what the
     constant c is defined to guarantee for g >= 0.
     """
-    jg = g.jet(x, 2)
-    jw = p.W.jet(x, 2)
+    jg = g.jet(x)
+    jw = p.W.jet(x)
     lw = apply_L(p, p.W, x)
     lhs = jg.value * (lw - rho * jw.value) + 2.0 * float(jw.gradient @ jg.gradient)
     bound = -c * (float(np.linalg.norm(jg.gradient)) + jw.value * jg.value)

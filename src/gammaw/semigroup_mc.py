@@ -37,7 +37,7 @@ from functools import reduce
 import numpy as np
 
 from . import _tape
-from .field_expr import Const, Dot, Exp, Mul, Node, ProblemSpec, ScalarField
+from .field_expr import Const, DomainError, Dot, Exp, Mul, Node, ProblemSpec, ScalarField
 from .gamma_calculus import apply_L_symbolic
 
 __all__ = [
@@ -420,11 +420,7 @@ def mehler_Qt(p: ProblemSpec, f: ScalarField, x, t: float, quad_order: int = 40)
         c, a = fam
         return c if a is None else c * gaussian_exp_moment(mean, var, a)
     pts, weights = _hermite_points(mean, var, quad_order)
-    vals, err = _tape.eval_values(f, pts)
-    if np.any(err != 0):
-        bad = int(np.argmax(err != 0))
-        raise _tape_domain_error(err[bad], pts[bad])
-    return float(weights @ vals)
+    return float(weights @ _strict_values(f, pts))
 
 
 def mehler_grad_Qt(p: ProblemSpec, f: ScalarField, x, t: float, quad_order: int = 40) -> np.ndarray:
@@ -436,10 +432,13 @@ def mehler_grad_Qt(p: ProblemSpec, f: ScalarField, x, t: float, quad_order: int 
     )
 
 
-def _tape_domain_error(code: int, point: np.ndarray):
-    from .field_expr import DomainError
-
-    return DomainError(f"{_tape.err_message(int(code))} at {point!r}")
+def _strict_values(f: ScalarField, pts: np.ndarray) -> np.ndarray:
+    """Tape values of ``f`` at the rows of ``pts``; DomainError at the first bad row."""
+    vals, err = _tape.eval_values(f, pts)
+    if np.any(err != 0):
+        bad = int(np.argmax(err != 0))
+        raise DomainError(f"{_tape.err_message(int(err[bad]))} at {pts[bad]!r}")
+    return vals
 
 
 def taylor_Qt(p: ProblemSpec, f: ScalarField, x, t: float) -> float:
@@ -559,10 +558,7 @@ def mehler_fk_term(
     for s_j, w_j in zip(grid, weights):
         mean, var = _ou_law(x, s_j)
         pts, gh_w = _hermite_points(mean, var, quad_order)
-        w2_vals, err = _tape.eval_values(w_sq, pts)
-        if np.any(err != 0):
-            bad = int(np.argmax(err != 0))
-            raise _tape_domain_error(err[bad], pts[bad])
+        w2_vals = _strict_values(w_sq, pts)
         inner = _qt_values(p, f, fam, pts, t - s_j, quad_order)
         total += 2.0 * w_j * float(gh_w @ (w2_vals * inner * inner))
     return total
@@ -585,21 +581,14 @@ def _qt_values(
         var = 1.0 - decay * decay
         return c * math.exp(0.5 * var * float(a @ a)) * np.exp(pts @ (decay * a))
     if u == 0.0:
-        vals, err = _tape.eval_values(f, pts)
-        if np.any(err != 0):
-            bad = int(np.argmax(err != 0))
-            raise _tape_domain_error(err[bad], pts[bad])
-        return vals
+        return _strict_values(f, pts)
     decay = math.exp(-u)
     var = 1.0 - decay * decay
     zero = np.zeros(p.dim)
     inner_pts, inner_w = _hermite_points(zero, var, quad_order)
     n_out, n_in = pts.shape[0], inner_pts.shape[0]
     combined = (decay * pts)[:, None, :] + inner_pts[None, :, :]
-    vals, err = _tape.eval_values(f, combined.reshape(n_out * n_in, p.dim))
-    if np.any(err != 0):
-        bad = int(np.argmax(err != 0))
-        raise _tape_domain_error(err[bad], combined.reshape(-1, p.dim)[bad])
+    vals = _strict_values(f, combined.reshape(n_out * n_in, p.dim))
     return vals.reshape(n_out, n_in) @ inner_w
 
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gammaw
 from gammaw.cli import main
 from gammaw.config import DEFAULT_CONFIG_TEXT, ConfigError, RunConfig
 
@@ -323,3 +329,13 @@ def test_x_grid_and_a_list_shapes():
     assert [tuple(a) for a in cfg.a_list()] == [
         (0.0, 0.0), (0.1, 0.0), (0.5, 0.0), (1.0, 0.0),
     ]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(gammaw.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run(
+        [sys.executable, "-m", "gammaw", "--help"], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert "reproduce-paper" in res.stdout

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gammaw.field_expr import const_field, dot_field, parse_field
+from gammaw.field_expr import DomainError, const_field, dot_field, parse_field
 from gammaw.presets import gaussian_problem, make_problem
 from gammaw.verifier import battery
 from gammaw.semigroup_mc import (
@@ -146,6 +146,14 @@ def test_mehler_requires_gaussian():
     p = make_problem(2, "normsq(x)", "sqrt1sq")
     with pytest.raises(ValueError):
         mehler_Qt(p, parse_field("x0", 2), [0.0, 0.0], 0.1)
+
+
+def test_mehler_domain_errors_name_the_bad_node(p2):
+    x = [0.3, -0.2]
+    with pytest.raises(DomainError, match="log outside its domain at array"):
+        mehler_Qt(p2, parse_field("log(x0)", 2), x, 0.5)
+    with pytest.raises(DomainError, match="sqrt outside its domain at array"):
+        mehler_fk_term(p2, parse_field("sqrt(x0)", 2), x, 0.5, s_nodes=3, quad_order=5)
 
 
 def test_mehler_grad_matches_finite_difference(p2):
