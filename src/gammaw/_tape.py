@@ -1,7 +1,7 @@
 """Batch evaluation of scalar fields over many points.
 
-An expression tree is flattened once into a register tape (common subtrees
-deduplicated), then a numpy interpreter runs the tape over a batch of points,
+An expression DAG is flattened once into a register tape, one register per
+distinct node, then a numpy interpreter runs the tape over a batch of points,
 one opcode at a time, vectorized over chunks of points.  Values and
 gradients share that one driver.  The test suite pins the tape against the
 recursive evaluator and the jets of :mod:`gammaw.field_expr`.
@@ -69,7 +69,7 @@ def err_message(code: int) -> str:
 
 @dataclass
 class Tape:
-    """Flattened expression: one register per distinct subtree."""
+    """Flattened expression: one register per distinct node."""
 
     ops: np.ndarray  # (K,) int64 opcodes
     a1: np.ndarray  # (K,) int64 first operand (register or table index)
@@ -84,9 +84,10 @@ class Tape:
 
 
 def compile_tape(f: ScalarField) -> Tape:
-    """Flatten ``f`` into a tape, deduplicating repeated subtrees.
+    """Flatten ``f`` into a tape, one register per distinct node.
 
-    The result is cached on the field, which is safe because fields are
+    Nodes are interned, so deduplication is an identity lookup.  The
+    result is cached on the field, which is safe because fields are
     immutable.
     """
     if f._tape is not None:

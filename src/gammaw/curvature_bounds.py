@@ -33,12 +33,11 @@ from .field_expr import DomainError, ProblemSpec, ScalarField
 from .gamma_calculus import (
     WEIGHT_EPS,
     WeightVanishesError,
+    _gamma2_w_jets,
     apply_L_symbolic,
-    gamma2_w,
     gamma_field,
     gamma_integrand,
     gamma_integrand_field,
-    gamma_w,
 )
 
 __all__ = [
@@ -169,6 +168,8 @@ def _extremize_min(
             idx = np.argsort(np.where(ok, vals, np.inf))[:4]
             starts.extend(cand[i] for i in idx)
         starts.extend(rng.uniform(-radius, radius, size=(cfg.multistart_count, dim)))
+        if not ok.any():  # nothing finite to refine; the draw above keeps the stream
+            starts = []
         clamped = _clamped(local_objective, radius)
         for x0 in starts:
             res = minimize(
@@ -383,8 +384,11 @@ def check_pointwise_cd(
     worst_point: np.ndarray | None = None
     for x in pts:
         try:
-            g2w = gamma2_w(p, f, x)
-            gw = gamma_w(p, f, f, x)
+            jf = f.jet(x)
+            g2w = _gamma2_w_jets(jf, p.U.jet(x), p.W.jet(x))
+            # GammaW(f,f) rounded as gamma_w rounds it: W and f by value
+            w, fv = p.W.value(x), f.value(x)
+            gw = float(jf.gradient @ jf.gradient) + w * w * fv * fv
         except DomainError:
             n_domain += 1
             continue

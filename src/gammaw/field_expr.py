@@ -1,10 +1,13 @@
 """Scalar fields on R^n: a small expression language with exact derivatives.
 
-A :class:`ScalarField` is an immutable expression tree over the grammar
+A :class:`ScalarField` is an immutable hash-consed expression DAG over the
+grammar
 
     numbers, x0..x{n-1}, + - * / ^, exp() log() sqrt(), normsq(x), dot(c,x)
 
 where ``^`` takes a real constant exponent and ``c`` is a literal vector.
+Each structure has one live node object, so a subexpression that recurs is
+stored, evaluated and differentiated once per call.
 Every field is C-infinity on its domain and the family is closed under
 symbolic differentiation, so quantities like L f = tr Hess f - grad U . grad f
 and iterated applications L(Lf) stay first-class fields.
@@ -27,7 +30,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+import struct
+import weakref
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -67,80 +72,110 @@ class DomainError(FieldError):
 
 
 # ---------------------------------------------------------------------------
-# Expression nodes
+# Expression nodes: a hash-consed DAG
 # ---------------------------------------------------------------------------
 
+# Hash-consing (Filliatre & Conchon, "Type-safe modular hash-consing", 2006):
+# one live node per key.  Keys hold children by identity and the floats of
+# Const and Dot by their bits, so 0.0 and -0.0 stay distinct.
+_NODES: dict[tuple, weakref.KeyedRef] = {}
 
-@dataclass(frozen=True)
+
+def _forget(ref: weakref.KeyedRef, table: dict = _NODES) -> None:
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+def _intern(cls: type, key: tuple, args: tuple) -> "Node":
+    ref = _NODES.get(key)
+    if ref is not None and (node := ref()) is not None:
+        return node
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, args):
+        object.__setattr__(node, name, value)
+    kids = [v for v in args if isinstance(v, Node)]
+    max_coord = args[0] if cls is Coord else max([-1, *(k.max_coord for k in kids)])
+    dot_lens = (len(args[0]),) if cls is Dot else ()
+    for kid in kids:
+        dot_lens += tuple(k for k in kid.dot_lens if k not in dot_lens)
+    object.__setattr__(node, "max_coord", max_coord)
+    object.__setattr__(node, "dot_lens", dot_lens)
+    _NODES[key] = weakref.KeyedRef(node, _forget, key)
+    return node
+
+
 class Node:
-    pass
+    """Immutable interned node; equality and hashing are identity.
+
+    ``max_coord`` (highest coordinate index beneath, -1 if none) and
+    ``dot_lens`` (distinct Dot lengths beneath) let a field check its root in O(1).
+    """
+
+    __slots__ = ("max_coord", "dot_lens", "__weakref__")
+
+    def __new__(cls, *args):
+        return _intern(cls, (cls, *args), args)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-@dataclass(frozen=True)
 class Const(Node):
-    c: float
+    __slots__ = ("c",)
+
+    def __new__(cls, c: float):
+        return _intern(cls, (cls, struct.pack("<d", c)), (c,))
 
 
-@dataclass(frozen=True)
 class Coord(Node):
-    i: int
+    __slots__ = ("i",)
 
 
-@dataclass(frozen=True)
 class Add(Node):
-    a: Node
-    b: Node
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True)
 class Sub(Node):
-    a: Node
-    b: Node
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True)
 class Mul(Node):
-    a: Node
-    b: Node
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True)
 class Div(Node):
-    a: Node
-    b: Node
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True)
 class Pow(Node):
-    a: Node
-    expo: float  # real constant exponent
+    __slots__ = ("a", "expo")  # expo: real constant exponent
 
 
-@dataclass(frozen=True)
 class Exp(Node):
-    a: Node
+    __slots__ = ("a",)
 
 
-@dataclass(frozen=True)
 class Log(Node):
-    a: Node
+    __slots__ = ("a",)
 
 
-@dataclass(frozen=True)
 class Sqrt(Node):
-    a: Node
+    __slots__ = ("a",)
 
 
-@dataclass(frozen=True)
 class NormSq(Node):
     """Squared Euclidean norm |x|^2 of the coordinate vector."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Dot(Node):
     """Scalar product c . x with a constant vector c."""
 
-    coeffs: tuple[float, ...]
+    __slots__ = ("coeffs",)
+
+    def __new__(cls, coeffs: tuple[float, ...]):
+        return _intern(cls, (cls, struct.pack(f"<{len(coeffs)}d", *coeffs)), (coeffs,))
 
 
 def _is_const(n: Node, value: float | None = None) -> bool:
@@ -345,123 +380,138 @@ def _sqrt_derivs(v: float) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Recursive evaluation
+# Recursive evaluation; a per-call memo visits each distinct node once
 # ---------------------------------------------------------------------------
 
 
-def _eval_node(n: Node, x: np.ndarray) -> float:
+def _eval_node(n: Node, x: np.ndarray, memo: dict) -> float:
+    v = memo.get(n)
+    if v is not None:
+        return v
     if isinstance(n, Const):
-        return n.c
-    if isinstance(n, Coord):
-        return float(x[n.i])
-    if isinstance(n, Add):
-        return _eval_node(n.a, x) + _eval_node(n.b, x)
-    if isinstance(n, Sub):
-        return _eval_node(n.a, x) - _eval_node(n.b, x)
-    if isinstance(n, Mul):
-        return _eval_node(n.a, x) * _eval_node(n.b, x)
-    if isinstance(n, Div):
-        d = _eval_node(n.b, x)
+        v = n.c
+    elif isinstance(n, Coord):
+        v = float(x[n.i])
+    elif isinstance(n, Add):
+        v = _eval_node(n.a, x, memo) + _eval_node(n.b, x, memo)
+    elif isinstance(n, Sub):
+        v = _eval_node(n.a, x, memo) - _eval_node(n.b, x, memo)
+    elif isinstance(n, Mul):
+        v = _eval_node(n.a, x, memo) * _eval_node(n.b, x, memo)
+    elif isinstance(n, Div):
+        d = _eval_node(n.b, x, memo)
         if d == 0.0:
             raise DomainError("division by zero")
-        return _eval_node(n.a, x) / d
-    if isinstance(n, Pow):
-        return _pow_value(_eval_node(n.a, x), n.expo)
-    if isinstance(n, Exp):
-        return math.exp(_eval_node(n.a, x))
-    if isinstance(n, Log):
-        v = _eval_node(n.a, x)
+        v = _eval_node(n.a, x, memo) / d
+    elif isinstance(n, Pow):
+        v = _pow_value(_eval_node(n.a, x, memo), n.expo)
+    elif isinstance(n, Exp):
+        v = math.exp(_eval_node(n.a, x, memo))
+    elif isinstance(n, Log):
+        v = _eval_node(n.a, x, memo)
         if v <= 0.0:
             raise DomainError(f"log of {v}")
-        return math.log(v)
-    if isinstance(n, Sqrt):
-        v = _eval_node(n.a, x)
+        v = math.log(v)
+    elif isinstance(n, Sqrt):
+        v = _eval_node(n.a, x, memo)
         if v < 0.0:
             raise DomainError(f"sqrt of {v}")
-        return math.sqrt(v)
-    if isinstance(n, NormSq):
-        return float(np.dot(x, x))
-    if isinstance(n, Dot):
-        return float(np.dot(np.asarray(n.coeffs), x))
-    raise TypeError(f"unknown node {n!r}")
+        v = math.sqrt(v)
+    elif isinstance(n, NormSq):
+        v = float(np.dot(x, x))
+    elif isinstance(n, Dot):
+        v = float(np.dot(np.asarray(n.coeffs), x))
+    else:
+        raise TypeError(f"unknown node {n!r}")
+    memo[n] = v
+    return v
 
 
-def _jet_node(n: Node, x: np.ndarray) -> Jet:
+def _jet_node(n: Node, x: np.ndarray, memo: dict) -> Jet:
+    j = memo.get(n)
+    if j is not None:
+        return j
     dim = x.shape[0]
     if isinstance(n, Const):
-        return _zero_jet(dim, n.c)
-    if isinstance(n, Coord):
+        j = _zero_jet(dim, n.c)
+    elif isinstance(n, Coord):
         j = _zero_jet(dim, float(x[n.i]))
         j.gradient[n.i] = 1.0
-        return j
-    if isinstance(n, Add):
-        return _j_add(_jet_node(n.a, x), _jet_node(n.b, x))
-    if isinstance(n, Sub):
-        return _j_add(_jet_node(n.a, x), _jet_node(n.b, x), sign=-1.0)
-    if isinstance(n, Mul):
-        return _j_mul(_jet_node(n.a, x), _jet_node(n.b, x))
-    if isinstance(n, Div):
-        b = _jet_node(n.b, x)
+    elif isinstance(n, Add):
+        j = _j_add(_jet_node(n.a, x, memo), _jet_node(n.b, x, memo))
+    elif isinstance(n, Sub):
+        j = _j_add(_jet_node(n.a, x, memo), _jet_node(n.b, x, memo), sign=-1.0)
+    elif isinstance(n, Mul):
+        j = _j_mul(_jet_node(n.a, x, memo), _jet_node(n.b, x, memo))
+    elif isinstance(n, Div):
+        b = _jet_node(n.b, x, memo)
         if b.value == 0.0:
             raise DomainError("division by zero")
         recip = _pow_derivs(b.value, -1.0) if b.value > 0 else None
         if recip is None:
             # negative denominator: 1/v derivatives directly
             recip = [((-1.0) ** m) * math.factorial(m) / b.value ** (m + 1) for m in range(3)]
-        return _j_mul(_jet_node(n.a, x), _j_compose(recip, b))
-    if isinstance(n, Pow):
-        a = _jet_node(n.a, x)
-        return _j_compose(_pow_derivs(a.value, n.expo), a)
-    if isinstance(n, Exp):
-        a = _jet_node(n.a, x)
-        return _j_compose(_exp_derivs(a.value), a)
-    if isinstance(n, Log):
-        a = _jet_node(n.a, x)
-        return _j_compose(_log_derivs(a.value), a)
-    if isinstance(n, Sqrt):
-        a = _jet_node(n.a, x)
-        return _j_compose(_sqrt_derivs(a.value), a)
-    if isinstance(n, NormSq):
+        j = _j_mul(_jet_node(n.a, x, memo), _j_compose(recip, b))
+    elif isinstance(n, Pow):
+        a = _jet_node(n.a, x, memo)
+        j = _j_compose(_pow_derivs(a.value, n.expo), a)
+    elif isinstance(n, Exp):
+        a = _jet_node(n.a, x, memo)
+        j = _j_compose(_exp_derivs(a.value), a)
+    elif isinstance(n, Log):
+        a = _jet_node(n.a, x, memo)
+        j = _j_compose(_log_derivs(a.value), a)
+    elif isinstance(n, Sqrt):
+        a = _jet_node(n.a, x, memo)
+        j = _j_compose(_sqrt_derivs(a.value), a)
+    elif isinstance(n, NormSq):
         j = _zero_jet(dim, float(np.dot(x, x)))
         j.gradient[:] = 2.0 * x
         j.hessian[:] = 2.0 * np.eye(dim)
-        return j
-    if isinstance(n, Dot):
+    elif isinstance(n, Dot):
         c = np.asarray(n.coeffs, dtype=float)
         j = _zero_jet(dim, float(np.dot(c, x)))
         j.gradient[:] = c
-        return j
-    raise TypeError(f"unknown node {n!r}")
+    else:
+        raise TypeError(f"unknown node {n!r}")
+    memo[n] = j
+    return j
 
 
-def _diff_node(n: Node, i: int) -> Node:
-    if isinstance(n, (Const, Dot, Coord, NormSq)):
-        if isinstance(n, Coord):
-            return Const(1.0 if n.i == i else 0.0)
-        if isinstance(n, Dot):
-            return Const(n.coeffs[i])
-        if isinstance(n, NormSq):
-            return _mul(Const(2.0), Coord(i))
-        return Const(0.0)
-    if isinstance(n, Add):
-        return _add(_diff_node(n.a, i), _diff_node(n.b, i))
-    if isinstance(n, Sub):
-        return _sub(_diff_node(n.a, i), _diff_node(n.b, i))
-    if isinstance(n, Mul):
-        return _add(_mul(_diff_node(n.a, i), n.b), _mul(n.a, _diff_node(n.b, i)))
-    if isinstance(n, Div):
-        num = _sub(_mul(_diff_node(n.a, i), n.b), _mul(n.a, _diff_node(n.b, i)))
-        return _div(num, _pow(n.b, 2.0))
-    if isinstance(n, Pow):
-        inner = _diff_node(n.a, i)
-        return _mul(_mul(Const(n.expo), _pow(n.a, n.expo - 1.0)), inner)
-    if isinstance(n, Exp):
-        return _mul(Exp(n.a), _diff_node(n.a, i))
-    if isinstance(n, Log):
-        return _div(_diff_node(n.a, i), n.a)
-    if isinstance(n, Sqrt):
-        return _div(_diff_node(n.a, i), _mul(Const(2.0), Sqrt(n.a)))
-    raise TypeError(f"unknown node {n!r}")
+def _diff_node(n: Node, i: int, memo: dict) -> Node:
+    d = memo.get(n)
+    if d is not None:
+        return d
+    if isinstance(n, Coord):
+        d = Const(1.0 if n.i == i else 0.0)
+    elif isinstance(n, Dot):
+        d = Const(n.coeffs[i])
+    elif isinstance(n, NormSq):
+        d = _mul(Const(2.0), Coord(i))
+    elif isinstance(n, Const):
+        d = Const(0.0)
+    elif isinstance(n, Add):
+        d = _add(_diff_node(n.a, i, memo), _diff_node(n.b, i, memo))
+    elif isinstance(n, Sub):
+        d = _sub(_diff_node(n.a, i, memo), _diff_node(n.b, i, memo))
+    elif isinstance(n, Mul):
+        d = _add(_mul(_diff_node(n.a, i, memo), n.b), _mul(n.a, _diff_node(n.b, i, memo)))
+    elif isinstance(n, Div):
+        num = _sub(_mul(_diff_node(n.a, i, memo), n.b), _mul(n.a, _diff_node(n.b, i, memo)))
+        d = _div(num, _pow(n.b, 2.0))
+    elif isinstance(n, Pow):
+        inner = _diff_node(n.a, i, memo)
+        d = _mul(_mul(Const(n.expo), _pow(n.a, n.expo - 1.0)), inner)
+    elif isinstance(n, Exp):
+        d = _mul(n, _diff_node(n.a, i, memo))
+    elif isinstance(n, Log):
+        d = _div(_diff_node(n.a, i, memo), n.a)
+    elif isinstance(n, Sqrt):
+        d = _div(_diff_node(n.a, i, memo), _mul(Const(2.0), n))
+    else:
+        raise TypeError(f"unknown node {n!r}")
+    memo[n] = d
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +575,11 @@ class ScalarField:
     def __init__(self, root: Node, dim: int):
         if dim <= 0:
             raise ValueError("dim must be positive")
-        _check_indices(root, dim)
+        if root.max_coord >= dim:
+            raise ValueError(f"coordinate x{root.max_coord} out of range for dim {dim}")
+        for k in root.dot_lens:
+            if k != dim:
+                raise ValueError(f"dot vector has length {k}, expected {dim}")
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_tape", None)
@@ -592,18 +646,18 @@ class ScalarField:
 
     def value(self, x) -> float:
         x = _as_point(x, self.dim)
-        return _eval_node(self.root, x)
+        return _eval_node(self.root, x, {})
 
     __call__ = value
 
     def diff(self, i: int) -> "ScalarField":
         if not 0 <= i < self.dim:
             raise ValueError(f"coordinate index {i} out of range for dim {self.dim}")
-        return ScalarField(_diff_node(self.root, i), self.dim)
+        return ScalarField(_diff_node(self.root, i, {}), self.dim)
 
     def jet(self, x) -> Jet:
         x = _as_point(x, self.dim)
-        return _jet_node(self.root, x)
+        return _jet_node(self.root, x, {})
 
     def gradient(self, x) -> np.ndarray:
         return self.jet(x).gradient
@@ -638,17 +692,6 @@ def _as_point(x, dim: int) -> np.ndarray:
     if arr.shape != (dim,):
         raise ValueError(f"point has shape {arr.shape}, expected ({dim},)")
     return arr
-
-
-def _check_indices(n: Node, dim: int) -> None:
-    if isinstance(n, Coord) and n.i >= dim:
-        raise ValueError(f"coordinate x{n.i} out of range for dim {dim}")
-    if isinstance(n, Dot) and len(n.coeffs) != dim:
-        raise ValueError(f"dot vector has length {len(n.coeffs)}, expected {dim}")
-    for name in ("a", "b"):
-        child = getattr(n, name, None)
-        if isinstance(child, Node):
-            _check_indices(child, dim)
 
 
 def const_field(c: float, dim: int) -> ScalarField:

@@ -114,9 +114,11 @@ def gamma_w(p: ProblemSpec, f: ScalarField, g: ScalarField, x) -> float:
 
 def gamma2_w(p: ProblemSpec, f: ScalarField, x) -> float:
     """Gamma2W(f)(x) via the order-2 expansion (see module docstring)."""
-    jf = f.jet(x)
-    ju = p.U.jet(x)
-    jw = p.W.jet(x)
+    return _gamma2_w_jets(f.jet(x), p.U.jet(x), p.W.jet(x))
+
+
+def _gamma2_w_jets(jf: Jet, ju: Jet, jw: Jet) -> float:
+    """Gamma2W(f) from the jets of f, U and W at one point."""
     fv, wv = jf.value, jw.value
     grad_f, grad_w = jf.gradient, jw.gradient
     base = float(np.sum(jf.hessian**2) + grad_f @ ju.hessian @ grad_f)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -390,10 +390,18 @@ def _ou_law(x: np.ndarray, t: float) -> tuple[np.ndarray, float]:
     return decay * x, 1.0 - decay * decay
 
 
+@lru_cache(maxsize=None)
+def _hermgauss(quad_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Hermite rule of one order, computed once; read-only arrays."""
+    z, w = np.polynomial.hermite.hermgauss(quad_order)
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
+
+
 def _hermite_points(mean: np.ndarray, var: float, quad_order: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss-Hermite nodes/weights for N(mean, var I) expectation."""
     n = mean.shape[0]
-    z, w = np.polynomial.hermite.hermgauss(quad_order)
+    z, w = _hermgauss(quad_order)
     scale = math.sqrt(2.0 * var)
     grids = np.meshgrid(*([z] * n), indexing="ij")
     pts = mean[None, :] + scale * np.stack([g.ravel() for g in grids], axis=-1)

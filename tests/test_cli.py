@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,16 @@ def test_check_curvature_c_without_domain_points_exits_3(capsys):
     assert code == 3
     assert "DIVERGENT" not in captured.out
     assert "domain of W" in captured.err
+
+
+def test_search_skips_nelder_mead_without_domain_points(capsys):
+    # every start is +inf there; Nelder-Mead on such a simplex makes scipy warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*OUTSIDE_DOMAIN, "--override", "search.radii=5",
+                     "--override", "search.local_steps=300"])
+    assert code == 3
+    assert "domain of W" in capsys.readouterr().err
 
 
 def test_check_curvature_all_pointwise_domain_errors_exits_3(capsys):

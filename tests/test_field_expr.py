@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -5,10 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gammaw import field_expr
 from gammaw.field_expr import (
+    Add,
+    Const,
+    Coord,
     DomainError,
+    Dot,
+    Exp,
+    Mul,
     ParseError,
     ScalarField,
+    Sqrt,
     const_field,
     coord_field,
     dot_field,
@@ -230,3 +239,63 @@ def test_exp_log_sqrt_chain():
     r = math.sqrt(26.0)
     assert jg.value == pytest.approx(r)
     assert jg.gradient == pytest.approx(np.array([3.0, 4.0]) / r)
+
+
+def _distinct_nodes(root) -> set:
+    seen, stack = set(), [root]
+    while stack:
+        n = stack.pop()
+        if n not in seen:
+            seen.add(n)
+            stack.extend(getattr(n, k) for k in ("a", "b") if hasattr(n, k))
+    return seen
+
+
+def test_field_rejects_bad_leaves_at_any_depth():
+    for root in (Coord(2), Add(Const(1.0), Mul(Coord(0), Exp(Coord(2))))):
+        with pytest.raises(ValueError, match="coordinate x2 out of range for dim 2"):
+            ScalarField(root, 2)
+    for root in (Dot((1.0,)), Add(Coord(1), Sqrt(Dot((1.0,))))):
+        with pytest.raises(ValueError, match="dot vector has length 1, expected 2"):
+            ScalarField(root, 2)
+    ok = ScalarField(Add(Coord(1), Dot((1.0, 2.0))), 2)
+    assert ok.value([1.0, 1.0]) == 4.0
+
+
+def test_nodes_are_interned():
+    src = "exp(dot((0.5,-1),x)) * (1 + normsq(x))^(1/2) - x1/3"
+    assert parse_field(src, 2).root is parse_field(src, 2).root
+    assert parse_field(src, 2) == parse_field(src, 2)
+    assert Const(0.0) is Const(0.0)
+    assert Const(0.0) is not Const(-0.0)
+    assert Dot((0.0, 1.0)) is not Dot((-0.0, 1.0))
+
+
+def test_intern_table_drops_dead_nodes():
+    gc.collect()
+    before = len(field_expr._NODES)
+    x0 = coord_field(0, 1)
+    big = const_field(0.0, 1)
+    for k in range(500):
+        big = big + (x0 + (k + 0.123)) ** 2
+    assert len(field_expr._NODES) >= before + 1500
+    del big, x0
+    gc.collect()
+    assert len(field_expr._NODES) <= before
+
+
+def test_value_visits_each_distinct_node_once(monkeypatch):
+    inner = field_expr._eval_node
+    computed = []
+
+    def counting(n, x, memo):
+        if n not in memo:
+            computed.append(n)
+        return inner(n, x, memo)
+
+    monkeypatch.setattr(field_expr, "_eval_node", counting)
+    s = normsq_field(2) + 1.0
+    f = (s * s + s.sqrt()) / s + s.log() * s
+    f = f * f
+    assert f.value([0.3, -0.4]) == pytest.approx((1.25 + 1.25**-0.5 + math.log(1.25) * 1.25) ** 2)
+    assert len(computed) == len(set(computed)) == len(_distinct_nodes(f.root))

@@ -3,6 +3,9 @@ import pytest
 
 from gammaw import _tape
 from gammaw.field_expr import DomainError, coord_field, eval_jet, normsq_field, parse_field
+from gammaw.gamma_calculus import apply_L_symbolic, gamma_w_field
+from gammaw.presets import gaussian_problem
+from gammaw.verifier import exp_field
 
 FIELDS = [
     "1 + x0 - 0.5*x1",
@@ -83,6 +86,19 @@ def test_tape_deduplicates_shared_subtrees():
     assert int(np.sum(tape.ops == _tape.OP_NORMSQ)) == 1
     adds = int(np.sum(tape.ops == _tape.OP_ADD))
     assert adds == 2  # (1+n) shared, plus the top-level sum
+
+
+def test_registers_are_the_distinct_nodes():
+    p = gaussian_problem(3)
+    f = exp_field([0.3, -0.2, 0.5], 3)
+    ll_gw = apply_L_symbolic(p, apply_L_symbolic(p, gamma_w_field(p, f, f)))
+    seen, stack = set(), [ll_gw.root]
+    while stack:
+        n = stack.pop()
+        if n not in seen:
+            seen.add(n)
+            stack.extend(getattr(n, k) for k in ("a", "b") if hasattr(n, k))
+    assert _tape.compile_tape(ll_gw).n_registers == len(seen)
 
 
 def test_tape_cached_on_field():
