@@ -6,10 +6,14 @@ curvature-dimension, the optimality limit, the three semigroup
 inequalities, the oracle stack, and the small-t expansion), and returns a
 CriterionResult carrying a human summary plus CSV artifact lines.
 
-Seeds, grids, and tolerances are pinned so reruns are byte-identical;
-``overrides`` (e.g. ``{"mc.n_paths": "1000"}``) deliberately break the
-pinning for sensitivity runs, in which case noisy criteria report
-inconclusive rather than pass.
+Seeds, grids, and tolerances are pinned so reruns are byte-identical.
+``overrides`` (``section.key=value`` strings such as ``"mc.n_paths=1000"``)
+deliberately break the pinning for sensitivity runs, in which case noisy
+criteria report inconclusive rather than pass.  Only ``mc.*`` and
+``search.*`` keys are taken; each criterion applies them, through
+``RunConfig._set``, to its own pinned MCConfig or SearchConfig.  Any other
+key, and any key or value the config parser rejects, raises ConfigError
+before the first criterion runs.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .config import ConfigError, RunConfig, split_override
 from .curvature_bounds import SearchConfig, check_pointwise_cd, estimate_c, estimate_gamma, estimate_rho
 from .field_expr import DomainError, ProblemSpec, const_field
 from . import _tape
@@ -47,7 +52,6 @@ from .verifier import (
     optimality_study,
     random_problem,
     random_smooth_field,
-    run_battery,
     VerificationReport,
     verify_commutation,
     verify_sqrt_commutation,
@@ -79,26 +83,28 @@ class CriterionResult:
         return "\n".join([head] + ["  " + s for s in self.lines])
 
 
-def _ov_int(ov: dict, key: str, default: int) -> int:
-    return int(ov[key]) if key in ov else default
+def _checked_overrides(overrides) -> tuple[str, ...]:
+    """The overrides, once they are known to apply: mc.* and search.* keys
+    only, each with a value the config parser takes."""
+    overrides = tuple(overrides or ())
+    for item in overrides:
+        key, _ = split_override(item)
+        if not key.startswith(("mc.", "search.")):
+            raise ConfigError(f"reproduce-paper takes only mc.* and search.* overrides, got {key!r}")
+    RunConfig().apply_overrides(overrides)
+    return overrides
 
 
-def _ov_float(ov: dict, key: str, default: float) -> float:
-    return float(ov[key]) if key in ov else default
+def _mc_cfg(ov: tuple[str, ...], n_paths: int, seed: int, dt: float = 1e-3) -> MCConfig:
+    cfg = RunConfig(mc=MCConfig(n_paths=n_paths, dt=dt, seed=seed))
+    cfg.apply_overrides(ov)
+    return cfg.mc
 
 
-def _mc_cfg(ov: dict, n_paths: int, seed: int, dt: float = 1e-3) -> MCConfig:
-    anti = str(ov.get("mc.antithetic", "true")).lower() in ("1", "true", "yes", "on")
-    return MCConfig(
-        n_paths=_ov_int(ov, "mc.n_paths", n_paths),
-        dt=_ov_float(ov, "mc.dt", dt),
-        seed=_ov_int(ov, "mc.seed", seed),
-        antithetic=anti,
-    )
-
-
-def _search_cfg(ov: dict, seed: int) -> SearchConfig:
-    return SearchConfig(seed=_ov_int(ov, "search.seed", seed))
+def _search_cfg(ov: tuple[str, ...], seed: int) -> SearchConfig:
+    cfg = RunConfig(search=SearchConfig(seed=seed))
+    cfg.apply_overrides(ov)
+    return cfg.search
 
 
 def _csv(header: list[str], rows: list[list]) -> list[str]:
@@ -117,7 +123,7 @@ def _grid2(*pts) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def ac1(ov: dict) -> CriterionResult:
+def ac1(ov: tuple[str, ...]) -> CriterionResult:
     t0 = time.perf_counter()
     scfg = _search_cfg(ov, 1)
     lines, rows = [], []
@@ -158,7 +164,7 @@ def ac1(ov: dict) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def ac2(ov: dict) -> CriterionResult:
+def ac2(ov: tuple[str, ...]) -> CriterionResult:
     t0 = time.perf_counter()
     scfg = _search_cfg(ov, 2)
     lines, rows = [], []
@@ -187,10 +193,10 @@ def ac2(ov: dict) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def ac3(ov: dict) -> CriterionResult:
+def ac3(ov: tuple[str, ...]) -> CriterionResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(3)
-    target = _ov_int(ov, "ac3.instances", 200)
+    target = 200
     lines, rows = [], []
     worst = 0.0
     count = skipped = 0
@@ -228,7 +234,7 @@ def ac3(ov: dict) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def ac4(ov: dict) -> CriterionResult:
+def ac4(ov: tuple[str, ...]) -> CriterionResult:
     t0 = time.perf_counter()
     scfg = _search_cfg(ov, 4)
     rng = np.random.default_rng(4)
@@ -271,7 +277,7 @@ def ac4(ov: dict) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def ac5(ov: dict) -> CriterionResult:
+def ac5(ov: tuple[str, ...]) -> CriterionResult:
     t0 = time.perf_counter()
     p = gaussian_problem(2)
     a_list = [np.array(a) for a in ((0.0, 0.0), (0.1, 0.0), (0.5, 0.0), (1.0, 0.0))]
@@ -302,13 +308,13 @@ def ac5(ov: dict) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def ac6(ov: dict) -> CriterionResult:
+def ac6(ov: tuple[str, ...]) -> CriterionResult:
     t0 = time.perf_counter()
     p = gaussian_problem(2)
     cfg = _mc_cfg(ov, 100_000, 60)
     t_grid = (0.1, 0.5, 1.0)
     x_grid = _grid2((0.0, 0.0), (1.0, 1.0))
-    rep = run_battery(verify_commutation, p, battery(2), -1.0, t_grid, x_grid, cfg)
+    rep = verify_commutation(p, battery(2), -1.0, t_grid, x_grid, cfg)
     # an over-strong rate must be caught: kappa = -0.5 at t = 1 far out
     rep_neg = verify_commutation(
         p, exp_field(np.array([0.1, 0.0]), 2), -0.5, (1.0,),
@@ -328,7 +334,7 @@ def ac6(ov: dict) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def ac7(ov: dict) -> CriterionResult:
+def ac7(ov: tuple[str, ...]) -> CriterionResult:
     t0 = time.perf_counter()
     p = gaussian_problem(2)
     cfg = _mc_cfg(ov, 25_000, 70)
@@ -338,7 +344,7 @@ def ac7(ov: dict) -> CriterionResult:
     one = const_field(1.0, 2)
     x0, t = np.zeros(2), 0.1
     fields = battery(2) + [("const_one", one)]
-    full = run_battery(verify_variance, p, fields, -1.0, t_grid, x_grid, cfg, time_nodes=11)
+    full = verify_variance(p, fields, -1.0, t_grid, x_grid, cfg, time_nodes=11)
     n_battery = (len(fields) - 1) * len(t_grid) * len(x_grid)
     rep = VerificationReport(full.check_id, full.cases[:n_battery], full.meta)
     lines = [rep.summary()]
@@ -376,7 +382,7 @@ def ac7(ov: dict) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def ac8(ov: dict) -> CriterionResult:
+def ac8(ov: tuple[str, ...]) -> CriterionResult:
     t0 = time.perf_counter()
     p = gaussian_problem(2)
     scfg = _search_cfg(ov, 8)
@@ -402,9 +408,8 @@ def ac8(ov: dict) -> CriterionResult:
     )
 
     cfg = _mc_cfg(ov, 50_000, 80)
-    rep = run_battery(
-        verify_sqrt_commutation, p, battery(2), 1.0, c_est.value,
-        (0.1, 1.0), _grid2((0.0, 0.0), (2.0, 0.0)), cfg,
+    rep = verify_sqrt_commutation(
+        p, battery(2), 1.0, c_est.value, (0.1, 1.0), _grid2((0.0, 0.0), (2.0, 0.0)), cfg,
     )
     lines.append(rep.summary())
     passed &= rep.n_fail == 0 and rep.n_inconclusive == 0
@@ -422,7 +427,7 @@ def ac8(ov: dict) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def ac9(ov: dict) -> CriterionResult:
+def ac9(ov: tuple[str, ...]) -> CriterionResult:
     t0 = time.perf_counter()
     p = gaussian_problem(2)
     cfg = _mc_cfg(ov, 20_000, 90)
@@ -469,7 +474,7 @@ def ac9(ov: dict) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def ac10(ov: dict) -> CriterionResult:
+def ac10(ov: tuple[str, ...]) -> CriterionResult:
     t0 = time.perf_counter()
     p = gaussian_problem(2)
     kappa = -1.0
@@ -521,16 +526,19 @@ CRITERIA = {
 }
 
 
-def run_criterion(cid: int, overrides: dict | None = None) -> CriterionResult:
-    if cid not in CRITERIA:
-        raise ValueError(f"unknown criterion {cid}; valid ids are 1..10")
-    _, fn = CRITERIA[cid]
-    return fn(overrides or {})
+def run_criterion(cid: int, overrides=()) -> CriterionResult:
+    return run_all([cid], overrides)[0]
 
 
-def run_all(criteria=None, overrides: dict | None = None) -> list[CriterionResult]:
+def run_all(criteria=None, overrides=()) -> list[CriterionResult]:
+    """Run the given criteria (default: all) in id order.  Criterion ids and
+    overrides are checked before the first criterion runs."""
     ids = sorted(criteria) if criteria else sorted(CRITERIA)
-    return [run_criterion(cid, overrides) for cid in ids]
+    for cid in ids:
+        if cid not in CRITERIA:
+            raise ValueError(f"unknown criterion {cid}; valid ids are 1..10")
+    ov = _checked_overrides(overrides)
+    return [CRITERIA[cid][1](ov) for cid in ids]
 
 
 def exit_code(results: list[CriterionResult]) -> int:

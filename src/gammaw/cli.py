@@ -12,6 +12,12 @@ Subcommands:
 * ``reproduce-paper``  run the pinned verification suite (criteria 1-10)
   and write per-criterion artifacts.
 
+Every setting goes through ``RunConfig._set``: ``--override sec.key=value``
+items apply in order on top of ``--config`` (or the defaults), and ``--seed N``
+then sets ``search.seed`` and ``mc.seed``, so it wins over an override.
+``reproduce-paper`` has no ``--config`` and takes only ``mc.*`` and
+``search.*`` overrides.
+
 Exit codes: 0 ok, 1 fail verdicts (or violations), 2 bad configuration,
 3 domain/sampling errors, 4 too many inconclusive verdicts.
 """
@@ -36,7 +42,6 @@ from .verifier import (
     exp_field,
     optimality_study,
     random_smooth_field,
-    run_battery,
     verify_commutation,
     verify_sqrt_commutation,
     verify_variance,
@@ -53,13 +58,16 @@ EXIT_INCONCLUSIVE = 4
 INCONCLUSIVE_FRACTION_LIMIT = 0.2
 
 
+def _overrides(args) -> list[str]:
+    """The --override items, then --seed as search.seed and mc.seed."""
+    seed = [] if args.seed is None else [f"search.seed={args.seed}", f"mc.seed={args.seed}"]
+    return [*(args.override or []), *seed]
+
+
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig.default()
-    if args.override:
-        cfg.apply_overrides(args.override)
-    if args.seed is not None:
-        cfg.apply_overrides([f"search.seed={args.seed}", f"mc.seed={args.seed}"])
-    if getattr(args, "out", None):
+    cfg.apply_overrides(_overrides(args))
+    if args.out:
         cfg.out_path = args.out
     return cfg
 
@@ -161,19 +169,17 @@ def cmd_verify(cfg: RunConfig, which: str) -> int:
         else:
             c = float(cfg.c)
         print(f"rho={rho:g}, c={c:g}")
-        report = run_battery(
-            verify_sqrt_commutation, p, _cli_battery(cfg), rho, c, t_grid, x_grid, cfg.mc
-        )
+        report = verify_sqrt_commutation(p, _cli_battery(cfg), rho, c, t_grid, x_grid, cfg.mc)
     else:
         kappa = _resolve_kappa(cfg, p, print)
         if kappa == -math.inf:
             raise ConfigError("kappa = -inf: the inequality carries no content for this problem")
         if which == "commutation":
-            report = run_battery(verify_commutation, p, _cli_battery(cfg), kappa, t_grid, x_grid, cfg.mc)
+            report = verify_commutation(p, _cli_battery(cfg), kappa, t_grid, x_grid, cfg.mc)
         elif which == "variance":
             if kappa == 0.0:
                 print("kappa = 0: using the limiting coefficient 2t")
-            report = run_battery(verify_variance, p, _cli_battery(cfg), kappa, t_grid, x_grid, cfg.mc)
+            report = verify_variance(p, _cli_battery(cfg), kappa, t_grid, x_grid, cfg.mc)
         elif which == "degenerate":
             report = degenerate_w_check(p, kappa, t_grid, x_grid, cfg.mc)
         else:
@@ -199,7 +205,7 @@ def cmd_optimality(cfg: RunConfig) -> int:
     return EXIT_OK if table.check(1e-2) else EXIT_FAIL
 
 
-def cmd_reproduce_paper(output_dir, overrides: dict | None = None, criteria=None) -> int:
+def cmd_reproduce_paper(output_dir, overrides=(), criteria=None) -> int:
     results = acceptance.run_all(criteria=criteria, overrides=overrides)
     acceptance.write_artifacts(results, output_dir)
     for r in results:
@@ -209,16 +215,6 @@ def cmd_reproduce_paper(output_dir, overrides: dict | None = None, criteria=None
     return code
 
 
-def _parse_override_dict(items) -> dict:
-    out = {}
-    for item in items or []:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
-        k, v = item.split("=", 1)
-        out[k.strip()] = v.strip()
-    return out
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gammaw",
@@ -226,9 +222,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="INI run configuration")
-        sp.add_argument("--seed", type=int, help="override both search and MC seeds")
+    def common(sp, config=True):
+        if config:
+            sp.add_argument("--config", help="INI run configuration")
+        sp.add_argument("--seed", type=int, help="set both search and MC seeds, after any --override")
         sp.add_argument("--out", help="output path (CSV, or directory for reproduce-paper)")
         sp.add_argument(
             "--override", action="append", metavar="KEY=VALUE",
@@ -242,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("optimality", help="far-field ratio study"))
     sp = sub.add_parser("reproduce-paper", help="run the pinned verification suite")
     sp.add_argument("--criteria", help="comma-separated criterion ids (default: all)")
-    common(sp)
+    common(sp, config=False)
     return parser
 
 
@@ -250,14 +247,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "reproduce-paper":
-            overrides = _parse_override_dict(args.override)
-            if args.seed is not None:
-                overrides.setdefault("mc.seed", str(args.seed))
-                overrides.setdefault("search.seed", str(args.seed))
             criteria = None
             if args.criteria:
                 criteria = [int(s) for s in args.criteria.split(",") if s.strip()]
-            return cmd_reproduce_paper(args.out or "reproduction", overrides or None, criteria)
+            return cmd_reproduce_paper(args.out or "reproduction", _overrides(args), criteria)
         cfg = _load_config(args)
         if args.command == "check-curvature":
             return cmd_check_curvature(cfg)

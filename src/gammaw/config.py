@@ -1,9 +1,14 @@
-"""Run configuration: an INI file with problem, search, MC, grid, and
-output sections.
+"""Run configuration: an INI file with problem, search, mc, check, grids
+and output sections.
 
-`RunConfig.from_text` and `to_text` round-trip, and `--override sec.key=val`
-edits apply on top of the file, so a run is reproducible from its printed
-config alone.
+Every setting, whether it comes from a file or from ``--override
+section.key=value``, goes through one parser, ``RunConfig._set``.  Section
+names are matched exactly and keys case-insensitively; an unknown section
+or key, or a value that does not parse, raises ``ConfigError`` naming the
+key.  ``mc.antithetic`` takes configparser's boolean words (1/yes/true/on,
+0/no/false/off).  ``from_text`` and ``to_text`` round-trip, and overrides
+apply on top of the file, so a run is reproducible from its printed config
+alone.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .field_expr import FieldError, ProblemSpec
 from .presets import make_problem
 from .semigroup_mc import MCConfig
 
-__all__ = ["ConfigError", "RunConfig", "DEFAULT_CONFIG_TEXT"]
+__all__ = ["ConfigError", "RunConfig", "DEFAULT_CONFIG_TEXT", "split_override"]
 
 
 class ConfigError(ValueError):
@@ -91,14 +96,54 @@ def _fmt_points(points) -> str:
     return "; ".join("(" + _fmt_floats(pt) + ")" for pt in points)
 
 
-def _auto_or_float(text: str, key: str) -> float | str:
-    text = text.strip()
-    if text == "auto":
-        return "auto"
+def _auto_or_float(text: str) -> float | str:
+    return "auto" if text == "auto" else float(text)
+
+
+def _bool(text: str) -> bool:
     try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"[check] {key} must be 'auto' or a float, got {text!r}") from exc
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of 1/yes/true/on or 0/no/false/off, got {text!r}") from None
+
+
+# section -> key -> (attribute, parser).  Keys are matched in lower case.  The
+# search and mc keys name fields of the frozen SearchConfig and MCConfig.
+_KEYS = {
+    "problem": {"dim": ("dim", int), "u": ("u_spec", str), "w": ("w_spec", str)},
+    "search": {
+        "radii": ("radii_schedule", _floats),
+        "grid_per_axis": ("grid_per_axis", int),
+        "multistart_count": ("multistart_count", int),
+        "local_steps": ("local_steps", int),
+        "seed": ("seed", int),
+        "tol": ("tol", float),
+    },
+    "mc": {
+        "n_paths": ("n_paths", int),
+        "dt": ("dt", float),
+        "seed": ("seed", int),
+        "antithetic": ("antithetic", _bool),
+    },
+    "check": {name: (name, _auto_or_float) for name in ("kappa", "rho", "c")},
+    "grids": {
+        "t_values": ("t_values", _floats),
+        "x_points": ("x_points", _points),
+        "a_vectors": ("a_vectors", _points),
+    },
+    "output": {"path": ("out_path", str), "format": ("out_format", str)},
+}
+
+
+def split_override(item: str) -> tuple[str, str]:
+    """``section.key=value`` as (``section.key``, ``value``), both stripped."""
+    if "=" not in item:
+        raise ConfigError(f"override {item!r} is not of the form section.key=value")
+    key, value = item.split("=", 1)
+    key = key.strip()
+    if "." not in key:
+        raise ConfigError(f"override key {key!r} needs a section prefix")
+    return key, value.strip()
 
 
 @dataclass
@@ -136,65 +181,17 @@ class RunConfig:
 
     @staticmethod
     def from_text(text: str) -> "RunConfig":
-        cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
         try:
             cp.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
+        if cp.defaults():
+            raise ConfigError(f"unknown section {cp.default_section!r}")
         cfg = RunConfig()
-        try:
-            if cp.has_section("problem"):
-                sec = cp["problem"]
-                cfg.dim = sec.getint("dim", cfg.dim)
-                cfg.u_spec = sec.get("U", cfg.u_spec).strip()
-                cfg.w_spec = sec.get("W", cfg.w_spec).strip()
-            if cp.has_section("search"):
-                sec = cp["search"]
-                kwargs = {}
-                if "radii" in sec:
-                    radii = _floats(sec["radii"])
-                    kwargs["radii_schedule"] = radii
-                    kwargs["box_radius"] = radii[0]
-                for key, attr in (
-                    ("grid_per_axis", "grid_per_axis"),
-                    ("multistart_count", "multistart_count"),
-                    ("local_steps", "local_steps"),
-                    ("seed", "seed"),
-                ):
-                    if key in sec:
-                        kwargs[attr] = sec.getint(key)
-                if "tol" in sec:
-                    kwargs["tol"] = sec.getfloat("tol")
-                cfg.search = replace(SearchConfig(), **kwargs)
-            if cp.has_section("mc"):
-                sec = cp["mc"]
-                cfg.mc = MCConfig(
-                    n_paths=sec.getint("n_paths", cfg.mc.n_paths),
-                    dt=sec.getfloat("dt", cfg.mc.dt),
-                    seed=sec.getint("seed", cfg.mc.seed),
-                    antithetic=sec.getboolean("antithetic", cfg.mc.antithetic),
-                )
-            if cp.has_section("check"):
-                sec = cp["check"]
-                cfg.kappa = _auto_or_float(sec.get("kappa", "auto"), "kappa")
-                cfg.rho = _auto_or_float(sec.get("rho", "auto"), "rho")
-                cfg.c = _auto_or_float(sec.get("c", "auto"), "c")
-            if cp.has_section("grids"):
-                sec = cp["grids"]
-                if "t_values" in sec:
-                    cfg.t_values = _floats(sec["t_values"])
-                if "x_points" in sec:
-                    cfg.x_points = _points(sec["x_points"])
-                if "a_vectors" in sec:
-                    cfg.a_vectors = _points(sec["a_vectors"])
-            if cp.has_section("output"):
-                sec = cp["output"]
-                cfg.out_path = sec.get("path", cfg.out_path).strip()
-                cfg.out_format = sec.get("format", cfg.out_format).strip()
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"bad config value: {exc}") from exc
+        for sec in cp.sections():
+            for name, value in cp.items(sec):
+                cfg._set(f"{sec}.{name}", value)
         cfg.validate()
         return cfg
 
@@ -214,78 +211,28 @@ class RunConfig:
 
     def apply_overrides(self, overrides) -> None:
         for item in overrides:
-            if "=" not in item:
-                raise ConfigError(f"override {item!r} is not of the form section.key=value")
-            key, value = item.split("=", 1)
-            key = key.strip()
-            if "." not in key:
-                raise ConfigError(f"override key {key!r} needs a section prefix")
-            self._set(key, value.strip())
+            self._set(*split_override(item))
         self.validate()
 
     def _set(self, key: str, value: str) -> None:
+        """Set one ``section.key`` from its text: the one parser of every
+        file entry and override."""
         sec, name = key.split(".", 1)
+        if sec not in _KEYS:
+            raise ConfigError(f"unknown section {sec!r} in {key!r}")
+        if name.lower() not in _KEYS[sec]:
+            raise ConfigError(f"unknown key {key!r}")
+        attr, parse = _KEYS[sec][name.lower()]
         try:
-            if sec == "problem":
-                if name == "dim":
-                    self.dim = int(value)
-                elif name == "U":
-                    self.u_spec = value
-                elif name == "W":
-                    self.w_spec = value
-                else:
-                    raise ConfigError(f"unknown key {key!r}")
-            elif sec == "search":
-                if name == "radii":
-                    radii = _floats(value)
-                    self.search = replace(self.search, radii_schedule=radii, box_radius=radii[0])
-                elif name in ("grid_per_axis", "multistart_count", "local_steps", "seed"):
-                    self.search = replace(self.search, **{name: int(value)})
-                elif name == "tol":
-                    self.search = replace(self.search, tol=float(value))
-                else:
-                    raise ConfigError(f"unknown key {key!r}")
-            elif sec == "mc":
-                if name == "n_paths":
-                    self.mc = replace(self.mc, n_paths=int(value))
-                elif name == "dt":
-                    self.mc = replace(self.mc, dt=float(value))
-                elif name == "seed":
-                    self.mc = replace(self.mc, seed=int(value))
-                elif name == "antithetic":
-                    self.mc = replace(self.mc, antithetic=value.lower() in ("1", "true", "yes", "on"))
-                else:
-                    raise ConfigError(f"unknown key {key!r}")
-            elif sec == "check":
-                if name in ("kappa", "rho", "c"):
-                    setattr(self, name, _auto_or_float(value, name))
-                else:
-                    raise ConfigError(f"unknown key {key!r}")
-            elif sec == "grids":
-                if name == "t_values":
-                    self.t_values = _floats(value)
-                elif name == "x_points":
-                    self.x_points = _points(value)
-                elif name == "a_vectors":
-                    self.a_vectors = _points(value)
-                else:
-                    raise ConfigError(f"unknown key {key!r}")
-            elif sec == "output":
-                if name == "path":
-                    self.out_path = value
-                elif name == "format":
-                    self.out_format = value
-                else:
-                    raise ConfigError(f"unknown key {key!r}")
+            if sec in ("search", "mc"):
+                setattr(self, sec, replace(getattr(self, sec), **{attr: parse(value)}))
             else:
-                raise ConfigError(f"unknown section {sec!r}")
+                setattr(self, attr, parse(value))
         except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+            raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
     def to_text(self) -> str:
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None)
         cp["problem"] = {"dim": str(self.dim), "U": self.u_spec, "W": self.w_spec}
         cp["search"] = {
             "radii": _fmt_floats(self.search.radii_schedule),

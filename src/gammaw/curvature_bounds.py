@@ -53,7 +53,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SearchConfig:
-    box_radius: float = 10.0
     radii_schedule: tuple[float, ...] = (10.0, 100.0, 1000.0)
     grid_per_axis: int = 64
     multistart_count: int = 8
@@ -62,11 +61,11 @@ class SearchConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.box_radius <= 0:
-            raise ValueError("box_radius must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         radii = tuple(float(r) for r in self.radii_schedule)
+        if not radii or radii[0] <= 0:
+            raise ValueError("radii_schedule must be non-empty and start above 0")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radii_schedule must be strictly increasing")
         object.__setattr__(self, "radii_schedule", radii)
@@ -172,9 +171,12 @@ def _extremize_min(
             starts = []
         clamped = _clamped(local_objective, radius)
         for x0 in starts:
+            x0 = np.clip(x0, -radius, radius)
+            if clamped(x0) == math.inf:  # outside the domain: a simplex of +inf goes nowhere
+                continue
             res = minimize(
                 clamped,
-                np.clip(x0, -radius, radius),
+                x0,
                 method="Nelder-Mead",
                 options={
                     "maxiter": cfg.local_steps,

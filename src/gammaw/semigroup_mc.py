@@ -81,7 +81,6 @@ class MCConfig:
     dt: float = 1e-3
     seed: int = 0
     antithetic: bool = True
-    stderr_cap: float | None = None  # absolute per-component cap for gradient estimates
 
     def __post_init__(self):
         if self.n_paths < 2:
@@ -102,7 +101,6 @@ class MCEstimate:
 class GradEstimate:
     grad: np.ndarray
     stderr: np.ndarray
-    unusable: bool
     n_paths: int
     dt: float
     h: float
@@ -623,7 +621,6 @@ def estimate_grad_Qt_many(
                 GradEstimate(
                     grad=mehler_grad_Qt(p, f, x, t),
                     stderr=np.zeros(p.dim),
-                    unusable=False,
                     n_paths=0,
                     dt=cfg.dt,
                     h=0.0,
@@ -655,7 +652,6 @@ def estimate_grad_Qt_many(
             GradEstimate(
                 grad=grads[i][j],
                 stderr=stderrs[i][j],
-                unusable=bool(cfg.stderr_cap is not None and np.any(stderrs[i][j] > cfg.stderr_cap)),
                 n_paths=n_used[i][j],
                 dt=cfg.dt,
                 h=h,

@@ -55,7 +55,6 @@ __all__ = [
     "optimality_study",
     "OptimalityRow",
     "OptimalityTable",
-    "run_battery",
     "random_smooth_field",
     "random_weight_field",
     "random_problem",
@@ -232,16 +231,6 @@ def battery(dim: int) -> list[tuple[str, ScalarField]]:
     ]
 
 
-def run_battery(op, p: ProblemSpec, fields, *args, **kwargs) -> VerificationReport:
-    """Run a verifier op over labelled fields in one call, so each ensemble
-    is simulated once for the whole battery; cases come in (field, t, x)
-    order."""
-    fields = list(fields)
-    if not fields:
-        return VerificationReport(check_id="empty")
-    return op(p, fields, *args, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # Checkers
 # ---------------------------------------------------------------------------
@@ -293,7 +282,7 @@ def _gamma_w_lhs(w: float, qt: MCEstimate, gest: GradEstimate) -> tuple[float, f
     lhs = float(grad @ grad) + w * w * q * q
     var = float(np.sum((2.0 * grad * gest.stderr) ** 2))
     var += (2.0 * w * w * q * qt.stderr) ** 2
-    return lhs, math.inf if gest.unusable else math.sqrt(var)
+    return lhs, math.sqrt(var)
 
 
 def verify_commutation(
@@ -387,8 +376,6 @@ def _sqrt_lhs(w: float, qt: MCEstimate, gest: GradEstimate) -> tuple[float, floa
     """|grad Q_t f| + W Q_t f with a delta-method error bar."""
     norm = float(np.linalg.norm(gest.grad))
     lhs = norm + w * qt.mean
-    if gest.unusable:
-        return lhs, math.inf
     dir_se = (
         float(np.linalg.norm(gest.grad * gest.stderr)) / norm
         if norm > 0.0

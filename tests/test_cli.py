@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gammaw
+from gammaw import acceptance
 from gammaw.cli import main
 from gammaw.config import DEFAULT_CONFIG_TEXT, ConfigError, RunConfig
 
@@ -57,6 +58,7 @@ def test_config_round_trip():
     cfg = RunConfig.from_text(DEFAULT_CONFIG_TEXT)
     again = RunConfig.from_text(cfg.to_text())
     assert again == cfg
+    assert again.to_text() == cfg.to_text()
     assert cfg.dim == 2
     assert cfg.t_values == (0.1, 0.5, 1.0)
     assert cfg.x_points == ((0.0, 0.0), (1.0, 1.0))
@@ -89,6 +91,116 @@ def test_config_overrides():
     # a dim override must keep the grids consistent
     with pytest.raises(ConfigError):
         RunConfig.default().apply_overrides(["problem.dim=3"])
+
+
+PERFBENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+
+
+@pytest.mark.parametrize("name", ["mc_generic.ini", "mc_ou.ini"])
+def test_perfbench_configs_round_trip(name):
+    cfg = RunConfig.from_file(PERFBENCH_CONFIGS / name)
+    again = RunConfig.from_text(cfg.to_text())
+    assert again == cfg
+    assert again.to_text() == cfg.to_text()
+
+
+@pytest.mark.parametrize("edit, key", [
+    (("[mc]\n", "[mc]\nnpaths = 10\n"), "mc.npaths"),
+    (("[output]\n", "[grid]\nt_values = 0.1\n\n[output]\n"), "'grid'"),
+    (("[mc]\n", "[mc]\nantithetic = maybe\n"), "mc.antithetic"),
+])
+def test_bad_config_file_exits_2(fast_config, capsys, edit, key):
+    path = Path(fast_config())
+    path.write_text(path.read_text().replace(*edit))
+    assert main(["check-curvature", "--config", str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, key", [
+    ("mc.antithetic=maybe", "mc.antithetic"),
+    ("search.radii=-5,10", "search.radii"),
+])
+def test_bad_override_exits_2(override, key, capsys):
+    assert main(["check-curvature", "--override", override]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_config_keys_are_case_insensitive():
+    cfg = RunConfig.from_text("[problem]\nu = x0^2/2 + x1^2/2\nW = zero\n[mc]\nN_Paths = 7\n")
+    assert (cfg.u_spec, cfg.w_spec, cfg.mc.n_paths) == ("x0^2/2 + x1^2/2", "zero", 7)
+    cfg.apply_overrides(["problem.U=gaussian", "mc.N_PATHS=9"])
+    assert (cfg.u_spec, cfg.mc.n_paths) == ("gaussian", 9)
+    # section names are matched exactly
+    with pytest.raises(ConfigError, match="'MC'"):
+        cfg.apply_overrides(["MC.n_paths=7"])
+
+
+def test_values_are_read_literally():
+    # no %-interpolation: a '%' in a value is kept, in a file and a round trip
+    cfg = RunConfig.from_text("[output]\npath = run%1.csv\n")
+    assert cfg.out_path == "run%1.csv"
+    assert RunConfig.from_text(cfg.to_text()) == cfg
+
+
+@pytest.fixture
+def fake_criteria(monkeypatch):
+    """Replace every criterion by a stub that records the MC and search
+    configs it would run with."""
+    seen = []
+
+    def stub(cid, name):
+        def run(ov):
+            seen.append((cid, acceptance._mc_cfg(ov, 10, cid), acceptance._search_cfg(ov, cid)))
+            return acceptance.CriterionResult(cid, name, True, False, 0.0, csv_lines=["x"])
+        return run
+
+    stubs = {cid: (name, stub(cid, name)) for cid, (name, _) in acceptance.CRITERIA.items()}
+    monkeypatch.setattr(acceptance, "CRITERIA", stubs)
+    return seen
+
+
+@pytest.mark.parametrize("override, key", [
+    ("mc.npaths=2000", "mc.npaths"),
+    ("problem.W=zero", "problem.W"),
+    ("ac3.instances=5", "ac3.instances"),
+    ("mc.antithetic=maybe", "mc.antithetic"),
+])
+def test_reproduce_paper_rejects_bad_override_before_running(fake_criteria, tmp_path, capsys, override, key):
+    code = main(["reproduce-paper", "--criteria", "5,6", "--out", str(tmp_path / "r"), "--override", override])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert fake_criteria == []
+    assert not (tmp_path / "r").exists()
+
+
+def test_reproduce_paper_has_no_config_flag(fake_criteria, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce-paper", "--criteria", "5", "--config", str(tmp_path / "x.ini")])
+    assert exc.value.code == 2
+    assert fake_criteria == []
+
+
+def test_reproduce_paper_overrides_reach_pinned_configs(fake_criteria, tmp_path):
+    code = main([
+        "reproduce-paper", "--criteria", "6,2", "--out", str(tmp_path / "r"),
+        "--override", "mc.n_paths=2000", "--override", "mc.antithetic=off",
+        "--override", "search.radii=5, 50",
+    ])
+    assert code == 0
+    assert [cid for cid, _, _ in fake_criteria] == [2, 6]
+    for cid, mc, search in fake_criteria:
+        assert (mc.n_paths, mc.dt, mc.seed, mc.antithetic) == (2000, 1e-3, cid, False)
+        assert (search.radii_schedule, search.seed) == ((5.0, 50.0), cid)
+
+
+def test_seed_flag_wins_over_seed_overrides_in_reproduce_paper(fake_criteria, tmp_path):
+    code = main([
+        "reproduce-paper", "--criteria", "8", "--out", str(tmp_path / "r"), "--seed", "77",
+        "--override", "mc.seed=5", "--override", "search.seed=6",
+    ])
+    assert code == 0
+    [(_, mc, search)] = fake_criteria
+    assert (mc.seed, search.seed) == (77, 77)
 
 
 def test_config_validation_errors():
@@ -280,7 +392,7 @@ def test_seed_flag_overrides_both(fast_config):
         config = cfg_path
         seed = 77
         out = None
-        override = []
+        override = ["mc.seed=5", "search.seed=6"]  # --seed comes after them
 
     loaded = _load_config(Args())
     assert loaded.mc.seed == 77
@@ -319,9 +431,12 @@ def test_reproduce_paper_starved_sampler_is_inconclusive(tmp_path):
     assert "INCONCLUSIVE" in (out_dir / "summary.txt").read_text()
 
 
-def test_reproduce_paper_rejects_bad_criteria(capsys):
+def test_reproduce_paper_rejects_bad_criteria(fake_criteria, capsys):
     assert main(["reproduce-paper", "--criteria", "11"]) == 2
     assert main(["reproduce-paper", "--criteria", "x"]) == 2
+    # an unknown id stops the run before the valid ones start
+    assert main(["reproduce-paper", "--criteria", "5,11"]) == 2
+    assert fake_criteria == []
 
 
 def test_cli_battery_labels(fast_config):

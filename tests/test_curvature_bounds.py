@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,11 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(tol=0.0)
     with pytest.raises(ValueError):
-        SearchConfig(box_radius=-1.0)
+        SearchConfig(radii_schedule=(-5.0, 10.0))
+    with pytest.raises(ValueError):
+        SearchConfig(radii_schedule=(0.0, 10.0))
+    with pytest.raises(ValueError):
+        SearchConfig(radii_schedule=())
 
 
 def test_diverging_rule():
@@ -191,7 +196,10 @@ def test_estimate_c_without_domain_points_raises(fast_search):
     # error, not a divergence to -inf
     p = make_problem(2, "gaussian", "sqrt(x0-10)")
     with pytest.raises(DomainError):
-        estimate_c(p, 1.0, replace(fast_search, radii_schedule=(5.0,), box_radius=5.0))
-    # once the box reaches the domain the estimate is finite
-    est = estimate_c(p, 1.0, replace(fast_search, radii_schedule=(20.0,), box_radius=20.0))
+        estimate_c(p, 1.0, replace(fast_search, radii_schedule=(5.0,)))
+    # once the box reaches the domain the estimate is finite, and Nelder-Mead
+    # never starts from a point outside it (scipy warns on an all-inf simplex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_c(p, 1.0, replace(fast_search, radii_schedule=(20.0,)))
     assert math.isfinite(est.value) and est.value >= 0.0

@@ -17,7 +17,6 @@ from gammaw.verifier import (
     optimality_study,
     random_smooth_field,
     random_weight_field,
-    run_battery,
     verify_commutation,
     verify_sqrt_commutation,
     verify_variance,
@@ -136,9 +135,7 @@ def test_degenerate_w_check(p2):
 
 def test_run_battery_merges(p2):
     cfg = MCConfig(n_paths=2000, dt=1e-2, seed=27)
-    rep = run_battery(
-        verify_commutation, p2, battery(2), -1.0, (0.1,), ((0.0, 0.0),), cfg
-    )
+    rep = verify_commutation(p2, battery(2), -1.0, (0.1,), ((0.0, 0.0),), cfg)
     assert len(rep.cases) == 5
     assert {c.f_label for c in rep.cases} == {name for name, _ in battery(2)}
 
@@ -156,7 +153,7 @@ def test_battery_draws_noise_once_for_all_fields(p2, monkeypatch):
     cfg = MCConfig(n_paths=200, dt=0.05, seed=29)
     fields = battery(2)[:3]
     grid = ((0.1, 0.2), ((0.0, 0.0), (1.0, 1.0)))
-    rep = run_battery(verify_variance, p2, fields, -1.0, *grid, cfg, time_nodes=5)
+    rep = verify_variance(p2, fields, -1.0, *grid, cfg, time_nodes=5)
     battery_labels = list(labels)
     labels.clear()
     single = verify_variance(p2, fields[0][1], -1.0, *grid, cfg, time_nodes=5)
@@ -177,7 +174,7 @@ def test_run_battery_csv_matches_single_field_reports(op, gaussian, args, kwargs
     p = gaussian_problem(2) if gaussian else make_problem(2, "normsq(x)/2 + 0.25*x0^2", "sqrt1sq")
     cfg = MCConfig(n_paths=400, dt=0.02, seed=30)
     grid = ((0.05, 0.1), ((0.0, 0.0), (1.0, 0.5)))
-    lines = run_battery(op, p, battery(2), *args, *grid, cfg, **kwargs).csv_lines()
+    lines = op(p, battery(2), *args, *grid, cfg, **kwargs).csv_lines()
     want = []
     for label, f in battery(2):
         single = op(p, f, *args, *grid, cfg, f_label=label, **kwargs).csv_lines()
