@@ -8,9 +8,10 @@ The three constants are extrema over all of R^n:
                  sup_{W(x) != 0} max(rho - LW/W, 0) )
 
 Each is approximated over an increasing schedule of boxes [-R, R]^n: a dense
-grid for n <= 2, plus deterministic probes (corners, axis endpoints,
-log-spaced radial rays) and multistart Nelder-Mead refinement clamped to the
-box.  Extrema that keep escaping to larger radii are reported as diverging
+grid for n <= 2, deterministic probes (corners, axis endpoints, log-spaced
+radial rays) and random points, then a compass search in the box from the
+best few and some random starts, one tape batch per round for all of them.
+Extrema that keep escaping to larger radii are reported as diverging
 (value -inf or +inf) with the per-radius trace attached; the rule is a
 heuristic and the trace is always kept so callers can judge.
 
@@ -26,17 +27,14 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import _tape
 from .field_expr import DomainError, ProblemSpec, ScalarField
 from .gamma_calculus import (
     WEIGHT_EPS,
-    WeightVanishesError,
     _gamma2_w_jets,
     apply_L_symbolic,
     gamma_field,
-    gamma_integrand,
     gamma_integrand_field,
 )
 
@@ -55,8 +53,8 @@ __all__ = [
 class SearchConfig:
     radii_schedule: tuple[float, ...] = (10.0, 100.0, 1000.0)
     grid_per_axis: int = 64
-    multistart_count: int = 8
-    local_steps: int = 300
+    multistart_count: int = 8  # random compass-search starts per radius, besides the 4 best candidates
+    local_steps: int = 300  # compass-search rounds per radius, one batch evaluation each
     seed: int = 0
     tol: float = 1e-6
 
@@ -143,53 +141,50 @@ def _diverging(trace: Sequence[float], tol: float) -> bool:
 
 def _extremize_min(
     batch_values: Callable[[np.ndarray], np.ndarray],
-    local_objective: Callable[[np.ndarray], float],
     dim: int,
     cfg: SearchConfig,
 ) -> BoundEstimate:
-    """Minimize over the radii schedule; batch_values returns NaN to skip."""
+    """Minimize batch_values over the radii schedule; it returns NaN to skip.
+
+    Each radius evaluates its candidates in one batch, then refines the 4
+    best and ``multistart_count`` uniform draws together by compass search
+    (Kolda, Lewis & Torczon, SIAM Review 45(3), 2003); starts whose value is
+    not finite are dropped.  Each round is one batch call: every start tries
+    x +- h e_i, clipped to the box, moves to its lowest trial if that is
+    lower, and otherwise halves h.  h starts at 0.1 radius; a start stops at
+    h <= 1e-10 radius, and the refinement after ``local_steps`` rounds.  The
+    best candidate is a start, so the best refined start is the radius's best.
+    """
     rng = np.random.default_rng(cfg.seed)
+    moves = np.vstack([np.eye(dim), -np.eye(dim)])
     best_val = math.inf
     best_pt: np.ndarray | None = None
     trace: list[float] = []
     for radius in cfg.radii_schedule:
         cand = _candidate_points(radius, dim, cfg, rng)
         vals = batch_values(cand)
-        ok = np.isfinite(vals)
-        if ok.any():
-            order = int(np.nanargmin(np.where(ok, vals, np.nan)))
-            if vals[order] < best_val:
-                best_val = float(vals[order])
-                best_pt = cand[order].copy()
-        # local refinement from the best few candidates plus random starts
-        starts: list[np.ndarray] = []
-        if ok.any():
-            idx = np.argsort(np.where(ok, vals, np.inf))[:4]
-            starts.extend(cand[i] for i in idx)
-        starts.extend(rng.uniform(-radius, radius, size=(cfg.multistart_count, dim)))
-        if not ok.any():  # nothing finite to refine; the draw above keeps the stream
-            starts = []
-        clamped = _clamped(local_objective, radius)
-        for x0 in starts:
-            x0 = np.clip(x0, -radius, radius)
-            if clamped(x0) == math.inf:  # outside the domain: a simplex of +inf goes nowhere
-                continue
-            res = minimize(
-                clamped,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "maxiter": cfg.local_steps,
-                    "xatol": 1e-10,
-                    "fatol": 1e-13,
-                },
-            )
-            if math.isfinite(res.fun) and res.fun < best_val:
-                pt = np.clip(res.x, -radius, radius)
-                val = clamped(pt)
-                if val < best_val:
-                    best_val = float(val)
-                    best_pt = pt
+        x = np.vstack([
+            cand[np.argsort(np.where(np.isfinite(vals), vals, np.inf))[:4]],
+            rng.uniform(-radius, radius, size=(cfg.multistart_count, dim)),
+        ])
+        fx = batch_values(x)
+        x, fx = x[np.isfinite(fx)], fx[np.isfinite(fx)]
+        h = np.full(len(x), 0.1 * radius)
+        for _ in range(cfg.local_steps):
+            live = np.flatnonzero(h > 1e-10 * radius)
+            if live.size == 0:
+                break
+            trials = np.clip(x[live, None] + h[live, None, None] * moves, -radius, radius)
+            tv = batch_values(trials.reshape(-1, dim)).reshape(live.size, -1)
+            tv = np.where(np.isfinite(tv), tv, np.inf)
+            j = np.argmin(tv, axis=1)
+            better = tv[np.arange(live.size), j] < fx[live]
+            x[live[better]] = trials[better, j[better]]
+            fx[live[better]] = tv[better, j[better]]
+            h[live[~better]] *= 0.5
+        if fx.size and fx.min() < best_val:
+            best_val = float(fx.min())
+            best_pt = x[np.argmin(fx)].copy()
         trace.append(best_val)
     diverging = _diverging(trace, cfg.tol)
     return BoundEstimate(
@@ -198,13 +193,6 @@ def _extremize_min(
         diverging=diverging,
         trace=trace,
     )
-
-
-def _clamped(objective: Callable[[np.ndarray], float], radius: float) -> Callable[[np.ndarray], float]:
-    def wrapped(x: np.ndarray) -> float:
-        return objective(np.clip(x, -radius, radius))
-
-    return wrapped
 
 
 def _negated(est: BoundEstimate) -> BoundEstimate:
@@ -247,13 +235,7 @@ def estimate_rho(p: ProblemSpec, s: SearchConfig) -> BoundEstimate:
             out[~bad] = np.linalg.eigvalsh(hess[~bad])[:, 0]
         return out
 
-    def local(x: np.ndarray) -> float:
-        try:
-            return float(np.linalg.eigvalsh(p.U.jet(x).hessian)[0])
-        except DomainError:
-            return math.inf
-
-    return _extremize_min(batch, local, n, s)
+    return _extremize_min(batch, n, s)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +260,7 @@ def estimate_gamma(p: ProblemSpec, s: SearchConfig) -> BoundEstimate:
         skip = (err != 0) | (w_err != 0) | (np.abs(w_vals) < WEIGHT_EPS)
         return np.where(skip, np.nan, vals)
 
-    def local(x: np.ndarray) -> float:
-        try:
-            return gamma_integrand(p, x)
-        except (WeightVanishesError, DomainError):
-            return math.inf
-
-    return _extremize_min(batch, local, p.dim, s)
+    return _extremize_min(batch, p.dim, s)
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +290,6 @@ def estimate_c(p: ProblemSpec, rho: float, s: SearchConfig) -> BoundEstimate:
         out = 2.0 * np.sqrt(np.maximum(vals, 0.0))
         return np.where(err != 0, np.nan, -out)  # negated: extremizer minimizes
 
-    def local_a(x: np.ndarray) -> float:
-        try:
-            j = p.W.jet(x)
-        except DomainError:
-            return math.inf
-        return -2.0 * float(np.linalg.norm(j.gradient))
-
     def batch_b(pts: np.ndarray) -> np.ndarray:
         w_vals, w_err = _tape.eval_values(p.W, pts)
         vals, err = _tape.eval_values(lw_over_w, pts)
@@ -328,20 +297,8 @@ def estimate_c(p: ProblemSpec, rho: float, s: SearchConfig) -> BoundEstimate:
         neg_part = np.maximum(rho - vals, 0.0)
         return np.where(skip, np.nan, -neg_part)
 
-    lw_field = apply_L_symbolic(p, p.W)
-
-    def local_b(x: np.ndarray) -> float:
-        try:
-            w = p.W.value(x)
-            if abs(w) < WEIGHT_EPS:
-                return math.inf
-            lw = lw_field.value(x)
-        except DomainError:
-            return math.inf
-        return -max(rho - lw / w, 0.0)
-
-    est_a = _negated(_extremize_min(batch_a, local_a, p.dim, s))
-    est_b = _negated(_extremize_min(batch_b, local_b, p.dim, s))
+    est_a = _negated(_extremize_min(batch_a, p.dim, s))
+    est_b = _negated(_extremize_min(batch_b, p.dim, s))
     if est_a.witness is None and est_b.witness is None:
         raise DomainError(
             f"estimate_c: no search point up to radius {s.radii_schedule[-1]:g} lies in the domain of W"

@@ -147,7 +147,10 @@ def gamma2_w_definitional(p: ProblemSpec, f: ScalarField, x) -> float:
 
 
 def gamma_integrand(p: ProblemSpec, x) -> float:
-    """lap W / W - 3|grad W|^2/W^2 - grad U . grad W / W at x, for W(x) != 0."""
+    """lap W / W - 3|grad W|^2/W^2 - grad U . grad W / W at x, for W(x) != 0.
+
+    The jet point oracle of estimate_gamma's tape objective.
+    """
     jw = p.W.jet(x)
     wv = jw.value
     if abs(wv) < WEIGHT_EPS:

@@ -270,7 +270,7 @@ def test_check_curvature_c_without_domain_points_exits_3(capsys):
 
 
 def test_search_skips_nelder_mead_without_domain_points(capsys):
-    # every start is +inf there; Nelder-Mead on such a simplex makes scipy warn
+    # no start lies in W's domain there; the search must drop them all without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main([*OUTSIDE_DOMAIN, "--override", "search.radii=5",
@@ -457,11 +457,23 @@ def test_x_grid_and_a_list_shapes():
     ]
 
 
-def test_python_dash_m_runs_the_cli():
+def _source_env() -> dict:
     src = str(Path(gammaw.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_python_dash_m_runs_the_cli():
     res = subprocess.run(
-        [sys.executable, "-m", "gammaw", "--help"], env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-m", "gammaw", "--help"], env=_source_env(), capture_output=True, text=True, timeout=60,
     )
     assert res.returncode == 0, res.stderr
     assert "reproduce-paper" in res.stdout
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, gammaw.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=_source_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -9,6 +9,7 @@ from gammaw.curvature_bounds import (
     BoundEstimate,
     SearchConfig,
     _diverging,
+    _extremize_min,
     check_pointwise_cd,
     estimate_c,
     estimate_gamma,
@@ -197,9 +198,46 @@ def test_estimate_c_without_domain_points_raises(fast_search):
     p = make_problem(2, "gaussian", "sqrt(x0-10)")
     with pytest.raises(DomainError):
         estimate_c(p, 1.0, replace(fast_search, radii_schedule=(5.0,)))
-    # once the box reaches the domain the estimate is finite, and Nelder-Mead
-    # never starts from a point outside it (scipy warns on an all-inf simplex)
+    # once the box reaches the domain the estimate is finite, and the local
+    # search drops the starts outside it without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est = estimate_c(p, 1.0, replace(fast_search, radii_schedule=(20.0,)))
     assert math.isfinite(est.value) and est.value >= 0.0
+
+
+REFINE_CFG = SearchConfig(radii_schedule=(1.0,), grid_per_axis=9, multistart_count=4)
+
+
+def test_refinement_reaches_off_grid_minimum():
+    c = np.array([0.123456789, -0.314159265])
+    seen = []
+
+    def batch(pts):
+        seen.append(pts.copy())
+        return 1.0 + np.sum((pts - c) ** 2, axis=1)
+
+    est = _extremize_min(batch, 2, REFINE_CFG)
+    assert np.linalg.norm(est.witness - c) < 1e-7
+    assert abs(est.value - 1.0) < 1e-12
+    # every point the objective sees, refinement trials included, is in the box
+    assert np.all(np.abs(np.vstack(seen)) <= 1.0)
+
+
+def test_refinement_skips_non_finite_points():
+    c = np.array([-0.5, 0.25])  # the unconstrained minimum lies in the NaN half
+    seen = []
+
+    def batch(pts):
+        seen.append(pts.copy())
+        vals = 1.0 + np.sum((pts - c) ** 2, axis=1)
+        return np.where(pts[:, 0] < 0, np.nan, vals)
+
+    est = _extremize_min(batch, 2, REFINE_CFG)
+    assert np.isnan(batch(seen[1])).any()  # some refinement start is not finite
+    assert est.witness[0] >= 0.0
+    assert np.allclose(est.witness, [0.0, 0.25], atol=1e-7)
+    assert est.value == pytest.approx(1.25, abs=1e-12)
+    # with no finite point at all there is nothing to refine and no witness
+    est = _extremize_min(lambda pts: np.full(len(pts), np.nan), 2, REFINE_CFG)
+    assert est.value == math.inf and est.witness is None
