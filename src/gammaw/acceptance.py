@@ -248,17 +248,13 @@ def ac4(ov: tuple[str, ...]) -> CriterionResult:
         gam = estimate_gamma(prob, scfg)
         kappa = min(rho.value, gam.value)
         n_fields, pts_per = 200, 50
-        viol = derr = checked = 0
-        worst = math.inf
+        cases = []
         for _ in range(n_fields):
             f = random_smooth_field(rng, 2)
-            pts = rng.uniform(-3.0, 3.0, (pts_per, 2))
-            rep = check_pointwise_cd(prob, f, kappa, pts)
-            viol += rep.n_violations
-            derr += rep.n_domain_errors
-            checked += rep.n_checked
-            if rep.worst_margin is not None:
-                worst = min(worst, rep.worst_margin)
+            cases.append((f, rng.uniform(-3.0, 3.0, (pts_per, 2))))
+        rep = check_pointwise_cd(prob, cases, kappa)
+        viol, derr, checked = rep.n_violations, rep.n_domain_errors, rep.n_checked
+        worst = math.inf if rep.worst_margin is None else rep.worst_margin
         ok = viol == 0 and derr == 0 and checked == n_fields * pts_per
         passed &= ok
         lines.append(

@@ -125,23 +125,15 @@ def cmd_check_curvature(cfg: RunConfig) -> int:
     fields = battery(cfg.dim) + [
         (f"random_{i}", random_smooth_field(rng, cfg.dim)) for i in range(20)
     ]
-    viol = derr = checked = 0
-    worst = math.inf
-    for _, f in fields:
-        pts = rng.uniform(-3.0, 3.0, (40, cfg.dim))
-        rep = check_pointwise_cd(p, f, kappa, pts)
-        viol += rep.n_violations
-        derr += rep.n_domain_errors
-        checked += rep.n_checked
-        if rep.worst_margin is not None:
-            worst = min(worst, rep.worst_margin)
-    if derr == checked:
-        raise DomainError(f"pointwise check: all {checked} samples are outside the domain of the fields")
+    cases = [(f, rng.uniform(-3.0, 3.0, (40, cfg.dim))) for _, f in fields]
+    rep = check_pointwise_cd(p, cases, kappa)
+    if rep.worst_margin is None:
+        raise DomainError(f"pointwise check: all {rep.n_checked} samples are outside the domain of the fields")
     print(
-        f"pointwise check (kappa={_fmt_bound(kappa)}): {viol} violations on "
-        f"{checked} samples ({derr} domain errors), worst margin {worst:.3e}"
+        f"pointwise check (kappa={_fmt_bound(kappa)}): {rep.n_violations} violations on "
+        f"{rep.n_checked} samples ({rep.n_domain_errors} domain errors), worst margin {rep.worst_margin:.3e}"
     )
-    return EXIT_FAIL if viol > 0 else EXIT_OK
+    return EXIT_FAIL if rep.n_violations > 0 else EXIT_OK
 
 
 def _write_report(report, cfg: RunConfig) -> None:

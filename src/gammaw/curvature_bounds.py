@@ -16,7 +16,8 @@ Extrema that keep escaping to larger radii are reported as diverging
 heuristic and the trace is always kept so callers can judge.
 
 ``check_pointwise_cd`` tests the curvature inequality Gamma2W >= kappa GammaW
-point by point and reports violations.
+over a sweep of (field, points) cases, one tape batch of Gamma2W and one of
+GammaW per field, and reports the violations of the whole sweep.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ from . import _tape
 from .field_expr import DomainError, ProblemSpec, ScalarField
 from .gamma_calculus import (
     WEIGHT_EPS,
-    _gamma2_w_jets,
     apply_L_symbolic,
+    gamma2_w_field,
     gamma_field,
     gamma_integrand_field,
+    gamma_w_field,
 )
 
 __all__ = [
@@ -324,45 +326,35 @@ def estimate_c(p: ProblemSpec, rho: float, s: SearchConfig) -> BoundEstimate:
 
 def check_pointwise_cd(
     p: ProblemSpec,
-    f: ScalarField,
+    cases: Sequence[tuple[ScalarField, np.ndarray]],
     kappa: float,
-    points: np.ndarray,
     tol: float = 1e-8,
 ) -> ViolationReport:
-    """Check Gamma2W(f) >= kappa GammaW(f) at each point.
+    """Check Gamma2W(f) >= kappa GammaW(f) at the points of each (f, points) case.
 
     A point is a violation when margin < -tol * scale with
     scale = max(1, |Gamma2W|, |kappa GammaW|), so the threshold tracks the
     magnitude of the quantities instead of punishing large fields for
-    roundoff.  Domain errors are counted, not raised.
+    roundoff.  A point where either field has a nonzero tape error code is
+    counted as a domain error and skipped.  The worst point is the first one
+    with the smallest margin, in case order.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n_violations = 0
-    n_domain = 0
-    worst_margin: float | None = None
-    worst_point: np.ndarray | None = None
-    for x in pts:
-        try:
-            jf = f.jet(x)
-            g2w = _gamma2_w_jets(jf, p.U.jet(x), p.W.jet(x))
-            # GammaW(f,f) rounded as gamma_w rounds it: W and f by value
-            w, fv = p.W.value(x), f.value(x)
-            gw = float(jf.gradient @ jf.gradient) + w * w * fv * fv
-        except DomainError:
-            n_domain += 1
-            continue
-        margin = g2w - kappa * gw
-        scale = max(1.0, abs(g2w), abs(kappa * gw))
-        if margin < -tol * scale:
-            n_violations += 1
-        if worst_margin is None or margin < worst_margin:
-            worst_margin = margin
-            worst_point = x.copy()
+    parts = []
+    for f, points in cases:
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        g2w, err2 = _tape.eval_values(gamma2_w_field(p, f), pts)
+        gw, err1 = _tape.eval_values(gamma_w_field(p, f, f), pts)
+        parts.append((pts, g2w, gw, (err2 == 0) & (err1 == 0)))
+    pts, g2w, gw, ok = (np.concatenate(a) for a in zip(*parts))
+    pts, g2w, gw = pts[ok], g2w[ok], gw[ok]
+    margin = g2w - kappa * gw
+    scale = np.maximum(np.maximum(1.0, np.abs(g2w)), np.abs(kappa * gw))
+    worst = int(np.argmin(margin)) if margin.size else None
     return ViolationReport(
-        n_checked=pts.shape[0],
-        n_violations=n_violations,
-        n_domain_errors=n_domain,
-        worst_margin=worst_margin,
-        worst_point=worst_point,
+        n_checked=ok.size,
+        n_violations=int(np.sum(margin < -tol * scale)),
+        n_domain_errors=int(np.sum(~ok)),
+        worst_margin=None if worst is None else float(margin[worst]),
+        worst_point=None if worst is None else pts[worst].copy(),
         tol=tol,
     )

@@ -12,9 +12,11 @@ Weighted variants, for a nonnegative weight W:
                  = Gamma2(f) + f^2 (W lap W + |grad W|^2 - W grad W . grad U)
                    + W^2 |grad f|^2 + 4 f W grad W . grad f
 
-``gamma2_w`` evaluates the expanded form (order-2 jets only); the definition
-is kept alive as ``gamma2_w_definitional`` through the symbolic route and the
-two are pinned against each other in tests.
+``gamma2_w_field`` builds the expanded form as a field; it is the batch
+route, evaluated on the tape by ``curvature_bounds.check_pointwise_cd``.  Its
+two oracles are ``gamma2_w``, the same expansion from order-2 jets at one
+point, and ``gamma2_w_definitional``, the definition through the symbolic
+route; the three are pinned against each other in tests.
 
 The curvature integrand
 
@@ -34,7 +36,6 @@ import numpy as np
 
 from .field_expr import (
     FieldError,
-    Jet,
     ProblemSpec,
     ScalarField,
     const_field,
@@ -55,6 +56,7 @@ __all__ = [
     "point_report",
     "gamma_field",
     "gamma_w_field",
+    "gamma2_w_field",
     "gamma_integrand_field",
     "sqrt_gamma_w_field",
 ]
@@ -114,11 +116,7 @@ def gamma_w(p: ProblemSpec, f: ScalarField, g: ScalarField, x) -> float:
 
 def gamma2_w(p: ProblemSpec, f: ScalarField, x) -> float:
     """Gamma2W(f)(x) via the order-2 expansion (see module docstring)."""
-    return _gamma2_w_jets(f.jet(x), p.U.jet(x), p.W.jet(x))
-
-
-def _gamma2_w_jets(jf: Jet, ju: Jet, jw: Jet) -> float:
-    """Gamma2W(f) from the jets of f, U and W at one point."""
+    jf, ju, jw = f.jet(x), p.U.jet(x), p.W.jet(x)
     fv, wv = jf.value, jw.value
     grad_f, grad_w = jf.gradient, jw.gradient
     base = float(np.sum(jf.hessian**2) + grad_f @ ju.hessian @ grad_f)
@@ -206,6 +204,22 @@ def gamma_field(p: ProblemSpec, f: ScalarField, g: ScalarField) -> ScalarField:
 def gamma_w_field(p: ProblemSpec, f: ScalarField, g: ScalarField) -> ScalarField:
     """GammaW(f,g) as a field."""
     return gamma_field(p, f, g) + p.W * p.W * f * g
+
+
+def gamma2_w_field(p: ProblemSpec, f: ScalarField) -> ScalarField:
+    """Gamma2W(f) as a field: the expansion of :func:`gamma2_w`, summed in its order."""
+    n, w, zero = p.dim, p.W, const_field(0.0, p.dim)
+    df = [f.diff(i) for i in range(n)]
+    hess_sq = sum((df[i].diff(j) ** 2 for i in range(n) for j in range(n)), zero)
+    hess_u = sum((gamma_field(p, f, p.U.diff(j)) * df[j] for j in range(n)), zero)
+    lap_w = sum((w.diff(i).diff(i) for i in range(n)), zero)
+    weight_term = f * f * (w * lap_w + gamma_field(p, w, w) - w * gamma_field(p, w, p.U))
+    return (
+        hess_sq + hess_u
+        + weight_term
+        + w * w * gamma_field(p, f, f)
+        + 4.0 * f * w * gamma_field(p, w, f)
+    )
 
 
 def sqrt_gamma_w_field(p: ProblemSpec, f: ScalarField) -> ScalarField:

@@ -156,7 +156,7 @@ def _em_step(p: ProblemSpec, X: np.ndarray, alive: np.ndarray, dt_s: float, xi: 
     bad_grad = alive & (err != 0)
     alive &= ~bad_grad
     new_x = X - grads * dt_s + math.sqrt(2.0 * dt_s) * xi
-    blown = alive & (np.max(np.abs(new_x), axis=1) > _BLOWUP_RADIUS)
+    blown = alive & ~(np.max(np.abs(new_x), axis=1) <= _BLOWUP_RADIUS)  # NaN rows blow up too
     alive &= ~blown
     X[alive] = new_x[alive]
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field_expr import ProblemSpec, ScalarField, const_field, dot_field, normsq_field
+from . import _tape
+from .field_expr import DomainError, ProblemSpec, ScalarField, const_field, dot_field, normsq_field
 from .gamma_calculus import (
     gamma2_w,
     gamma_w,
@@ -364,12 +365,15 @@ class NegativeBatteryError(ValueError):
 
 
 def _reject_negative(f: ScalarField, x_grid, dim: int) -> None:
-    pts = [np.asarray(x, dtype=float) for x in x_grid]
     rng = np.random.default_rng(0)
-    sample = rng.uniform(-6.0, 6.0, size=(512, dim))
-    for x in list(pts) + list(sample):
-        if f.value(x) < 0.0:
-            raise NegativeBatteryError(f"test function is negative at {x!r}")
+    grid = np.asarray(x_grid, dtype=float).reshape(-1, dim)
+    pts = np.vstack([grid, rng.uniform(-6.0, 6.0, size=(512, dim))])
+    vals, err = _tape.eval_values(f, pts)
+    bad = np.flatnonzero((err != 0) | (vals < 0.0))
+    if bad.size and err[bad[0]]:
+        raise DomainError(f"test function: {_tape.err_message(err[bad[0]])} at {pts[bad[0]]!r}")
+    if bad.size:
+        raise NegativeBatteryError(f"test function is negative at {pts[bad[0]]!r}")
 
 
 def _sqrt_lhs(w: float, qt: MCEstimate, gest: GradEstimate) -> tuple[float, float]:

@@ -16,7 +16,7 @@ from gammaw.curvature_bounds import (
     estimate_rho,
 )
 from gammaw.field_expr import DomainError, parse_field
-from gammaw.gamma_calculus import gamma_integrand, sqrt_defect
+from gammaw.gamma_calculus import gamma2_w, gamma_integrand, gamma_w, sqrt_defect
 from gammaw.presets import gaussian_problem, make_problem, pq_problem
 from gammaw.verifier import random_smooth_field
 
@@ -147,7 +147,7 @@ def test_pointwise_cd_no_violations(fast_search, rng, p2):
     kappa = estimate_gamma(p2, fast_search).value
     pts = rng.uniform(-3, 3, size=(150, 2))
     for src in ("exp(0.3*x0)", "x0^2 - x1", "1 + x0*x1"):
-        rep = check_pointwise_cd(p2, parse_field(src, 2), kappa, pts)
+        rep = check_pointwise_cd(p2, [(parse_field(src, 2), pts)], kappa)
         assert rep.n_checked == 150
         assert rep.n_violations == 0
         assert rep.n_domain_errors == 0
@@ -158,19 +158,46 @@ def test_pointwise_cd_detects_violations(p2):
     # kappa far above the true curvature must generate violations
     f = parse_field("exp(0.5*x0)", 2)
     pts = np.array([[4.0, 0.0], [5.0, 0.0], [6.0, 0.0]])
-    rep = check_pointwise_cd(p2, f, 10.0, pts)
+    rep = check_pointwise_cd(p2, [(f, pts)], 10.0)
     assert rep.n_violations > 0
     assert rep.worst_margin < 0
     assert rep.worst_point is not None
 
 
 def test_pointwise_cd_counts_domain_errors(p2_noweight):
+    # W = sqrt(x0) has no value at -1, and a value but no derivative at 0
     p = make_problem(1, "gaussian", "sqrt(x0)")
     f = parse_field("x0^2", 1)
-    pts = np.array([[1.0], [-1.0], [4.0]])
-    rep = check_pointwise_cd(p, f, -1.0, pts)
-    assert rep.n_domain_errors == 1
-    assert rep.n_checked == 3
+    pts = np.array([[1.0], [-1.0], [4.0], [0.0]])
+    rep = check_pointwise_cd(p, [(f, pts)], -1.0)
+    jet_errors = 0
+    for x in pts:
+        try:
+            gamma2_w(p, f, x)
+            gamma_w(p, f, f, x)
+        except DomainError:
+            jet_errors += 1
+    assert jet_errors == 2
+    assert rep.n_domain_errors == jet_errors
+    assert rep.n_checked == 4
+
+
+def test_pointwise_cd_sweep_merges_cases(p2):
+    # one sweep over several cases adds up the per-case reports; of tied
+    # margins (f = x1 is even in x0) the first in case order is the worst
+    f = parse_field("x1", 2)
+    cases = [
+        (parse_field("0.1*x1", 2), np.array([[4.0, 0.0], [5.0, 1.0]])),
+        (f, np.array([[0.0, 0.0], [-5.0, 1.0]])),
+        (f, np.array([[5.0, 1.0]])),
+    ]
+    rep = check_pointwise_cd(p2, cases, 2.0)
+    parts = [check_pointwise_cd(p2, [case], 2.0) for case in cases]
+    assert rep.n_checked == 5
+    assert rep.n_violations == sum(r.n_violations for r in parts) == 3
+    assert rep.n_domain_errors == 0
+    assert rep.worst_margin == parts[1].worst_margin == parts[2].worst_margin < parts[0].worst_margin
+    assert np.array_equal(rep.worst_point, [-5.0, 1.0])
 
 
 def test_pq_gamma_matches_sqrt_weight(fast_search):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gammaw import _tape
 from gammaw.field_expr import DomainError, coord_field, dot_field, normsq_field, parse_field
 from gammaw.gamma_calculus import (
     WeightVanishesError,
@@ -14,6 +15,7 @@ from gammaw.gamma_calculus import (
     gamma2,
     gamma2_w,
     gamma2_w_definitional,
+    gamma2_w_field,
     gamma_field,
     gamma_integrand,
     gamma_integrand_field,
@@ -101,6 +103,27 @@ def test_gamma2_w_matches_definitional(seed):
     except DomainError:
         return
     assert abs(a - b) <= 1e-8 * max(abs(a), abs(b), 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_gamma2_w_field_matches_both_oracles(seed):
+    # the tape batch of the field against the jet expansion and the definition
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 4))
+    p = random_problem(rng, dim)
+    f = random_smooth_field(rng, dim)
+    pts = rng.uniform(-2, 2, size=(8, dim))
+    vals, err = _tape.eval_values(gamma2_w_field(p, f), pts)
+    for x, v, e in zip(pts, vals, err):
+        try:
+            a = gamma2_w(p, f, x)
+        except DomainError:
+            continue
+        b = gamma2_w_definitional(p, f, x)
+        assert e == 0
+        assert abs(v - a) <= 1e-8 * max(abs(v), abs(a), 1.0)
+        assert abs(v - b) <= 1e-8 * max(abs(v), abs(b), 1.0)
 
 
 def test_gamma_fields_match_pointwise(p2, rng):

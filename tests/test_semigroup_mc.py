@@ -260,6 +260,10 @@ def test_blow_up_detection():
         em_path(p, [3.0], 2.0, cfg, ZeroNoise())
     with pytest.raises(AggregatePathFailure):
         estimate_Qt(p, parse_field("x0", 1), [3.0], 2.0, cfg)
+    # the drift at (0, 800) is NaN with no tape error code: a NaN state blows up
+    p = make_problem(2, "x0*exp(x1)", "zero")
+    with pytest.raises(PathBlowUpError):
+        em_path(p, [0.0, 800.0], 0.1, cfg, ZeroNoise())
 
 
 def test_gaussian_exp_moment():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gammaw.field_expr import parse_field
+from gammaw.field_expr import DomainError, parse_field
 from gammaw.presets import gaussian_problem, make_problem
 from gammaw.semigroup_mc import GaussianNoise, MCConfig
 from gammaw.verifier import (
@@ -120,6 +120,16 @@ def test_sqrt_commutation_rejects_negative_f(p2, small_mc):
     with pytest.raises(NegativeBatteryError):
         verify_sqrt_commutation(
             p2, parse_field("x0", 2), 1.0, 2.0, (0.1,), ((0.0, 0.0),), small_mc
+        )
+
+
+@pytest.mark.parametrize("x, error", [(-4.5, NegativeBatteryError), (-5.5, DomainError)])
+def test_sqrt_commutation_first_bad_point_decides(small_mc, x, error):
+    # log(x0 + 5) is negative on (-5, -4) and undefined below -5; the random
+    # sample holds points of both kinds, so the grid point, checked first, decides
+    with pytest.raises(error):
+        verify_sqrt_commutation(
+            gaussian_problem(1), parse_field("log(x0 + 5)", 1), 1.0, 2.0, (0.1,), ((x,),), small_mc
         )
 
 
