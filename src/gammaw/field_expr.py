@@ -23,7 +23,9 @@ oracle only.
 
 Domain policy: evaluating or differentiating past the boundary of a log /
 sqrt / fractional power raises :class:`DomainError` instead of propagating
-NaN, so downstream infimum searches never chase fake minima.
+NaN, so downstream infimum searches never chase fake minima.  A point value
+or jet, or a folded constant, whose exp or power overflows raises
+:class:`DomainError` too.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import math
 import re
 import struct
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -232,19 +235,30 @@ def _div(a: Node, b: Node) -> Node:
     return Div(a, b)
 
 
+@contextmanager
+def _overflow_is_domain_error(at):
+    # math.exp and float ** raise OverflowError where numpy would give inf
+    try:
+        yield
+    except OverflowError as e:
+        raise DomainError(f"overflow at {at}: {e}") from None
+
+
 def _pow(a: Node, expo: float) -> Node:
     if expo == 1.0:
         return a
     if expo == 0.0:
         return Const(1.0)
     if isinstance(a, Const):
-        return Const(_pow_value(a.c, expo))
+        with _overflow_is_domain_error(f"constant {a.c} ^ {expo}"):
+            return Const(_pow_value(a.c, expo))
     return Pow(a, expo)
 
 
 def _exp(a: Node) -> Node:
     if isinstance(a, Const):
-        return Const(math.exp(a.c))
+        with _overflow_is_domain_error(f"constant exp({a.c})"):
+            return Const(math.exp(a.c))
     return Exp(a)
 
 
@@ -646,7 +660,8 @@ class ScalarField:
 
     def value(self, x) -> float:
         x = _as_point(x, self.dim)
-        return _eval_node(self.root, x, {})
+        with _overflow_is_domain_error(x):
+            return _eval_node(self.root, x, {})
 
     __call__ = value
 
@@ -657,7 +672,8 @@ class ScalarField:
 
     def jet(self, x) -> Jet:
         x = _as_point(x, self.dim)
-        return _jet_node(self.root, x, {})
+        with _overflow_is_domain_error(x):
+            return _jet_node(self.root, x, {})
 
     def gradient(self, x) -> np.ndarray:
         return self.jet(x).gradient
@@ -804,13 +820,12 @@ def _is_half_normsq(n: Node) -> bool:
 
 
 def _is_gaussian_potential(n: Node) -> bool:
-    if _is_half_normsq(n):
-        return True
-    if isinstance(n, (Add, Sub)):
-        return (_is_half_normsq(n.a) and isinstance(n.b, Const)) or (
-            isinstance(n.a, Const) and _is_half_normsq(n.b)
-        )
-    return False
+    # c - |x|^2/2 is excluded: its drift is -x
+    if isinstance(n, (Add, Sub)) and isinstance(n.b, Const):
+        n = n.a
+    elif isinstance(n, Add) and isinstance(n.a, Const):
+        n = n.b
+    return _is_half_normsq(n)
 
 
 # ---------------------------------------------------------------------------

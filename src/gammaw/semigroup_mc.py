@@ -5,7 +5,9 @@ Three routes to Q_t f(x) = E[f(X_t) | X_0 = x] for dX = -grad U(X) ds
 
 * Euler-Maruyama Monte Carlo (:func:`estimate_Qt` and friends), the general
   workhorse, with counter-based noise so every estimate is reproducible and
-  common-random-number differencing is exact;
+  common-random-number differencing is exact.  For the Gaussian potential the
+  drift is x, taken exactly rather than from the tape, and the blow-up guard
+  tests the whole block globally before it tests rows;
 * the closed Ornstein-Uhlenbeck law for the Gaussian potential
   (:func:`mehler_Qt`), evaluated by Gauss-Hermite quadrature or, for
   exponentials e^{a.x}, in closed form;
@@ -151,14 +153,26 @@ def _noise_block(noise, stream: tuple[int, ...], step: int, m: int, n: int, anti
 
 def _em_step(p: ProblemSpec, X: np.ndarray, alive: np.ndarray, dt_s: float, xi: np.ndarray) -> None:
     """One Euler-Maruyama step of every live path, in place; failed paths
-    freeze at their last finite state."""
-    _, grads, err = _tape.eval_values_grads(p.U, X)
-    bad_grad = alive & (err != 0)
-    alive &= ~bad_grad
+    freeze at their last finite state.
+
+    For the Gaussian potential the drift is x, taken exactly: the tape's
+    gradient of every form of |x|^2/2 + c that ``ProblemSpec`` accepts is x
+    itself, with error code 0.  The blow-up guard tests the largest |x_i| of
+    the whole block first and the rows only when that trips, and while every
+    path is alive the update is a plain copy.
+    """
+    if p.gaussian_U:
+        grads = X
+    else:
+        _, grads, err = _tape.eval_values_grads(p.U, X)
+        alive &= err == 0
     new_x = X - grads * dt_s + math.sqrt(2.0 * dt_s) * xi
-    blown = alive & ~(np.max(np.abs(new_x), axis=1) <= _BLOWUP_RADIUS)  # NaN rows blow up too
-    alive &= ~blown
-    X[alive] = new_x[alive]
+    if not (np.max(np.abs(new_x)) <= _BLOWUP_RADIUS):  # a NaN anywhere trips it
+        alive &= np.max(np.abs(new_x), axis=1) <= _BLOWUP_RADIUS  # NaN rows blow up too
+    if alive.all():
+        X[...] = new_x
+    else:
+        X[alive] = new_x[alive]
 
 
 def _simulate_grid(

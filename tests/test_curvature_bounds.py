@@ -182,6 +182,18 @@ def test_pointwise_cd_counts_domain_errors(p2_noweight):
     assert rep.n_checked == 4
 
 
+def test_pointwise_cd_skips_non_finite_points():
+    # the tape flags no overflow: exp(800) is inf with error code 0, and the
+    # fields at (0, 800) are NaN; that point is a domain error, not the worst
+    p = make_problem(2, "x0*exp(x1)", "zero")
+    pts = np.array([[0.0, 800.0], [0.0, 0.0], [0.5, 0.1]])
+    rep = check_pointwise_cd(p, [(parse_field("x0 + x1", 2), pts)], 0.0)
+    assert rep.n_checked == 3
+    assert rep.n_domain_errors == 1
+    assert math.isfinite(rep.worst_margin)
+    assert any(np.array_equal(rep.worst_point, x) for x in pts[1:])
+
+
 def test_pointwise_cd_sweep_merges_cases(p2):
     # one sweep over several cases adds up the per-case reports; of tied
     # margins (f = x1 is even in x0) the first in case order is the worst

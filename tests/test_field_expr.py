@@ -195,6 +195,20 @@ def test_domain_errors():
         q.value([-2.0])
 
 
+def test_overflow_is_a_domain_error():
+    # math.exp and float ** raise OverflowError; values, jets and constant
+    # folding report it as a domain error, which callers skip or report
+    for src, x in (("x0*exp(x1)", [0.0, 800.0]), ("x0^3 + x1", [1e200, 0.0])):
+        f = parse_field(src, 2)
+        with pytest.raises(DomainError):
+            f.value(x)
+        with pytest.raises(DomainError):
+            f.jet(x)
+    for src in ("exp(1000)*x0", "1e200^2 + x0"):
+        with pytest.raises(DomainError):
+            parse_field(src, 1)
+
+
 def test_constant_folding_and_identities():
     f = parse_field("0*x0 + 1*x1 + 0", 2)
     assert f.to_text() == "x1"

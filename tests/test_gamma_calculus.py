@@ -231,3 +231,9 @@ def test_iterated_L_stays_symbolic(p2):
     )
     drift = x @ lf.jet(x).gradient
     assert llf.value(x) == pytest.approx(lap - drift, rel=1e-5, abs=1e-4)
+
+
+def test_gamma2_w_overflow_is_a_domain_error():
+    p = make_problem(2, "x0*exp(x1)", "zero")
+    with pytest.raises(DomainError):
+        gamma2_w(p, parse_field("x0 + x1", 2), [0.0, 800.0])

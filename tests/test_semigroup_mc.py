@@ -3,15 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from gammaw.field_expr import DomainError, const_field, dot_field, parse_field
-from gammaw.presets import gaussian_problem, make_problem
+from gammaw import _tape
+from gammaw.field_expr import (
+    DomainError,
+    ProblemSpec,
+    _is_gaussian_potential,
+    const_field,
+    dot_field,
+    parse_field,
+)
+from gammaw.presets import gaussian_potential, gaussian_problem, make_problem, sqrt1sq_weight
 from gammaw.verifier import battery
 from gammaw.semigroup_mc import (
+    _BLOWUP_RADIUS,
     AggregatePathFailure,
     GaussianNoise,
     MCConfig,
     PathBlowUpError,
     ZeroNoise,
+    _em_step,
     em_path,
     estimate_fk_term,
     estimate_fk_term_many,
@@ -264,6 +274,101 @@ def test_blow_up_detection():
     p = make_problem(2, "x0*exp(x1)", "zero")
     with pytest.raises(PathBlowUpError):
         em_path(p, [0.0, 800.0], 0.1, cfg, ZeroNoise())
+
+
+def _gaussian_potential_forms(dim):
+    """Every form of |x|^2/2 + c that ``ProblemSpec`` accepts as Gaussian."""
+    forms = []
+    for half in ("normsq(x)/2", "0.5*normsq(x)", "normsq(x)*0.5"):
+        forms.append(half)
+        for c in ("1.5", "0.25"):
+            forms += [f"{half} + {c}", f"{half} - {c}", f"{c} + {half}", f"-{c} + {half}"]
+    return [parse_field(src, dim) for src in forms] + [gaussian_potential(dim)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tape_drift_of_gaussian_potential_is_x(dim):
+    # the EM step takes x as the Gaussian drift; the tape gives exactly x.
+    # `==`, not a bitwise check: the 0.5* forms turn -0.0 into +0.0
+    rng = np.random.default_rng(dim)
+    X = rng.normal(size=(64, dim)) * rng.choice([1.0, 1e-3, 1e8], size=(64, 1))
+    X[::5, 0] = 0.0
+    X[1::5, -1] = -0.0
+    X[2, :] = 1e8
+    X[3, :] = -1e8
+    for U in _gaussian_potential_forms(dim):
+        assert _is_gaussian_potential(U.root), U.to_text()
+        _, grads, err = _tape.eval_values_grads(U, X)
+        assert np.all(err == 0)
+        assert np.all(grads == X), U.to_text()
+    # c - |x|^2/2 has drift -x and is not Gaussian
+    assert not _is_gaussian_potential(parse_field("1.5 - normsq(x)/2", dim).root)
+    with pytest.raises(ValueError):
+        ProblemSpec(dim, parse_field("1.5 - normsq(x)/2", dim), sqrt1sq_weight(dim), gaussian_U=True)
+
+
+def _em_step_reference(p, X, alive, dt_s, xi):
+    # the plain step: tape drift, row-wise guard and masked copy, no shortcut
+    _, grads, err = _tape.eval_values_grads(p.U, X)
+    bad_grad = alive & (err != 0)
+    alive &= ~bad_grad
+    new_x = X - grads * dt_s + math.sqrt(2.0 * dt_s) * xi
+    blown = alive & ~(np.max(np.abs(new_x), axis=1) <= _BLOWUP_RADIUS)
+    alive &= ~blown
+    X[alive] = new_x[alive]
+
+
+@pytest.mark.parametrize(
+    "u_spec, gaussian",
+    [("gaussian", True), ("normsq(x)/2", False), ("x0^4/4 + x1^2 + x0*x1/3", False)],
+)
+@pytest.mark.parametrize("case", ["all_alive", "some_dead", "one_crosses", "nan_noise"])
+def test_em_step_matches_reference_step(u_spec, gaussian, case):
+    p = make_problem(2, u_spec, "sqrt1sq")
+    assert p.gaussian_U == gaussian
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(40, 2))
+    X[5] = [0.0, -0.0]
+    alive = np.ones(40, dtype=bool)
+    xi = rng.normal(size=(40, 2))
+    expected_alive = alive.copy()
+    if case == "some_dead":
+        alive[[3, 17, 30]] = expected_alive[[3, 17, 30]] = False
+    elif case == "one_crosses":
+        X[11] = [0.9999 * _BLOWUP_RADIUS, 1.0]
+        xi[11, 0] = 1e12
+        expected_alive[11] = False
+    elif case == "nan_noise":
+        xi[23, 1] = np.nan
+        expected_alive[23] = False
+    for dt in (0.01, 0.003):
+        X_new, alive_new = X.copy(), alive.copy()
+        X_ref, alive_ref = X.copy(), alive.copy()
+        _em_step(p, X_new, alive_new, dt, xi)
+        _em_step_reference(p, X_ref, alive_ref, dt, xi)
+        assert np.array_equal(alive_new, alive_ref)
+        assert np.array_equal(X_new, X_ref)
+        assert np.array_equal(alive_new, expected_alive)
+        assert np.array_equal(X_new[~alive_new], X[~alive_new])
+        assert not np.any(X_new[alive_new] == X[alive_new])
+
+
+def test_em_step_matches_reference_on_tape_error():
+    # log(x0) has no value at x0 < 0: that path dies with a tape error code
+    p = make_problem(2, "log(x0) + normsq(x)/2", "zero")
+    rng = np.random.default_rng(8)
+    X = rng.uniform(0.5, 2.0, size=(30, 2))
+    X[9, 0] = -0.5
+    alive = np.ones(30, dtype=bool)
+    xi = rng.normal(size=(30, 2))
+    X_new, alive_new = X.copy(), alive.copy()
+    X_ref, alive_ref = X.copy(), alive.copy()
+    _em_step(p, X_new, alive_new, 0.01, xi)
+    _em_step_reference(p, X_ref, alive_ref, 0.01, xi)
+    assert np.array_equal(alive_new, alive_ref)
+    assert np.array_equal(X_new, X_ref)
+    assert np.flatnonzero(~alive_new).tolist() == [9]
+    assert np.array_equal(X_new[9], X[9])
 
 
 def test_gaussian_exp_moment():
