@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -64,13 +64,16 @@ __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all", "write_art
 
 @dataclass
 class CriterionResult:
-    cid: int
-    name: str
+    """A criterion returns its verdict, summary lines and CSV lines;
+    :func:`run_all` fills in ``cid``, ``name`` and ``elapsed``."""
+
     passed: bool
     inconclusive: bool
-    elapsed: float
     lines: list[str] = dc_field(default_factory=list)
     csv_lines: list[str] = dc_field(default_factory=list)
+    cid: int = 0
+    name: str = ""
+    elapsed: float = 0.0
 
     @property
     def status(self) -> str:
@@ -124,7 +127,6 @@ def _grid2(*pts) -> list[np.ndarray]:
 
 
 def ac1(ov: tuple[str, ...]) -> CriterionResult:
-    t0 = time.perf_counter()
     scfg = _search_cfg(ov, 1)
     lines, rows = [], []
     passed = True
@@ -154,7 +156,7 @@ def ac1(ov: tuple[str, ...]) -> CriterionResult:
         )
         rows.append([n, est.value, expected, oracle, radial, err, str(est.diverging)])
     return CriterionResult(
-        1, "gamma-constants", passed, False, time.perf_counter() - t0, lines,
+        passed, False, lines,
         _csv(["n", "gamma", "expected", "oracle", "radial_scan", "abs_err", "diverging"], rows),
     )
 
@@ -165,7 +167,6 @@ def ac1(ov: tuple[str, ...]) -> CriterionResult:
 
 
 def ac2(ov: tuple[str, ...]) -> CriterionResult:
-    t0 = time.perf_counter()
     scfg = _search_cfg(ov, 2)
     lines, rows = [], []
     passed = True
@@ -182,10 +183,7 @@ def ac2(ov: tuple[str, ...]) -> CriterionResult:
             f"want_finite={want_finite} -> {'ok' if ok else 'BAD'}"
         )
         rows.append([p_val, est.value, str(est.diverging), str(want_finite)])
-    return CriterionResult(
-        2, "pq-boundary", passed, False, time.perf_counter() - t0, lines,
-        _csv(["p", "gamma", "diverging", "want_finite"], rows),
-    )
+    return CriterionResult(passed, False, lines, _csv(["p", "gamma", "diverging", "want_finite"], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +192,6 @@ def ac2(ov: tuple[str, ...]) -> CriterionResult:
 
 
 def ac3(ov: tuple[str, ...]) -> CriterionResult:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(3)
     target = 200
     lines, rows = [], []
@@ -223,10 +220,7 @@ def ac3(ov: tuple[str, ...]) -> CriterionResult:
     lines.append(f"{count} instances, worst relative gap {worst:.3e} (tol 1e-08), {skipped} resampled")
     if not rows:
         rows.append([0, 0.0, 0.0, worst])
-    return CriterionResult(
-        3, "algebra-identity", passed, False, time.perf_counter() - t0, lines,
-        _csv(["dim", "expanded", "definitional", "rel_gap"], rows),
-    )
+    return CriterionResult(passed, False, lines, _csv(["dim", "expanded", "definitional", "rel_gap"], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +229,6 @@ def ac3(ov: tuple[str, ...]) -> CriterionResult:
 
 
 def ac4(ov: tuple[str, ...]) -> CriterionResult:
-    t0 = time.perf_counter()
     scfg = _search_cfg(ov, 4)
     rng = np.random.default_rng(4)
     lines, rows = [], []
@@ -263,7 +256,7 @@ def ac4(ov: tuple[str, ...]) -> CriterionResult:
         )
         rows.append([label, kappa, checked, viol, derr, worst])
     return CriterionResult(
-        4, "pointwise-cd", passed, False, time.perf_counter() - t0, lines,
+        passed, False, lines,
         _csv(["weight", "kappa", "n_samples", "n_violations", "n_domain_errors", "worst_margin"], rows),
     )
 
@@ -274,7 +267,6 @@ def ac4(ov: tuple[str, ...]) -> CriterionResult:
 
 
 def ac5(ov: tuple[str, ...]) -> CriterionResult:
-    t0 = time.perf_counter()
     p = gaussian_problem(2)
     a_list = [np.array(a) for a in ((0.0, 0.0), (0.1, 0.0), (0.5, 0.0), (1.0, 0.0))]
     radii = (10.0, 100.0, 1000.0)
@@ -294,9 +286,7 @@ def ac5(ov: tuple[str, ...]) -> CriterionResult:
     ok = abs(best - (-1.0)) <= 1e-2
     passed &= ok
     lines.append(f"best kappa over battery: {best:.6f} (want -1 +- 1e-02) -> {'ok' if ok else 'BAD'}")
-    return CriterionResult(
-        5, "optimality-limit", passed, False, time.perf_counter() - t0, lines, table.csv_lines()
-    )
+    return CriterionResult(passed, False, lines, table.csv_lines())
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +295,6 @@ def ac5(ov: tuple[str, ...]) -> CriterionResult:
 
 
 def ac6(ov: tuple[str, ...]) -> CriterionResult:
-    t0 = time.perf_counter()
     p = gaussian_problem(2)
     cfg = _mc_cfg(ov, 100_000, 60)
     t_grid = (0.1, 0.5, 1.0)
@@ -319,10 +308,7 @@ def ac6(ov: tuple[str, ...]) -> CriterionResult:
     lines = [rep.summary(), f"kappa=-0.5 rerun: {rep_neg.n_fail} fail verdicts (want >= 1)"]
     passed = rep.n_fail == 0 and rep.n_inconclusive == 0 and rep_neg.n_fail >= 1
     inconclusive = rep.n_fail == 0 and rep.n_inconclusive > 0
-    return CriterionResult(
-        6, "commutation", passed, inconclusive, time.perf_counter() - t0, lines,
-        rep.csv_lines() + rep_neg.csv_lines()[1:],
-    )
+    return CriterionResult(passed, inconclusive, lines, rep.csv_lines() + rep_neg.csv_lines()[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +317,6 @@ def ac6(ov: tuple[str, ...]) -> CriterionResult:
 
 
 def ac7(ov: tuple[str, ...]) -> CriterionResult:
-    t0 = time.perf_counter()
     p = gaussian_problem(2)
     cfg = _mc_cfg(ov, 25_000, 70)
     t_grid = (0.1, 0.5)
@@ -368,7 +353,7 @@ def ac7(ov: tuple[str, ...]) -> CriterionResult:
         f"rhs={case.rhs:.6f} oracle={rhs_or:.6f} (+-{case.rhs_se:.2e}) -> {'ok' if ok else 'BAD'}"
     )
     return CriterionResult(
-        7, "variance", passed, inconclusive, time.perf_counter() - t0, lines,
+        passed, inconclusive, lines,
         VerificationReport(rep.check_id, rep.cases + [case]).csv_lines(),
     )
 
@@ -379,7 +364,6 @@ def ac7(ov: tuple[str, ...]) -> CriterionResult:
 
 
 def ac8(ov: tuple[str, ...]) -> CriterionResult:
-    t0 = time.perf_counter()
     p = gaussian_problem(2)
     scfg = _search_cfg(ov, 8)
     c_est = estimate_c(p, 1.0, scfg)
@@ -412,10 +396,7 @@ def ac8(ov: tuple[str, ...]) -> CriterionResult:
     inconclusive = rep.n_fail == 0 and rep.n_inconclusive > 0
     head = ["quantity", "value", "reference"]
     extra = _csv(head, [["c", c_est.value, 2.0], ["radial_oracle", oracle, 2.0]])
-    return CriterionResult(
-        8, "sqrt-commutation", passed and not inconclusive, inconclusive,
-        time.perf_counter() - t0, lines, rep.csv_lines() + extra,
-    )
+    return CriterionResult(passed and not inconclusive, inconclusive, lines, rep.csv_lines() + extra)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +405,6 @@ def ac8(ov: tuple[str, ...]) -> CriterionResult:
 
 
 def ac9(ov: tuple[str, ...]) -> CriterionResult:
-    t0 = time.perf_counter()
     p = gaussian_problem(2)
     cfg = _mc_cfg(ov, 20_000, 90)
     lines, rows = [], []
@@ -461,7 +441,7 @@ def ac9(ov: tuple[str, ...]) -> CriterionResult:
     lines.append(f"second-order expansion: 10 cases, {n_bad} with halving ratio outside [4, 16]")
     csv = _csv(["f_label", "x0", "x1", "t", "mc_mean", "mc_stderr", "quadrature", "abs_gap"], rows)
     csv += _csv(["f_label", "x0", "x1", "err_t", "err_t_half", "ratio"], ratio_rows)
-    return CriterionResult(9, "oracle-stack", passed, False, time.perf_counter() - t0, lines, csv)
+    return CriterionResult(passed, False, lines, csv)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +451,6 @@ def ac9(ov: tuple[str, ...]) -> CriterionResult:
 
 
 def ac10(ov: tuple[str, ...]) -> CriterionResult:
-    t0 = time.perf_counter()
     p = gaussian_problem(2)
     kappa = -1.0
     t1, t2 = 1e-2, 1e-3
@@ -498,7 +477,7 @@ def ac10(ov: tuple[str, ...]) -> CriterionResult:
             )
             rows.append([a[0], a[1], x[0], x[1], target, errs[t1], errs[t2]])
     return CriterionResult(
-        10, "taylor-consistency", passed, False, time.perf_counter() - t0, lines,
+        passed, False, lines,
         _csv(["a0", "a1", "x0", "x1", "target", "err_t1", "err_t2"], rows),
     )
 
@@ -534,7 +513,13 @@ def run_all(criteria=None, overrides=()) -> list[CriterionResult]:
         if cid not in CRITERIA:
             raise ValueError(f"unknown criterion {cid}; valid ids are 1..10")
     ov = _checked_overrides(overrides)
-    return [CRITERIA[cid][1](ov) for cid in ids]
+    results = []
+    for cid in ids:
+        name, run = CRITERIA[cid]
+        t0 = time.perf_counter()
+        res = run(ov)
+        results.append(replace(res, cid=cid, name=name, elapsed=time.perf_counter() - t0))
+    return results
 
 
 def exit_code(results: list[CriterionResult]) -> int:

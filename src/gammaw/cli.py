@@ -65,7 +65,7 @@ def _overrides(args) -> list[str]:
 
 
 def _load_config(args) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig.default()
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     cfg.apply_overrides(_overrides(args))
     if args.out:
         cfg.out_path = args.out
@@ -91,21 +91,29 @@ def _cli_battery(cfg: RunConfig):
     return fields
 
 
-def _resolve_kappa(cfg: RunConfig, p: ProblemSpec, out) -> float:
+def _resolve_rho(cfg: RunConfig, p: ProblemSpec):
+    """(rho, its search): ``check.rho`` when it is set, with no search
+    (None), else the searched estimate."""
+    if cfg.rho != "auto":
+        return float(cfg.rho), None
+    est = estimate_rho(p, cfg.search)
+    return est.value, est
+
+
+def _resolve_kappa(cfg: RunConfig, p: ProblemSpec) -> float:
     if cfg.kappa != "auto":
         return float(cfg.kappa)
-    rho = estimate_rho(p, cfg.search)
+    rho, _ = _resolve_rho(cfg, p)
     gam = estimate_gamma(p, cfg.search)
-    kappa = min(rho.value, gam.value)
-    out(f"kappa = min(rho, gamma) = min({_fmt_bound(rho.value)}, {_fmt_bound(gam.value)}) = {_fmt_bound(kappa)}")
+    kappa = min(rho, gam.value)
+    print(f"kappa = min(rho, gamma) = min({_fmt_bound(rho)}, {_fmt_bound(gam.value)}) = {_fmt_bound(kappa)}")
     return kappa
 
 
 def cmd_check_curvature(cfg: RunConfig) -> int:
     p = cfg.build_problem()
     print(f"problem: dim={cfg.dim}, U={cfg.u_spec}, W={cfg.w_spec}")
-    rho = estimate_rho(p, cfg.search) if cfg.rho == "auto" else None
-    rho_value = rho.value if rho is not None else float(cfg.rho)
+    rho_value, rho = _resolve_rho(cfg, p)
     print(f"rho:   {_fmt_bound(rho_value)}")
     gam = estimate_gamma(p, cfg.search)
     print(f"gamma: {_fmt_bound(gam.value)}")
@@ -150,7 +158,7 @@ def cmd_verify(cfg: RunConfig, which: str) -> int:
     t_grid = cfg.t_values
     x_grid = cfg.x_grid()
     if which == "sqrt":
-        rho = estimate_rho(p, cfg.search).value if cfg.rho == "auto" else float(cfg.rho)
+        rho, _ = _resolve_rho(cfg, p)
         if not math.isfinite(rho):
             raise ConfigError("sqrt check needs a finite rho")
         if cfg.c == "auto":
@@ -163,7 +171,7 @@ def cmd_verify(cfg: RunConfig, which: str) -> int:
         print(f"rho={rho:g}, c={c:g}")
         report = verify_sqrt_commutation(p, _cli_battery(cfg), rho, c, t_grid, x_grid, cfg.mc)
     else:
-        kappa = _resolve_kappa(cfg, p, print)
+        kappa = _resolve_kappa(cfg, p)
         if kappa == -math.inf:
             raise ConfigError("kappa = -inf: the inequality carries no content for this problem")
         if which == "commutation":

@@ -8,7 +8,9 @@ or key, or a value that does not parse, raises ``ConfigError`` naming the
 key.  ``mc.antithetic`` takes configparser's boolean words (1/yes/true/on,
 0/no/false/off).  ``from_text`` and ``to_text`` round-trip, and overrides
 apply on top of the file, so a run is reproducible from its printed config
-alone.
+alone.  The schema is one table, ``_KEYS``, with a parser and a formatter
+per key; the defaults are those of :class:`RunConfig`, and
+``RunConfig().to_text()`` prints them as the template of every key.
 """
 
 from __future__ import annotations
@@ -24,47 +26,11 @@ from .field_expr import FieldError, ProblemSpec
 from .presets import make_problem
 from .semigroup_mc import MCConfig
 
-__all__ = ["ConfigError", "RunConfig", "DEFAULT_CONFIG_TEXT", "split_override"]
+__all__ = ["ConfigError", "RunConfig", "split_override"]
 
 
 class ConfigError(ValueError):
     """Malformed configuration file or override."""
-
-
-DEFAULT_CONFIG_TEXT = """\
-[problem]
-dim = 2
-U = gaussian
-W = sqrt1sq
-
-[search]
-radii = 10, 100, 1000
-grid_per_axis = 64
-multistart_count = 8
-local_steps = 300
-seed = 0
-tol = 1e-06
-
-[mc]
-n_paths = 100000
-dt = 0.001
-seed = 0
-antithetic = true
-
-[check]
-kappa = auto
-rho = auto
-c = auto
-
-[grids]
-t_values = 0.1, 0.5, 1.0
-x_points = (0, 0); (1, 1)
-a_vectors = (0, 0); (0.1, 0); (0.5, 0); (1, 0)
-
-[output]
-path = report.csv
-format = csv
-"""
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -100,6 +66,10 @@ def _auto_or_float(text: str) -> float | str:
     return "auto" if text == "auto" else float(text)
 
 
+def _fmt_auto_or_float(v: float | str) -> str:
+    return v if isinstance(v, str) else _fmt_float(v)
+
+
 def _bool(text: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
@@ -107,32 +77,38 @@ def _bool(text: str) -> bool:
         raise ValueError(f"expected one of 1/yes/true/on or 0/no/false/off, got {text!r}") from None
 
 
-# section -> key -> (attribute, parser).  Keys are matched in lower case.  The
-# search and mc keys name fields of the frozen SearchConfig and MCConfig.
+def _fmt_bool(v: bool) -> str:
+    return "true" if v else "false"
+
+
+# The schema: section -> key -> (attribute, parser, formatter), in the order
+# ``to_text`` writes them.  Keys are matched in lower case.  The search and
+# mc keys name fields of the frozen SearchConfig and MCConfig.
 _KEYS = {
-    "problem": {"dim": ("dim", int), "u": ("u_spec", str), "w": ("w_spec", str)},
+    "problem": {"dim": ("dim", int, str), "u": ("u_spec", str, str), "w": ("w_spec", str, str)},
     "search": {
-        "radii": ("radii_schedule", _floats),
-        "grid_per_axis": ("grid_per_axis", int),
-        "multistart_count": ("multistart_count", int),
-        "local_steps": ("local_steps", int),
-        "seed": ("seed", int),
-        "tol": ("tol", float),
+        "radii": ("radii_schedule", _floats, _fmt_floats),
+        "grid_per_axis": ("grid_per_axis", int, str),
+        "multistart_count": ("multistart_count", int, str),
+        "local_steps": ("local_steps", int, str),
+        "seed": ("seed", int, str),
+        "tol": ("tol", float, _fmt_float),
     },
     "mc": {
-        "n_paths": ("n_paths", int),
-        "dt": ("dt", float),
-        "seed": ("seed", int),
-        "antithetic": ("antithetic", _bool),
+        "n_paths": ("n_paths", int, str),
+        "dt": ("dt", float, _fmt_float),
+        "seed": ("seed", int, str),
+        "antithetic": ("antithetic", _bool, _fmt_bool),
     },
-    "check": {name: (name, _auto_or_float) for name in ("kappa", "rho", "c")},
+    "check": {name: (name, _auto_or_float, _fmt_auto_or_float) for name in ("kappa", "rho", "c")},
     "grids": {
-        "t_values": ("t_values", _floats),
-        "x_points": ("x_points", _points),
-        "a_vectors": ("a_vectors", _points),
+        "t_values": ("t_values", _floats, _fmt_floats),
+        "x_points": ("x_points", _points, _fmt_points),
+        "a_vectors": ("a_vectors", _points, _fmt_points),
     },
-    "output": {"path": ("out_path", str), "format": ("out_format", str)},
+    "output": {"path": ("out_path", str, str), "format": ("out_format", str, str)},
 }
+_NESTED = ("search", "mc")  # sections held in a frozen config of their own
 
 
 def split_override(item: str) -> tuple[str, str]:
@@ -166,10 +142,6 @@ class RunConfig:
     )
     out_path: str = "report.csv"
     out_format: str = "csv"
-
-    @staticmethod
-    def default() -> "RunConfig":
-        return RunConfig.from_text(DEFAULT_CONFIG_TEXT)
 
     @staticmethod
     def from_file(path) -> "RunConfig":
@@ -222,9 +194,9 @@ class RunConfig:
             raise ConfigError(f"unknown section {sec!r} in {key!r}")
         if name.lower() not in _KEYS[sec]:
             raise ConfigError(f"unknown key {key!r}")
-        attr, parse = _KEYS[sec][name.lower()]
+        attr, parse, _ = _KEYS[sec][name.lower()]
         try:
-            if sec in ("search", "mc"):
+            if sec in _NESTED:
                 setattr(self, sec, replace(getattr(self, sec), **{attr: parse(value)}))
             else:
                 setattr(self, attr, parse(value))
@@ -233,32 +205,9 @@ class RunConfig:
 
     def to_text(self) -> str:
         cp = configparser.ConfigParser(interpolation=None)
-        cp["problem"] = {"dim": str(self.dim), "U": self.u_spec, "W": self.w_spec}
-        cp["search"] = {
-            "radii": _fmt_floats(self.search.radii_schedule),
-            "grid_per_axis": str(self.search.grid_per_axis),
-            "multistart_count": str(self.search.multistart_count),
-            "local_steps": str(self.search.local_steps),
-            "seed": str(self.search.seed),
-            "tol": _fmt_float(self.search.tol),
-        }
-        cp["mc"] = {
-            "n_paths": str(self.mc.n_paths),
-            "dt": _fmt_float(self.mc.dt),
-            "seed": str(self.mc.seed),
-            "antithetic": "true" if self.mc.antithetic else "false",
-        }
-        cp["check"] = {
-            "kappa": self.kappa if isinstance(self.kappa, str) else _fmt_float(self.kappa),
-            "rho": self.rho if isinstance(self.rho, str) else _fmt_float(self.rho),
-            "c": self.c if isinstance(self.c, str) else _fmt_float(self.c),
-        }
-        cp["grids"] = {
-            "t_values": _fmt_floats(self.t_values),
-            "x_points": _fmt_points(self.x_points),
-            "a_vectors": _fmt_points(self.a_vectors),
-        }
-        cp["output"] = {"path": self.out_path, "format": self.out_format}
+        for sec, keys in _KEYS.items():
+            owner = getattr(self, sec) if sec in _NESTED else self
+            cp[sec] = {name: fmt(getattr(owner, attr)) for name, (attr, _, fmt) in keys.items()}
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()

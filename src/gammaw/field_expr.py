@@ -14,7 +14,7 @@ and iterated applications L(Lf) stay first-class fields.
 
 Two independent derivative routes are provided:
 
-* :func:`differentiate` builds the symbolic partial derivative as a new field;
+* ``f.diff(i)`` builds the symbolic partial derivative as a new field;
 * :func:`eval_jet` propagates truncated Taylor coefficients (value, gradient,
   Hessian) through the tree, i.e. second-order forward-mode AD on jets.
 
@@ -35,7 +35,7 @@ import re
 import struct
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,7 +48,6 @@ __all__ = [
     "Jet",
     "ProblemSpec",
     "parse_field",
-    "differentiate",
     "eval_jet",
     "finite_diff_jet",
     "const_field",
@@ -675,9 +674,6 @@ class ScalarField:
         with _overflow_is_domain_error(x):
             return _jet_node(self.root, x, {})
 
-    def gradient(self, x) -> np.ndarray:
-        return self.jet(x).gradient
-
     def is_zero(self) -> bool:
         """Structurally the zero field (after constant folding)."""
         return _is_const(self.root, 0.0)
@@ -744,11 +740,6 @@ def parse_field(src: str, dim: int) -> ScalarField:
     return _Parser(src, dim).parse()
 
 
-def differentiate(f: ScalarField, i: int) -> ScalarField:
-    """Symbolic partial derivative of ``f`` with respect to ``x_i``."""
-    return f.diff(i)
-
-
 def eval_jet(f: ScalarField, x) -> Jet:
     """Forward-mode jet: value, gradient and Hessian."""
     return f.jet(x)
@@ -792,21 +783,24 @@ def finite_diff_jet(f: ScalarField, x, h: float = 1e-5) -> Jet:
 class ProblemSpec:
     """A potential/weight pair defining L = Laplacian - grad U . grad.
 
-    ``W`` is nonnegative by contract (not enforced pointwise).  When
-    ``gaussian_U`` is set the potential must be |x|^2/2 plus a constant,
-    which unlocks the closed-form Ornstein-Uhlenbeck oracles.
+    ``W`` is nonnegative by contract (not enforced pointwise).
+    ``gaussian_U`` is worked out from U, not set: it is true when U is
+    |x|^2/2 written as ``normsq(x)/2``, ``0.5*normsq(x)`` or
+    ``normsq(x)*0.5``, plus or minus an optional constant on either side.
+    It selects the closed-form Ornstein-Uhlenbeck oracles and the exact
+    Euler-Maruyama drift; any other spelling of the same potential is still
+    handled correctly, only by sampling.
     """
 
     dim: int
     U: ScalarField
     W: ScalarField
-    gaussian_U: bool = False
+    gaussian_U: bool = dc_field(init=False)
 
     def __post_init__(self):
         if self.U.dim != self.dim or self.W.dim != self.dim:
             raise ValueError("U and W must share the problem dimension")
-        if self.gaussian_U and not _is_gaussian_potential(self.U.root):
-            raise ValueError("gaussian_U set but U is not |x|^2/2 + const")
+        object.__setattr__(self, "gaussian_U", _is_gaussian_potential(self.U.root))
 
 
 def _is_half_normsq(n: Node) -> bool:

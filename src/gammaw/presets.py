@@ -58,7 +58,7 @@ def zero_weight(dim: int) -> ScalarField:
 def gaussian_problem(dim: int, weight: ScalarField | None = None) -> ProblemSpec:
     """Gaussian potential with the given weight (default sqrt(1+|x|^2))."""
     w = sqrt1sq_weight(dim) if weight is None else weight
-    return ProblemSpec(dim=dim, U=gaussian_potential(dim), W=w, gaussian_U=True)
+    return ProblemSpec(dim=dim, U=gaussian_potential(dim), W=w)
 
 
 def pq_problem(p: float, q: float, dim: int) -> ProblemSpec:
@@ -80,11 +80,13 @@ def make_problem(dim: int, u_spec: str, w_spec: str) -> ProblemSpec:
 
     ``u_spec``: ``gaussian``, ``pq_potential(p)``, or an expression.
     ``w_spec``: ``zero``, ``sqrt1sq``, ``pq_weight(q)``, or an expression.
+    Whether U is the Gaussian potential is read off U itself (see
+    :class:`ProblemSpec`), so ``gaussian`` and ``normsq(x)/2`` give the same
+    problem.
     """
     U = _resolve(u_spec, dim, _BUILTIN_U, "pq_potential", pq_potential)
     W = _resolve(w_spec, dim, _BUILTIN_W, "pq_weight", pq_weight)
-    gaussian = u_spec.strip() == "gaussian"
-    return ProblemSpec(dim=dim, U=U, W=W, gaussian_U=gaussian)
+    return ProblemSpec(dim=dim, U=U, W=W)
 
 
 def _resolve(spec: str, dim: int, table, param_name: str, param_fn) -> ScalarField:

@@ -156,16 +156,14 @@ def _em_step(p: ProblemSpec, X: np.ndarray, alive: np.ndarray, dt_s: float, xi: 
     freeze at their last finite state.
 
     For the Gaussian potential the drift is x, taken exactly: the tape's
-    gradient of every form of |x|^2/2 + c that ``ProblemSpec`` accepts is x
-    itself, with error code 0.  The blow-up guard tests the largest |x_i| of
-    the whole block first and the rows only when that trips, and while every
-    path is alive the update is a plain copy.
+    gradient of every form of |x|^2/2 + c that ``ProblemSpec`` recognises is
+    x itself, with error code 0.  Otherwise the drift comes from the tape,
+    which gives a NaN gradient on a row with an error code, so that path
+    fails the blow-up guard.  The guard tests the largest |x_i| of the whole
+    block first and the rows only when that trips, and while every path is
+    alive the update is a plain copy.
     """
-    if p.gaussian_U:
-        grads = X
-    else:
-        _, grads, err = _tape.eval_values_grads(p.U, X)
-        alive &= err == 0
+    grads = X if p.gaussian_U else _tape.eval_values_grads(p.U, X)[1]
     new_x = X - grads * dt_s + math.sqrt(2.0 * dt_s) * xi
     if not (np.max(np.abs(new_x)) <= _BLOWUP_RADIUS):  # a NaN anywhere trips it
         alive &= np.max(np.abs(new_x), axis=1) <= _BLOWUP_RADIUS  # NaN rows blow up too
@@ -425,7 +423,7 @@ def _hermite_points(mean: np.ndarray, var: float, quad_order: int) -> tuple[np.n
 
 def _require_gaussian(p: ProblemSpec, who: str) -> None:
     if not p.gaussian_U:
-        raise ValueError(f"{who} needs the Gaussian potential (gaussian_U flag)")
+        raise ValueError(f"{who} needs the Gaussian potential |x|^2/2 + const")
 
 
 def mehler_Qt(p: ProblemSpec, f: ScalarField, x, t: float, quad_order: int = 40) -> float:
@@ -629,20 +627,6 @@ def estimate_grad_Qt_many(
     fields[i] at t_grid[j].  The ensembles from x +- h e_d are simulated once
     for all fields and times."""
     x = np.asarray(x, dtype=float)
-    if p.gaussian_U:
-        return [
-            [
-                GradEstimate(
-                    grad=mehler_grad_Qt(p, f, x, t),
-                    stderr=np.zeros(p.dim),
-                    n_paths=0,
-                    dt=cfg.dt,
-                    h=0.0,
-                )
-                for t in t_grid
-            ]
-            for f in fields
-        ]
     noise = GaussianNoise(cfg.seed)
     grads = [[np.zeros(p.dim) for _ in t_grid] for _ in fields]
     stderrs = [[np.zeros(p.dim) for _ in t_grid] for _ in fields]
@@ -684,7 +668,8 @@ def estimate_grad_Qt(
     cfg: MCConfig,
     h: float = 1e-3,
 ) -> GradEstimate:
-    """grad Q_t f(x): Mehler route for Gaussian U, else central differences
-    with common random numbers (the same noise stream drives both x +- h e_i,
-    so the difference cancels almost all Monte Carlo variance)."""
+    """Monte Carlo grad Q_t f(x) by central differences with common random
+    numbers (the same noise stream drives both x +- h e_i, so the difference
+    cancels almost all Monte Carlo variance).  It samples for every U; the
+    closed form for the Gaussian potential is :func:`mehler_grad_Qt`."""
     return estimate_grad_Qt_many(p, [f], x, [t], cfg, h)[0][0]

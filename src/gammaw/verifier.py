@@ -266,13 +266,24 @@ def _join_sides(lhs, rhs, coefs):
 
 def _qt_and_grad(p: ProblemSpec, fields, x, t_grid, cfg: MCConfig):
     """[field][t] pairs (Q_t f(x), grad Q_t f(x)) as (MCEstimate,
-    GradEstimate): Mehler closed forms with zero stderr for Gaussian U,
-    otherwise Monte Carlo with common-random-number finite differences."""
-    gests = estimate_grad_Qt_many(p, fields, x, t_grid, cfg)
+    GradEstimate).  This is where the left sides pick their route: for a
+    Gaussian U (``p.gaussian_U``) both come from Mehler's closed forms
+    (mehler_Qt, mehler_grad_Qt) with zero stderr, no paths and h = 0;
+    otherwise both are Monte Carlo, the gradient by common-random-number
+    central differences."""
     if p.gaussian_U:
-        qts = [[MCEstimate(mehler_Qt(p, f, x, t), 0.0, 0, cfg.dt) for t in t_grid] for f in fields]
-    else:
-        qts = estimate_Qt_many(p, fields, x, t_grid, cfg, stream=(5,))
+        return [
+            [
+                (
+                    MCEstimate(mehler_Qt(p, f, x, t), 0.0, 0, cfg.dt),
+                    GradEstimate(mehler_grad_Qt(p, f, x, t), np.zeros(p.dim), 0, cfg.dt, 0.0),
+                )
+                for t in t_grid
+            ]
+            for f in fields
+        ]
+    qts = estimate_Qt_many(p, fields, x, t_grid, cfg, stream=(5,))
+    gests = estimate_grad_Qt_many(p, fields, x, t_grid, cfg)
     return [list(zip(q_row, g_row)) for q_row, g_row in zip(qts, gests)]
 
 

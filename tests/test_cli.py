@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import gammaw
-from gammaw import acceptance
+from gammaw import acceptance, cli
 from gammaw.cli import main
-from gammaw.config import DEFAULT_CONFIG_TEXT, ConfigError, RunConfig
+from gammaw.config import ConfigError, RunConfig
 
 FAST_2D = """\
 [problem]
@@ -54,8 +54,50 @@ def fast_config(tmp_path):
     return write
 
 
+DEFAULT_TEXT = """\
+[problem]
+dim = 2
+u = gaussian
+w = sqrt1sq
+
+[search]
+radii = 10.0, 100.0, 1000.0
+grid_per_axis = 64
+multistart_count = 8
+local_steps = 300
+seed = 0
+tol = 1e-06
+
+[mc]
+n_paths = 100000
+dt = 0.001
+seed = 0
+antithetic = true
+
+[check]
+kappa = auto
+rho = auto
+c = auto
+
+[grids]
+t_values = 0.1, 0.5, 1.0
+x_points = (0.0, 0.0); (1.0, 1.0)
+a_vectors = (0.0, 0.0); (0.1, 0.0); (0.5, 0.0); (1.0, 0.0)
+
+[output]
+path = report.csv
+format = csv
+
+"""
+
+
+def test_default_config_text():
+    # the template the README points to: every key, in schema order
+    assert RunConfig().to_text() == DEFAULT_TEXT
+
+
 def test_config_round_trip():
-    cfg = RunConfig.from_text(DEFAULT_CONFIG_TEXT)
+    cfg = RunConfig()
     again = RunConfig.from_text(cfg.to_text())
     assert again == cfg
     assert again.to_text() == cfg.to_text()
@@ -65,7 +107,7 @@ def test_config_round_trip():
 
 
 def test_config_round_trip_keeps_every_digit():
-    cfg = RunConfig.default()
+    cfg = RunConfig()
     cfg.apply_overrides([
         "mc.dt=0.0012345678",
         "search.tol=1.234567891e-07",
@@ -80,7 +122,7 @@ def test_config_round_trip_keeps_every_digit():
 
 
 def test_config_overrides():
-    cfg = RunConfig.default()
+    cfg = RunConfig()
     cfg.apply_overrides(["mc.n_paths=500", "search.seed=9"])
     assert cfg.mc.n_paths == 500
     assert cfg.search.seed == 9
@@ -90,7 +132,7 @@ def test_config_overrides():
         cfg.apply_overrides(["bogus.key=1"])
     # a dim override must keep the grids consistent
     with pytest.raises(ConfigError):
-        RunConfig.default().apply_overrides(["problem.dim=3"])
+        RunConfig().apply_overrides(["problem.dim=3"])
 
 
 PERFBENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
@@ -151,7 +193,7 @@ def fake_criteria(monkeypatch):
     def stub(cid, name):
         def run(ov):
             seen.append((cid, acceptance._mc_cfg(ov, 10, cid), acceptance._search_cfg(ov, cid)))
-            return acceptance.CriterionResult(cid, name, True, False, 0.0, csv_lines=["x"])
+            return acceptance.CriterionResult(True, False, csv_lines=["x"])
         return run
 
     stubs = {cid: (name, stub(cid, name)) for cid, (name, _) in acceptance.CRITERIA.items()}
@@ -215,7 +257,7 @@ def test_config_validation_errors():
 
 
 def test_build_problem_rejects_bad_field_text():
-    cfg = RunConfig.default()
+    cfg = RunConfig()
     cfg.w_spec = "x7 + ("
     with pytest.raises(ConfigError):
         cfg.build_problem()
@@ -337,6 +379,35 @@ def test_verify_sqrt_auto_constants(fast_config, capsys):
     assert "rho=1" in out and "c=2" in out
 
 
+def test_check_rho_reaches_auto_kappa(fast_config, capsys, monkeypatch):
+    # with kappa = auto, a set check.rho is used as it is and rho is not searched
+    def no_search(*args):
+        raise AssertionError("rho was searched although check.rho is set")
+
+    monkeypatch.setattr(cli, "estimate_rho", no_search)
+    cfg = fast_config(check="kappa = auto\nrho = 0.5")
+    assert main(["verify", "commutation", "--config", cfg]) == 0
+    assert "kappa = min(rho, gamma) = min(0.500000000, " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("which", ["commutation", "sqrt"])
+def test_gaussian_spellings_write_the_same_csv(fast_config, tmp_path, which):
+    # U = gaussian and U = normsq(x)/2 are one potential: both take Mehler's
+    # closed forms for the left sides, so the reports are byte-identical
+    cfg = fast_config(check="kappa = -1.0625\nrho = 1\nc = 2")
+    texts = []
+    for u in ("gaussian", "normsq(x)/2"):
+        out = tmp_path / f"{which}_{len(texts)}.csv"
+        argv = ["verify", which, "--config", cfg, "--override", f"problem.U={u}", "--out", str(out)]
+        assert main(argv) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    header, *rows = texts[0].decode().splitlines()
+    # counted from the end: the exp_a label holds a comma
+    assert header.split(",")[-5] == "lhs_se"
+    assert rows and all(row.split(",")[-5] == "0.0" for row in rows)
+
+
 def test_verify_kappa_minus_inf_exits_2(tmp_path, capsys):
     cfg = tmp_path / "diverge.ini"
     cfg.write_text(
@@ -448,7 +519,7 @@ def test_cli_battery_labels(fast_config):
 
 
 def test_x_grid_and_a_list_shapes():
-    cfg = RunConfig.default()
+    cfg = RunConfig()
     grid = cfg.x_grid()
     assert len(grid) == 2
     assert all(isinstance(x, np.ndarray) and x.shape == (2,) for x in grid)

@@ -247,11 +247,13 @@ def test_fk_term_const_f_closed_form(p2):
     assert got == pytest.approx(want, rel=1e-6)
 
 
-def test_grad_qt_gaussian_shortcut(p2, small_mc):
+def test_grad_qt_samples_for_gaussian_U(p2, small_mc):
+    # estimate_grad_Qt samples for every U; it agrees with the closed form
     f = parse_field("exp(0.2*x0)", 2)
     est = estimate_grad_Qt(p2, f, [0.3, 0.0], 0.4, small_mc)
-    assert np.array_equal(est.stderr, np.zeros(2))
-    assert np.allclose(est.grad, mehler_grad_Qt(p2, f, [0.3, 0.0], 0.4))
+    assert est.h == 1e-3 and est.n_paths > 0 and est.stderr[0] > 0.0
+    ref = mehler_grad_Qt(p2, f, [0.3, 0.0], 0.4)
+    assert np.all(np.abs(est.grad - ref) <= 4.0 * est.stderr + 1e-3 * np.abs(ref))
 
 
 def test_grad_qt_crn_constant_field():
@@ -303,8 +305,23 @@ def test_tape_drift_of_gaussian_potential_is_x(dim):
         assert np.all(grads == X), U.to_text()
     # c - |x|^2/2 has drift -x and is not Gaussian
     assert not _is_gaussian_potential(parse_field("1.5 - normsq(x)/2", dim).root)
-    with pytest.raises(ValueError):
-        ProblemSpec(dim, parse_field("1.5 - normsq(x)/2", dim), sqrt1sq_weight(dim), gaussian_U=True)
+    assert not ProblemSpec(dim, parse_field("1.5 - normsq(x)/2", dim), sqrt1sq_weight(dim)).gaussian_U
+
+
+@pytest.mark.parametrize("u_spec, gaussian", [
+    ("gaussian", True),
+    ("normsq(x)/2", True),
+    ("0.5*normsq(x) + 3", True),
+    ("1.5 - normsq(x)/2", False),
+    ("normsq(x)/2 + 0.25*x0^2", False),
+])
+def test_gaussian_U_is_read_off_U(u_spec, gaussian):
+    assert make_problem(2, u_spec, "sqrt1sq").gaussian_U is gaussian
+
+
+def test_gaussian_U_is_not_an_argument():
+    with pytest.raises(TypeError):
+        ProblemSpec(2, gaussian_potential(2), sqrt1sq_weight(2), gaussian_U=False)
 
 
 def _em_step_reference(p, X, alive, dt_s, xi):
@@ -320,7 +337,12 @@ def _em_step_reference(p, X, alive, dt_s, xi):
 
 @pytest.mark.parametrize(
     "u_spec, gaussian",
-    [("gaussian", True), ("normsq(x)/2", False), ("x0^4/4 + x1^2 + x0*x1/3", False)],
+    [
+        ("gaussian", True),
+        ("normsq(x)/2", True),
+        ("x0^2/2 + x1^2/2", False),  # |x|^2/2 spelt so that the tape gives the drift
+        ("x0^4/4 + x1^2 + x0*x1/3", False),
+    ],
 )
 @pytest.mark.parametrize("case", ["all_alive", "some_dead", "one_crosses", "nan_noise"])
 def test_em_step_matches_reference_step(u_spec, gaussian, case):
@@ -408,8 +430,7 @@ def test_many_fields_match_single_field_calls(gaussian):
         assert qt_sq[i][0] == estimate_Qt_sq(p, f, x, t, cfg)
         assert fk[i] == estimate_fk_term(p, f, x, t, 5, cfg)
         _same_grad(grad[i][0], estimate_grad_Qt(p, f, x, t, cfg))
-    if not gaussian:
-        assert grad[0][0].h > 0.0 and grad[0][0].n_paths > 0
+    assert grad[0][0].h > 0.0 and grad[0][0].n_paths > 0
 
 
 @pytest.mark.parametrize("t_grid", [(0.05, 0.1), (0.1, 0.0, 0.05, 0.1)])
