@@ -7,12 +7,15 @@ gradients share that one driver.  The test suite pins the tape against the
 recursive evaluator and the jets of :mod:`gammaw.field_expr`.
 
 Domain violations do not raise here; each point gets an error code (0 ok,
-1 division by zero, 2 log domain, 3 sqrt domain, 4 power domain) and a NaN
-value, so callers can skip or report bad points in bulk.
+1 division by zero, 2 log domain, 3 sqrt domain, 4 power domain, 5 overflow)
+and a NaN value, so callers can skip or report bad points in bulk.  A point
+whose value, or in gradient mode whose gradient, is not finite and that has
+no other code gets code 5.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +57,14 @@ ERR_DIV = 1
 ERR_LOG = 2
 ERR_SQRT = 3
 ERR_POW = 4
+ERR_OVERFLOW = 5
 
 _ERR_TEXT = {
     ERR_DIV: "division by zero",
     ERR_LOG: "log outside its domain",
     ERR_SQRT: "sqrt outside its domain",
     ERR_POW: "power outside its domain",
+    ERR_OVERFLOW: "overflow",
 }
 
 
@@ -275,14 +280,20 @@ def _run_chunk(tape: Tape, pts: np.ndarray, want_grads: bool):
                 if want_grads:
                     dreg[k] = np.broadcast_to(c, (m, n)).copy()
 
-    out = reg[k_regs - 1].copy()
+        out = reg[k_regs - 1].copy()
+        g = dreg[k_regs - 1].copy() if want_grads else None
+        # one sum tells whether any row is not finite (a sum that overflows
+        # trips it too, harmlessly); only then are the rows scanned
+        if not math.isfinite(out.sum() + (g.sum() if want_grads else 0.0)):
+            overflow = ~np.isfinite(out)
+            if want_grads:
+                overflow |= ~np.isfinite(g).all(axis=1)
+            flag(overflow, ERR_OVERFLOW)
     bad = err != 0
     out[bad] = np.nan
     if want_grads:
-        g = dreg[k_regs - 1].copy()
         g[bad] = np.nan
-        return out, g, err
-    return out, None, err
+    return out, g, err
 
 
 def _pow_numpy(v: np.ndarray, e: float, err: np.ndarray):

@@ -48,6 +48,7 @@ from .semigroup_mc import (
 )
 from .verifier import (
     battery,
+    csv_table,
     exp_field,
     optimality_study,
     random_problem,
@@ -110,13 +111,6 @@ def _search_cfg(ov: tuple[str, ...], seed: int) -> SearchConfig:
     return cfg.search
 
 
-def _csv(header: list[str], rows: list[list]) -> list[str]:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, (int, float, np.floating)) else str(v) for v in row))
-    return lines
-
-
 def _grid2(*pts) -> list[np.ndarray]:
     return [np.asarray(p, dtype=float) for p in pts]
 
@@ -157,7 +151,7 @@ def ac1(ov: tuple[str, ...]) -> CriterionResult:
         rows.append([n, est.value, expected, oracle, radial, err, str(est.diverging)])
     return CriterionResult(
         passed, False, lines,
-        _csv(["n", "gamma", "expected", "oracle", "radial_scan", "abs_err", "diverging"], rows),
+        csv_table(["n", "gamma", "expected", "oracle", "radial_scan", "abs_err", "diverging"], rows),
     )
 
 
@@ -183,7 +177,7 @@ def ac2(ov: tuple[str, ...]) -> CriterionResult:
             f"want_finite={want_finite} -> {'ok' if ok else 'BAD'}"
         )
         rows.append([p_val, est.value, str(est.diverging), str(want_finite)])
-    return CriterionResult(passed, False, lines, _csv(["p", "gamma", "diverging", "want_finite"], rows))
+    return CriterionResult(passed, False, lines, csv_table(["p", "gamma", "diverging", "want_finite"], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +214,7 @@ def ac3(ov: tuple[str, ...]) -> CriterionResult:
     lines.append(f"{count} instances, worst relative gap {worst:.3e} (tol 1e-08), {skipped} resampled")
     if not rows:
         rows.append([0, 0.0, 0.0, worst])
-    return CriterionResult(passed, False, lines, _csv(["dim", "expanded", "definitional", "rel_gap"], rows))
+    return CriterionResult(passed, False, lines, csv_table(["dim", "expanded", "definitional", "rel_gap"], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +251,7 @@ def ac4(ov: tuple[str, ...]) -> CriterionResult:
         rows.append([label, kappa, checked, viol, derr, worst])
     return CriterionResult(
         passed, False, lines,
-        _csv(["weight", "kappa", "n_samples", "n_violations", "n_domain_errors", "worst_margin"], rows),
+        csv_table(["weight", "kappa", "n_samples", "n_violations", "n_domain_errors", "worst_margin"], rows),
     )
 
 
@@ -395,7 +389,7 @@ def ac8(ov: tuple[str, ...]) -> CriterionResult:
     passed &= rep.n_fail == 0 and rep.n_inconclusive == 0
     inconclusive = rep.n_fail == 0 and rep.n_inconclusive > 0
     head = ["quantity", "value", "reference"]
-    extra = _csv(head, [["c", c_est.value, 2.0], ["radial_oracle", oracle, 2.0]])
+    extra = csv_table(head, [["c", c_est.value, 2.0], ["radial_oracle", oracle, 2.0]])
     return CriterionResult(passed and not inconclusive, inconclusive, lines, rep.csv_lines() + extra)
 
 
@@ -439,8 +433,8 @@ def ac9(ov: tuple[str, ...]) -> CriterionResult:
             passed &= ok
             ratio_rows.append([label, x[0], x[1], e1, e2, ratio])
     lines.append(f"second-order expansion: 10 cases, {n_bad} with halving ratio outside [4, 16]")
-    csv = _csv(["f_label", "x0", "x1", "t", "mc_mean", "mc_stderr", "quadrature", "abs_gap"], rows)
-    csv += _csv(["f_label", "x0", "x1", "err_t", "err_t_half", "ratio"], ratio_rows)
+    csv = csv_table(["f_label", "x0", "x1", "t", "mc_mean", "mc_stderr", "quadrature", "abs_gap"], rows)
+    csv += csv_table(["f_label", "x0", "x1", "err_t", "err_t_half", "ratio"], ratio_rows)
     return CriterionResult(passed, False, lines, csv)
 
 
@@ -478,7 +472,7 @@ def ac10(ov: tuple[str, ...]) -> CriterionResult:
             rows.append([a[0], a[1], x[0], x[1], target, errs[t1], errs[t2]])
     return CriterionResult(
         passed, False, lines,
-        _csv(["a0", "a1", "x0", "x1", "target", "err_t1", "err_t2"], rows),
+        csv_table(["a0", "a1", "x0", "x1", "target", "err_t1", "err_t2"], rows),
     )
 
 

@@ -335,17 +335,16 @@ def check_pointwise_cd(
     A point is a violation when margin < -tol * scale with
     scale = max(1, |Gamma2W|, |kappa GammaW|), so the threshold tracks the
     magnitude of the quantities instead of punishing large fields for
-    roundoff.  A point where either field has a nonzero tape error code or a
-    value that is not finite (the tape flags no overflow) is counted as a
-    domain error and skipped.  The worst point is the first one with the
-    smallest margin, in case order.
+    roundoff.  A point where either field has a nonzero tape error code
+    (overflow included) is counted as a domain error and skipped.  The worst
+    point is the first one with the smallest margin, in case order.
     """
     parts = []
     for f, points in cases:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         g2w, err2 = _tape.eval_values(gamma2_w_field(p, f), pts)
         gw, err1 = _tape.eval_values(gamma_w_field(p, f, f), pts)
-        ok = (err2 == 0) & (err1 == 0) & np.isfinite(g2w) & np.isfinite(gw)
+        ok = (err2 == 0) & (err1 == 0)
         parts.append((pts, g2w, gw, ok))
     pts, g2w, gw, ok = (np.concatenate(a) for a in zip(*parts))
     pts, g2w, gw = pts[ok], g2w[ok], gw[ok]

@@ -15,8 +15,8 @@ and iterated applications L(Lf) stay first-class fields.
 Two independent derivative routes are provided:
 
 * ``f.diff(i)`` builds the symbolic partial derivative as a new field;
-* :func:`eval_jet` propagates truncated Taylor coefficients (value, gradient,
-  Hessian) through the tree, i.e. second-order forward-mode AD on jets.
+* :meth:`ScalarField.jet` propagates truncated Taylor coefficients (value,
+  gradient, Hessian) through the tree, i.e. second-order forward-mode AD.
 
 :func:`finite_diff_jet` is a third, deliberately naive route used as a test
 oracle only.
@@ -48,7 +48,6 @@ __all__ = [
     "Jet",
     "ProblemSpec",
     "parse_field",
-    "eval_jet",
     "finite_diff_jet",
     "const_field",
     "coord_field",
@@ -738,11 +737,6 @@ def parse_field(src: str, dim: int) -> ScalarField:
     constant real exponent.  Errors carry the offending source position.
     """
     return _Parser(src, dim).parse()
-
-
-def eval_jet(f: ScalarField, x) -> Jet:
-    """Forward-mode jet: value, gradient and Hessian."""
-    return f.jet(x)
 
 
 def finite_diff_jet(f: ScalarField, x, h: float = 1e-5) -> Jet:

@@ -27,6 +27,14 @@ the stream and the time schedule, never on the test function, so the
 ``*_many`` estimators simulate each ensemble once for a whole battery of
 fields and a whole t-grid; the single-field estimators are those cores
 called with one field and one t, and give bit-identical numbers.
+
+Every estimator takes one route from ensemble to estimate:
+:func:`_simulate_grid` runs the ensemble, :func:`_endpoint_values`
+evaluates the fields at its endpoints and marks the usable paths (inside the
+blow-up guard, no tape error code, so an overflowed value is a failed path),
+and :func:`_estimate` checks the failure fraction, pairs the antithetic
+samples and takes the mean and standard error.  The closed forms raise
+:class:`DomainError` where their values overflow.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import numpy as np
 
 from . import _tape
 from .field_expr import Const, DomainError, Dot, Exp, Mul, Node, ProblemSpec, ScalarField
+from .field_expr import _overflow_is_domain_error
 from .gamma_calculus import apply_L_symbolic
 
 __all__ = [
@@ -180,22 +189,20 @@ def _simulate_grid(
     cfg: MCConfig,
     noise,
     stream: tuple[int, ...],
-    n_paths: int | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Evolve one ensemble through every time of ``t_grid``; returns
     (endpoints, alive mask) per time, in the order of ``t_grid``.
 
-    ``x0`` is a single start (n,) broadcast to all paths, or per-path starts
-    (m, n).  Times are visited in increasing order and share their full
-    steps.  A time that ends on a short step takes it from a copy of the
-    full-step state, under the (stream, step) label a simulation to that
-    time alone would use, so every snapshot is bit-identical to it.
+    ``x0`` is a single start (n,) broadcast to ``cfg.n_paths`` paths, rounded
+    up to even for antithetic pairs, or per-path starts (m, n).  Times are
+    visited in increasing order and share their full steps.  A time that
+    ends on a short step takes it from a copy of the full-step state, under
+    the (stream, step) label a simulation to that time alone would use, so
+    every snapshot is bit-identical to it.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
-        m = n_paths if n_paths is not None else cfg.n_paths
-        if cfg.antithetic and m % 2:
-            m += 1
+        m = cfg.n_paths + (cfg.n_paths % 2 if cfg.antithetic else 0)
         X = np.repeat(x0[None, :], m, axis=0)
     else:
         X = x0.copy()
@@ -216,70 +223,48 @@ def _simulate_grid(
     return snapshots
 
 
-def _simulate(
-    p: ProblemSpec,
-    x0: np.ndarray,
-    t: float,
-    cfg: MCConfig,
-    noise,
-    stream: tuple[int, ...],
-    n_paths: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evolve paths to time t; returns (endpoints, alive mask)."""
-    return _simulate_grid(p, x0, (t,), cfg, noise, stream, n_paths)[0]
+def _endpoint_values(fields, snapshots) -> tuple[np.ndarray, np.ndarray]:
+    """Every field on every snapshot of :func:`_simulate_grid`: values and
+    usable-path masks, both indexed [field, t, path].  A path is usable when
+    it stayed inside the blow-up guard and the field has no tape error code
+    at its endpoint, so an overflowed value counts as a failed path."""
+    m = snapshots[0][0].shape[0] if snapshots else 0
+    vals = np.empty((len(fields), len(snapshots), m))
+    ok = np.empty(vals.shape, dtype=bool)
+    for i, f in enumerate(fields):
+        for j, (X, alive) in enumerate(snapshots):
+            vals[i, j], err = _tape.eval_values(f, X)
+            ok[i, j] = alive & (err == 0)
+    return vals, ok
 
 
-def _endpoint_values(
-    p: ProblemSpec,
-    fields,
-    x0: np.ndarray,
-    t_grid,
-    cfg: MCConfig,
-    noise,
-    stream: tuple[int, ...],
-) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """Simulate one ensemble through ``t_grid`` and evaluate every field on
-    each snapshot: [field][t] -> (values, usable mask)."""
-    snapshots = _simulate_grid(p, x0, t_grid, cfg, noise, stream)
-    table = []
-    for f in fields:
-        row = []
-        for X, alive in snapshots:
-            vals, err = _tape.eval_values(f, X)
-            row.append((vals, alive & (err == 0)))
-        table.append(row)
-    return table
-
-
-def em_path(p: ProblemSpec, x0, t: float, cfg: MCConfig, noise) -> np.ndarray:
-    """Single Euler-Maruyama endpoint; raises on blow-up."""
-    single = replace(cfg, antithetic=False)
-    X, alive = _simulate(p, np.asarray(x0, dtype=float), t, single, noise, stream=(0,), n_paths=1)
-    if not alive[0]:
-        raise PathBlowUpError(f"path from {x0} left |x| <= {_BLOWUP_RADIUS:g} before t={t}")
-    return X[0]
-
-
-def _pair_samples(values: np.ndarray, ok: np.ndarray, antithetic: bool) -> np.ndarray:
-    """Collapse raw path values into i.i.d. samples (pair averages if antithetic)."""
-    if antithetic:
+def _estimate(values: np.ndarray, ok: np.ndarray, cfg: MCConfig, what: str) -> MCEstimate:
+    """Mean and standard error of one ensemble's path values over its usable
+    paths.  Antithetic pairs are averaged into one sample and count only when
+    both halves are usable.  More than 1% unusable paths raises
+    :class:`AggregatePathFailure`."""
+    frac = 1.0 - float(np.mean(ok))
+    if frac > _MAX_FAIL_FRACTION:
+        raise AggregatePathFailure(f"{what}: {100 * frac:.1f}% of paths failed")
+    if cfg.antithetic:
         half = values.shape[0] // 2
         both = ok[:half] & ok[half:]
-        return 0.5 * (values[:half][both] + values[half:][both])
-    return values[ok]
-
-
-def _mc_stats(samples: np.ndarray, cfg: MCConfig) -> MCEstimate:
+        samples = 0.5 * (values[:half][both] + values[half:][both])
+    else:
+        samples = values[ok]
     n = samples.shape[0]
     mean = float(np.mean(samples)) if n else math.nan
     stderr = float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return MCEstimate(mean=mean, stderr=stderr, n_paths=n, dt=cfg.dt)
 
 
-def _check_failures(ok: np.ndarray, what: str) -> None:
-    frac = 1.0 - float(np.mean(ok))
-    if frac > _MAX_FAIL_FRACTION:
-        raise AggregatePathFailure(f"{what}: {100 * frac:.1f}% of paths failed")
+def em_path(p: ProblemSpec, x0, t: float, cfg: MCConfig, noise) -> np.ndarray:
+    """Single Euler-Maruyama endpoint; raises on blow-up."""
+    start = np.asarray(x0, dtype=float)[None, :]
+    [(X, alive)] = _simulate_grid(p, start, (t,), replace(cfg, antithetic=False), noise, (0,))
+    if not alive[0]:
+        raise PathBlowUpError(f"path from {x0} left |x| <= {_BLOWUP_RADIUS:g} before t={t}")
+    return X[0]
 
 
 def _replica_products(
@@ -297,21 +282,20 @@ def _replica_products(
     x = np.asarray(x, dtype=float)
     noise = GaussianNoise(cfg.seed)
     sampled_t = [t for t in t_grid if t != 0.0]
-    replicas = [_endpoint_values(p, fields, x, sampled_t, cfg, noise, s) for s in streams]
+    ensembles = [_simulate_grid(p, x, sampled_t, cfg, noise, s) for s in streams]
+    replicas = [_endpoint_values(fields, snapshots) for snapshots in ensembles]
+    prods = reduce(operator.mul, (vals for vals, _ in replicas))
+    ok = reduce(operator.and_, (good for _, good in replicas))
     out = []
     for i, f in enumerate(fields):
-        sampled = zip(*(r[i] for r in replicas))
+        sampled = zip(prods[i], ok[i])
         row = []
         for t in t_grid:
             if t == 0.0:
                 exact = math.prod([f.value(x)] * len(streams))
                 row.append(MCEstimate(mean=exact, stderr=0.0, n_paths=0, dt=cfg.dt))
-                continue
-            draws = next(sampled)
-            prods = reduce(operator.mul, (vals for vals, _ in draws))
-            ok = reduce(operator.and_, (good for _, good in draws))
-            _check_failures(ok, what)
-            row.append(_mc_stats(_pair_samples(prods, ok, cfg.antithetic), cfg))
+            else:
+                row.append(_estimate(*next(sampled), cfg, what))
         out.append(row)
     return out
 
@@ -436,7 +420,8 @@ def mehler_Qt(p: ProblemSpec, f: ScalarField, x, t: float, quad_order: int = 40)
     fam = _exp_family(f.root)
     if fam is not None:
         c, a = fam
-        return c if a is None else c * gaussian_exp_moment(mean, var, a)
+        with _overflow_is_domain_error(x):
+            return c if a is None else c * gaussian_exp_moment(mean, var, a)
     pts, weights = _hermite_points(mean, var, quad_order)
     return float(weights @ _strict_values(f, pts))
 
@@ -500,34 +485,18 @@ def estimate_fk_term_many(
     s_nodes, weights = _simpson_weights(t, time_nodes)
     noise = GaussianNoise(cfg.seed)
     w_sq = p.W * p.W
-
-    m = cfg.n_paths
-    if cfg.antithetic and m % 2:
-        m += 1
-    Y = np.repeat(x[None, :], m, axis=0)
-    oks = [np.ones(m, dtype=bool) for _ in fields]
-    accs = [np.zeros(m) for _ in fields]
+    Y, s_prev = x, 0.0  # node 0 is a zero-length segment: no steps, no noise
+    ok, acc = True, 0.0  # [field, path] from the first node on
     for j, (s_j, w_j) in enumerate(zip(s_nodes, weights)):
-        if j > 0:
-            seg = s_j - s_nodes[j - 1]
-            Y, seg_alive = _simulate(p, Y, seg, cfg, noise, stream=(3, j))
-            for ok in oks:
-                ok &= seg_alive
-        w2_vals, w2_err = _tape.eval_values(w_sq, Y)
-        Z, za = _simulate(p, Y, t - s_j, cfg, noise, stream=(4, j, 0))
-        Zp, zpa = _simulate(p, Y, t - s_j, cfg, noise, stream=(4, j, 1))
-        for f, ok, acc in zip(fields, oks, accs):
-            fz, ez = _tape.eval_values(f, Z)
-            fzp, ezp = _tape.eval_values(f, Zp)
-            node_ok = za & zpa & (w2_err == 0) & (ez == 0) & (ezp == 0)
-            ok &= node_ok
-            contrib = 2.0 * w_j * w2_vals * fz * fzp
-            acc += np.where(node_ok, contrib, 0.0)
-    out = []
-    for ok, acc in zip(oks, accs):
-        _check_failures(ok, "estimate_fk_term")
-        out.append(_mc_stats(_pair_samples(acc, ok, cfg.antithetic), cfg))
-    return out
+        outer = _simulate_grid(p, Y, (s_j - s_prev,), cfg, noise, (3, j))
+        Y, s_prev = outer[0][0], s_j
+        w2, w2_ok = _endpoint_values([w_sq], outer)
+        fz, z_ok = _endpoint_values(fields, _simulate_grid(p, Y, (t - s_j,), cfg, noise, (4, j, 0)))
+        fzp, zp_ok = _endpoint_values(fields, _simulate_grid(p, Y, (t - s_j,), cfg, noise, (4, j, 1)))
+        node_ok = w2_ok[0, 0] & z_ok[:, 0] & zp_ok[:, 0]
+        ok = ok & node_ok
+        acc = acc + np.where(node_ok, 2.0 * w_j * w2[0, 0] * fz[:, 0] * fzp[:, 0], 0.0)
+    return [_estimate(acc[i], ok[i], cfg, "estimate_fk_term") for i in range(len(fields))]
 
 
 def estimate_fk_term(
@@ -577,7 +546,8 @@ def mehler_fk_term(
         mean, var = _ou_law(x, s_j)
         pts, gh_w = _hermite_points(mean, var, quad_order)
         w2_vals = _strict_values(w_sq, pts)
-        inner = _qt_values(p, f, fam, pts, t - s_j, quad_order)
+        with _overflow_is_domain_error(x):
+            inner = _qt_values(p, f, fam, pts, t - s_j, quad_order)
         total += 2.0 * w_j * float(gh_w @ (w2_vals * inner * inner))
     return total
 
@@ -628,29 +598,23 @@ def estimate_grad_Qt_many(
     for all fields and times."""
     x = np.asarray(x, dtype=float)
     noise = GaussianNoise(cfg.seed)
-    grads = [[np.zeros(p.dim) for _ in t_grid] for _ in fields]
-    stderrs = [[np.zeros(p.dim) for _ in t_grid] for _ in fields]
-    n_used = [[cfg.n_paths for _ in t_grid] for _ in fields]
+    per_dir = []  # [direction][field][t]
     for d in range(p.dim):
         e = np.zeros(p.dim)
         e[d] = h
-        plus = _endpoint_values(p, fields, x + e, t_grid, cfg, noise, (1,))
-        minus = _endpoint_values(p, fields, x - e, t_grid, cfg, noise, (1,))
-        for i in range(len(fields)):
-            for j in range(len(t_grid)):
-                (vp, okp), (vm, okm) = plus[i][j], minus[i][j]
-                ok = okp & okm
-                _check_failures(ok, "estimate_grad_Qt")
-                diffs = (vp - vm) / (2.0 * h)
-                est = _mc_stats(_pair_samples(diffs, ok, cfg.antithetic), cfg)
-                grads[i][j][d], stderrs[i][j][d] = est.mean, est.stderr
-                n_used[i][j] = est.n_paths
+        vp, okp = _endpoint_values(fields, _simulate_grid(p, x + e, t_grid, cfg, noise, (1,)))
+        vm, okm = _endpoint_values(fields, _simulate_grid(p, x - e, t_grid, cfg, noise, (1,)))
+        diffs, ok = (vp - vm) / (2.0 * h), okp & okm
+        per_dir.append([
+            [_estimate(diffs[i, j], ok[i, j], cfg, "estimate_grad_Qt") for j in range(len(t_grid))]
+            for i in range(len(fields))
+        ])
     return [
         [
             GradEstimate(
-                grad=grads[i][j],
-                stderr=stderrs[i][j],
-                n_paths=n_used[i][j],
+                grad=np.array([est[i][j].mean for est in per_dir]),
+                stderr=np.array([est[i][j].stderr for est in per_dir]),
+                n_paths=per_dir[-1][i][j].n_paths,
                 dt=cfg.dt,
                 h=h,
             )

@@ -65,6 +65,16 @@ STDERR_CAP_REL = 0.05  # relative stderr above which verdicts become inconclusiv
 PASS_SLACK_REL = 1e-9  # roundoff slack so exact equality cases pass at stderr 0
 
 
+def csv_table(header: list[str], rows: list[list]) -> list[str]:
+    """CSV lines: the header, then one line per row with every number
+    written as ``repr(float)``, so reruns are byte-identical, and anything
+    else as ``str``."""
+    return [",".join(header)] + [
+        ",".join(repr(float(v)) if isinstance(v, (int, float, np.floating)) else str(v) for v in row)
+        for row in rows
+    ]
+
+
 @dataclass(frozen=True)
 class CaseResult:
     check_id: str
@@ -122,30 +132,12 @@ class VerificationReport:
         if not self.cases:
             return []
         dim = self.cases[0].x.shape[0]
-        header = ["check_id", "t"] + [f"x{i}" for i in range(dim)] + [
-            "f_label",
-            "lhs",
-            "lhs_se",
-            "rhs",
-            "rhs_se",
-            "margin",
-            "verdict",
-        ]
-        lines = [",".join(header)]
-        for c in self.cases:
-            row = [c.check_id, repr(float(c.t))]
-            row += [repr(float(v)) for v in c.x]
-            row += [
-                c.f_label,
-                repr(float(c.lhs)),
-                repr(float(c.lhs_se)),
-                repr(float(c.rhs)),
-                repr(float(c.rhs_se)),
-                repr(float(c.margin)),
-                c.verdict,
-            ]
-            lines.append(",".join(row))
-        return lines
+        header = ["check_id", "t", *(f"x{i}" for i in range(dim))]
+        header += ["f_label", "lhs", "lhs_se", "rhs", "rhs_se", "margin", "verdict"]
+        return csv_table(header, [
+            [c.check_id, c.t, *c.x, c.f_label, c.lhs, c.lhs_se, c.rhs, c.rhs_se, c.margin, c.verdict]
+            for c in self.cases
+        ])
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -485,17 +477,9 @@ class OptimalityTable:
     def csv_lines(self) -> list[str]:
         dim = self.rows[0].a.shape[0] if self.rows else 0
         header = [f"a{i}" for i in range(dim)] + ["radius", "ratio", "limit", "abs_err"]
-        lines = [",".join(header)]
-        for r in self.rows:
-            vals = [repr(float(v)) for v in r.a]
-            vals += [
-                repr(float(r.radius)),
-                repr(float(r.ratio)),
-                repr(float(r.limit)),
-                repr(abs(float(r.ratio - r.limit))),
-            ]
-            lines.append(",".join(vals))
-        return lines
+        return csv_table(header, [
+            [*r.a, r.radius, r.ratio, r.limit, abs(float(r.ratio - r.limit))] for r in self.rows
+        ])
 
 
 def optimality_study(p: ProblemSpec, a_list, radius_list) -> OptimalityTable:

@@ -436,6 +436,21 @@ def test_verify_blow_up_exits_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, message", [
+    ("mc_generic", "of paths failed"),  # sampled left sides: overflowed paths fail
+    ("mc_ou", "overflow at"),  # Mehler closed forms
+])
+def test_verify_overflow_exits_3(name, message, tmp_path, capsys):
+    # exp(800 x0) overflows near x0 = 1, the second start point
+    code = main([
+        "verify", "commutation", "--config", str(PERFBENCH_CONFIGS / f"{name}.ini"),
+        "--override", "grids.a_vectors=(800, 0)", "--override", "mc.n_paths=200",
+        "--out", str(tmp_path / "r.csv"),
+    ])
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
 def test_optimality_command(fast_config, tmp_path, capsys):
     cfg = fast_config(
         grids="t_values = 0.1\nx_points = (0, 0)\na_vectors = (0, 0); (0.5, 0); (1, 0)",

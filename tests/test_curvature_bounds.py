@@ -183,8 +183,8 @@ def test_pointwise_cd_counts_domain_errors(p2_noweight):
 
 
 def test_pointwise_cd_skips_non_finite_points():
-    # the tape flags no overflow: exp(800) is inf with error code 0, and the
-    # fields at (0, 800) are NaN; that point is a domain error, not the worst
+    # exp(800) overflows, so the tape gives the fields at (0, 800) the
+    # overflow code; that point is a domain error, not the worst
     p = make_problem(2, "x0*exp(x1)", "zero")
     pts = np.array([[0.0, 800.0], [0.0, 0.0], [0.5, 0.1]])
     rep = check_pointwise_cd(p, [(parse_field("x0 + x1", 2), pts)], 0.0)

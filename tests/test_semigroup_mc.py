@@ -166,6 +166,17 @@ def test_mehler_domain_errors_name_the_bad_node(p2):
         mehler_fk_term(p2, parse_field("sqrt(x0)", 2), x, 0.5, s_nodes=3, quad_order=5)
 
 
+def test_mehler_overflow_is_a_domain_error(p2):
+    # the closed forms for c e^{a.x} overflow in math.exp
+    f = dot_field([800.0, 0.0], 2).exp()
+    with pytest.raises(DomainError, match="overflow at"):
+        mehler_Qt(p2, f, [1.0, 0.5], 0.05)
+    with pytest.raises(DomainError, match="overflow at"):
+        mehler_grad_Qt(p2, f, [1.0, 0.5], 0.05)
+    with pytest.raises(DomainError, match="overflow at"):
+        mehler_fk_term(p2, f, [1.0, 0.5], 0.05, s_nodes=3)
+
+
 def test_mehler_grad_matches_finite_difference(p2):
     f = parse_field("x0^2 * exp(0.1*x1)", 2)
     x = np.array([0.6, -0.8])
@@ -272,10 +283,24 @@ def test_blow_up_detection():
         em_path(p, [3.0], 2.0, cfg, ZeroNoise())
     with pytest.raises(AggregatePathFailure):
         estimate_Qt(p, parse_field("x0", 1), [3.0], 2.0, cfg)
-    # the drift at (0, 800) is NaN with no tape error code: a NaN state blows up
+    # the drift at (0, 800) overflows: the tape gives a NaN gradient, and a NaN state blows up
     p = make_problem(2, "x0*exp(x1)", "zero")
     with pytest.raises(PathBlowUpError):
         em_path(p, [0.0, 800.0], 0.1, cfg, ZeroNoise())
+
+
+@pytest.mark.parametrize("estimator", [
+    lambda p, fs, x, cfg: estimate_Qt_many(p, fs, x, [0.1], cfg),
+    lambda p, fs, x, cfg: estimate_Qt_sq_many(p, fs, x, [0.1], cfg),
+    lambda p, fs, x, cfg: estimate_grad_Qt_many(p, fs, x, [0.1], cfg),
+    lambda p, fs, x, cfg: estimate_fk_term_many(p, fs, x, 0.1, 3, cfg),
+], ids=["Qt", "Qt_sq", "grad_Qt", "fk_term"])
+def test_overflowed_values_are_failed_paths(estimator):
+    # exp(800 x0) overflows on about half the paths from x0 = 1
+    p = gaussian_problem(1)
+    cfg = MCConfig(n_paths=200, dt=0.05, seed=5)
+    with pytest.raises(AggregatePathFailure, match="of paths failed"):
+        estimator(p, [parse_field("exp(800*x0)", 1)], [1.0], cfg)
 
 
 def _gaussian_potential_forms(dim):

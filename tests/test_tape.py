@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gammaw import _tape
-from gammaw.field_expr import DomainError, coord_field, eval_jet, normsq_field, parse_field
+from gammaw.field_expr import DomainError, coord_field, normsq_field, parse_field
 from gammaw.gamma_calculus import apply_L_symbolic, gamma_w_field
 from gammaw.presets import gaussian_problem
 from gammaw.verifier import exp_field
@@ -42,7 +42,7 @@ def test_grads_match_jets(src, rng):
     for k in range(len(pts)):
         if err[k] != 0:
             continue
-        j = eval_jet(f, pts[k])
+        j = f.jet(pts[k])
         assert vals[k] == pytest.approx(j.value, rel=1e-12, abs=1e-12)
         assert np.allclose(grads[k], j.gradient, rtol=1e-10, atol=1e-10)
 
@@ -76,6 +76,19 @@ def test_error_codes_cover_div_sqrt_pow():
     h = parse_field("x0^0.5", 1)
     _, err = _tape.eval_values(h, np.array([[-1.0]]))
     assert "power" in _tape.err_message(err[0])
+
+
+def test_overflow_gets_its_own_code():
+    f = parse_field("exp(x0)", 1)
+    pts = np.array([[800.0], [0.0], [1.0]])
+    vals, err = _tape.eval_values(f, pts)
+    assert err.tolist() == [_tape.ERR_OVERFLOW, 0, 0]
+    assert _tape.err_message(_tape.ERR_OVERFLOW) == "overflow"
+    assert np.isnan(vals[0]) and np.array_equal(vals[1:], np.exp(pts[1:, 0]))
+    vals, grads, err = _tape.eval_values_grads(f, pts)
+    assert err.tolist() == [_tape.ERR_OVERFLOW, 0, 0]
+    assert np.isnan(vals[0]) and np.isnan(grads[0, 0])
+    assert np.isfinite(vals[1:]).all() and np.isfinite(grads[1:]).all()
 
 
 def test_tape_deduplicates_shared_subtrees():
