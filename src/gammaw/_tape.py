@@ -3,14 +3,21 @@
 An expression DAG is flattened once into a register tape, one register per
 distinct node, then a numpy interpreter runs the tape over a batch of points,
 one opcode at a time, vectorized over chunks of points.  Values and
-gradients share that one driver.  The test suite pins the tape against the
-recursive evaluator and the jets of :mod:`gammaw.field_expr`.
+gradients share that one loop.  Forward-mode gradients are held
+component-major, ``dreg[register, component, point]``, so each product of a
+value row with a gradient runs over contiguous rows of points; every opcode
+writes into its registers through ufunc ``out=``, and only the CONST and
+COORD gradient rows are zeroed.  The test suite pins the tape against the
+recursive evaluator and the jets of :mod:`gammaw.field_expr`, and bit for
+bit against the point-major interpreter it replaced.
 
 Domain violations do not raise here; each point gets an error code (0 ok,
 1 division by zero, 2 log domain, 3 sqrt domain, 4 power domain, 5 overflow)
 and a NaN value, so callers can skip or report bad points in bulk.  A point
 whose value, or in gradient mode whose gradient, is not finite and that has
-no other code gets code 5.
+no other code gets code 5.  DIV, LOG, SQRT and POW build their masked
+operands only when the chunk has a bad row, so a row without errors gets
+the same bits either way.
 """
 
 from __future__ import annotations
@@ -76,16 +83,16 @@ def err_message(code: int) -> str:
 class Tape:
     """Flattened expression: one register per distinct node."""
 
-    ops: np.ndarray  # (K,) int64 opcodes
-    a1: np.ndarray  # (K,) int64 first operand (register or table index)
-    a2: np.ndarray  # (K,) int64 second operand
-    consts: np.ndarray  # (C,) float64 literal pool (values and exponents)
+    ops: list[int]  # (K,) opcodes
+    a1: list[int]  # (K,) first operand (register or table index)
+    a2: list[int]  # (K,) second operand
+    consts: list[float]  # literal pool (values and exponents)
     vecs: np.ndarray  # (V, dim) float64 dot-product coefficient rows
     dim: int
 
     @property
     def n_registers(self) -> int:
-        return int(self.ops.shape[0])
+        return len(self.ops)
 
 
 def compile_tape(f: ScalarField) -> Tape:
@@ -150,10 +157,10 @@ def compile_tape(f: ScalarField) -> Tape:
 
     visit(f.root)
     tape = Tape(
-        ops=np.asarray(ops, dtype=np.int64),
-        a1=np.asarray(a1, dtype=np.int64),
-        a2=np.asarray(a2, dtype=np.int64),
-        consts=np.asarray(consts if consts else [0.0], dtype=np.float64),
+        ops=ops,
+        a1=a1,
+        a2=a2,
+        consts=consts,
         vecs=np.asarray(vecs, dtype=np.float64).reshape(len(vecs), f.dim)
         if vecs
         else np.zeros((0, f.dim)),
@@ -204,7 +211,8 @@ def _run(f: ScalarField, pts: np.ndarray, want_grads: bool):
         hi = min(lo + _CHUNK, m)
         out[lo:hi], g, err[lo:hi] = _run_chunk(tape, pts[lo:hi], want_grads)
         if want_grads:
-            grads[lo:hi] = g
+            for i in range(n):  # a column at a time: g[:, i] is one contiguous row of the chunk
+                grads[lo:hi, i] = g[:, i]
     return out, grads, err
 
 
@@ -212,7 +220,12 @@ def _run_chunk(tape: Tape, pts: np.ndarray, want_grads: bool):
     m, n = pts.shape
     k_regs = tape.n_registers
     reg = np.empty((k_regs, m))
-    dreg = np.zeros((k_regs, m, n)) if want_grads else None
+    R = list(reg)
+    if want_grads:
+        dreg = np.empty((k_regs, n, m))  # component-major: dreg[k, i] is d reg[k] / dx_i
+        D = list(dreg)
+        tmp = np.empty((n, m))  # second product of MUL
+        du = np.empty(m)  # derivative of a unary op, one row of points
     err = np.zeros(m, dtype=np.int64)
 
     def flag(bad: np.ndarray, code: int) -> None:
@@ -220,68 +233,85 @@ def _run_chunk(tape: Tape, pts: np.ndarray, want_grads: bool):
         err[fresh] = code
 
     with np.errstate(all="ignore"):
-        for k in range(k_regs):
-            op = int(tape.ops[k])
-            i1, i2 = int(tape.a1[k]), int(tape.a2[k])
+        for k, (op, i1, i2) in enumerate(zip(tape.ops, tape.a1, tape.a2)):
+            r = R[k]
             if op == OP_CONST:
-                reg[k] = tape.consts[i1]
+                r.fill(tape.consts[i1])
+                if want_grads:
+                    D[k].fill(0.0)
             elif op == OP_COORD:
-                reg[k] = pts[:, i1]
+                r[:] = pts[:, i1]
                 if want_grads:
-                    dreg[k, :, i1] = 1.0
+                    D[k].fill(0.0)
+                    D[k][i1] = 1.0
             elif op == OP_ADD:
-                reg[k] = reg[i1] + reg[i2]
+                np.add(R[i1], R[i2], out=r)
                 if want_grads:
-                    dreg[k] = dreg[i1] + dreg[i2]
+                    np.add(D[i1], D[i2], out=D[k])
             elif op == OP_SUB:
-                reg[k] = reg[i1] - reg[i2]
+                np.subtract(R[i1], R[i2], out=r)
                 if want_grads:
-                    dreg[k] = dreg[i1] - dreg[i2]
+                    np.subtract(D[i1], D[i2], out=D[k])
             elif op == OP_MUL:
-                reg[k] = reg[i1] * reg[i2]
+                np.multiply(R[i1], R[i2], out=r)
                 if want_grads:
-                    dreg[k] = reg[i1][:, None] * dreg[i2] + reg[i2][:, None] * dreg[i1]
+                    np.multiply(R[i1], D[i2], out=D[k])
+                    np.multiply(R[i2], D[i1], out=tmp)
+                    np.add(D[k], tmp, out=D[k])
             elif op == OP_DIV:
-                flag(reg[i2] == 0.0, ERR_DIV)
-                denom = np.where(reg[i2] == 0.0, 1.0, reg[i2])
-                reg[k] = reg[i1] / denom
+                denom = R[i2]
+                bad = denom == 0.0
+                if bad.any():
+                    flag(bad, ERR_DIV)
+                    denom = np.where(bad, 1.0, denom)
+                np.divide(R[i1], denom, out=r)
                 if want_grads:
-                    dreg[k] = (dreg[i1] - reg[k][:, None] * dreg[i2]) / denom[:, None]
+                    np.multiply(r, D[i2], out=D[k])
+                    np.subtract(D[i1], D[k], out=D[k])
+                    np.divide(D[k], denom, out=D[k])
             elif op == OP_POW:
-                reg[k], u1 = _pow_numpy(reg[i1], tape.consts[i2], err)
+                _pow(R[i1], tape.consts[i2], r, du if want_grads else None, flag)
                 if want_grads:
-                    dreg[k] = u1[:, None] * dreg[i1]
+                    np.multiply(du, D[i1], out=D[k])
             elif op == OP_EXP:
-                reg[k] = np.exp(reg[i1])
+                np.exp(R[i1], out=r)
                 if want_grads:
-                    dreg[k] = reg[k][:, None] * dreg[i1]
+                    np.multiply(r, D[i1], out=D[k])
             elif op == OP_LOG:
-                flag(reg[i1] <= 0.0, ERR_LOG)
-                safe = np.where(reg[i1] <= 0.0, 1.0, reg[i1])
-                reg[k] = np.log(safe)
+                safe = R[i1]
+                bad = safe <= 0.0
+                if bad.any():
+                    flag(bad, ERR_LOG)
+                    safe = np.where(bad, 1.0, safe)
+                np.log(safe, out=r)
                 if want_grads:
-                    dreg[k] = dreg[i1] / safe[:, None]
+                    np.divide(D[i1], safe, out=D[k])
             elif op == OP_SQRT:
-                v = reg[i1]
-                flag(v < 0.0, ERR_SQRT)
+                # sqrt has a value at 0 but no derivative there
+                v = R[i1]
+                bad = (v <= 0.0) if want_grads else (v < 0.0)
+                if bad.any():
+                    flag(bad, ERR_SQRT)
+                    r[:] = np.where(v < 0.0, np.nan, np.sqrt(np.where(v < 0.0, 0.0, v)))
+                    root = np.sqrt(np.where(v <= 0.0, 1.0, v))
+                else:
+                    root = np.sqrt(v, out=r)
                 if want_grads:
-                    flag(v == 0.0, ERR_SQRT)
-                safe = np.where(v <= 0.0, 1.0, v)
-                reg[k] = np.where(v < 0.0, np.nan, np.sqrt(np.where(v < 0.0, 0.0, v)))
-                if want_grads:
-                    dreg[k] = (0.5 / np.sqrt(safe))[:, None] * dreg[i1]
+                    np.divide(0.5, root, out=du)
+                    np.multiply(du, D[i1], out=D[k])
             elif op == OP_NORMSQ:
-                reg[k] = np.einsum("ij,ij->i", pts, pts)
+                # einsum, not a column sum: the two round differently for n = 3
+                np.einsum("ij,ij->i", pts, pts, out=r)
                 if want_grads:
-                    dreg[k] = 2.0 * pts
+                    np.multiply(pts.T, 2.0, out=D[k])
             else:  # OP_DOT
                 c = tape.vecs[i1]
-                reg[k] = pts @ c
+                np.matmul(pts, c, out=r)
                 if want_grads:
-                    dreg[k] = np.broadcast_to(c, (m, n)).copy()
+                    D[k][:] = c[:, None]
 
-        out = reg[k_regs - 1].copy()
-        g = dreg[k_regs - 1].copy() if want_grads else None
+        out = R[-1]
+        g = D[-1].T if want_grads else None
         # one sum tells whether any row is not finite (a sum that overflows
         # trips it too, harmlessly); only then are the rows scanned
         if not math.isfinite(out.sum() + (g.sum() if want_grads else 0.0)):
@@ -296,17 +326,25 @@ def _run_chunk(tape: Tape, pts: np.ndarray, want_grads: bool):
     return out, g, err
 
 
-def _pow_numpy(v: np.ndarray, e: float, err: np.ndarray):
+def _pow(v: np.ndarray, e: float, out: np.ndarray, du: np.ndarray | None, flag) -> None:
+    """v**e into ``out`` and, when ``du`` is given, e*v**(e-1) into it."""
     # constant folding guarantees the tape never holds integer exponents 0 or 1
     ei = int(round(e))
     is_int = abs(e - ei) < 1e-12
     bad = ((v == 0.0) & (ei < 0)) if is_int else (v <= 0.0)
-    err[bad & (err == 0)] = ERR_POW
-    safe = np.where(bad, 1.0, v)
-    if is_int:
-        val = safe**ei
-        u1 = float(e) * safe ** (ei - 1)
-    else:
-        val = safe**e
-        u1 = e * safe ** (e - 1.0)
-    return np.where(bad, np.nan, val), np.where(bad, np.nan, u1)
+    expo = ei if is_int else e
+    safe = v
+    if bad.any():
+        flag(bad, ERR_POW)
+        safe = np.where(bad, 1.0, v)
+    # in-place ** takes numpy's scalar-power shortcuts exactly as safe**expo does
+    out[:] = safe
+    out **= expo
+    if du is not None:
+        du[:] = safe
+        du **= expo - 1
+        du *= float(e)
+    if safe is not v:
+        out[bad] = np.nan
+        if du is not None:
+            du[bad] = np.nan

@@ -32,9 +32,11 @@ Every estimator takes one route from ensemble to estimate:
 :func:`_simulate_grid` runs the ensemble, :func:`_endpoint_values`
 evaluates the fields at its endpoints and marks the usable paths (inside the
 blow-up guard, no tape error code, so an overflowed value is a failed path),
-and :func:`_estimate` checks the failure fraction, pairs the antithetic
-samples and takes the mean and standard error.  The closed forms raise
-:class:`DomainError` where their values overflow.
+and :func:`_estimate` drops the paths whose sample is not finite (a replica
+product or a difference can overflow), checks the failure fraction, pairs
+the antithetic samples and takes the mean and standard error; its
+:class:`AggregatePathFailure` names the estimator, field, start point and t.
+The closed forms raise :class:`DomainError` where their values overflow.
 """
 
 from __future__ import annotations
@@ -238,24 +240,39 @@ def _endpoint_values(fields, snapshots) -> tuple[np.ndarray, np.ndarray]:
     return vals, ok
 
 
-def _estimate(values: np.ndarray, ok: np.ndarray, cfg: MCConfig, what: str) -> MCEstimate:
+def _estimate(values: np.ndarray, ok: np.ndarray, cfg: MCConfig, case: tuple) -> MCEstimate:
     """Mean and standard error of one ensemble's path values over its usable
-    paths.  Antithetic pairs are averaged into one sample and count only when
-    both halves are usable.  More than 1% unusable paths raises
-    :class:`AggregatePathFailure`."""
+    paths.  A path whose value is not finite (a product or difference of
+    finite values can overflow) is not usable.  Antithetic pairs are averaged
+    into one sample and count only when both halves are usable.  More than 1%
+    unusable paths, or a mean or standard error that overflows, raises
+    :class:`AggregatePathFailure` naming ``case``, the tuple (estimator,
+    field index, field, start x, t)."""
+    ok = ok & np.isfinite(values)
     frac = 1.0 - float(np.mean(ok))
     if frac > _MAX_FAIL_FRACTION:
-        raise AggregatePathFailure(f"{what}: {100 * frac:.1f}% of paths failed")
-    if cfg.antithetic:
-        half = values.shape[0] // 2
-        both = ok[:half] & ok[half:]
-        samples = 0.5 * (values[:half][both] + values[half:][both])
-    else:
-        samples = values[ok]
-    n = samples.shape[0]
-    mean = float(np.mean(samples)) if n else math.nan
-    stderr = float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        raise AggregatePathFailure(f"{_case_text(case)}: {100 * frac:.1f}% of paths failed")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.antithetic:
+            half = values.shape[0] // 2
+            both = ok[:half] & ok[half:]
+            samples = 0.5 * (values[:half][both] + values[half:][both])
+        else:
+            samples = values[ok]
+        n = samples.shape[0]
+        mean = float(np.mean(samples)) if n else math.nan
+        stderr = float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise AggregatePathFailure(
+            f"{_case_text(case)}: {100 * frac:.1f}% of paths failed, and the rest give"
+            f" mean {mean} with standard error {stderr}, not finite"
+        )
     return MCEstimate(mean=mean, stderr=stderr, n_paths=n, dt=cfg.dt)
+
+
+def _case_text(case: tuple) -> str:
+    what, i, f, x, t = case
+    return f"{what} of field {i} ({f.to_text()}) from x = {np.asarray(x).tolist()} at t = {t:g}"
 
 
 def em_path(p: ProblemSpec, x0, t: float, cfg: MCConfig, noise) -> np.ndarray:
@@ -284,7 +301,8 @@ def _replica_products(
     sampled_t = [t for t in t_grid if t != 0.0]
     ensembles = [_simulate_grid(p, x, sampled_t, cfg, noise, s) for s in streams]
     replicas = [_endpoint_values(fields, snapshots) for snapshots in ensembles]
-    prods = reduce(operator.mul, (vals for vals, _ in replicas))
+    with np.errstate(over="ignore"):  # an overflowed product is a failed path
+        prods = reduce(operator.mul, (vals for vals, _ in replicas))
     ok = reduce(operator.and_, (good for _, good in replicas))
     out = []
     for i, f in enumerate(fields):
@@ -295,7 +313,7 @@ def _replica_products(
                 exact = math.prod([f.value(x)] * len(streams))
                 row.append(MCEstimate(mean=exact, stderr=0.0, n_paths=0, dt=cfg.dt))
             else:
-                row.append(_estimate(*next(sampled), cfg, what))
+                row.append(_estimate(*next(sampled), cfg, (what, i, f, x, t)))
         out.append(row)
     return out
 
@@ -385,24 +403,25 @@ def _ou_law(x: np.ndarray, t: float) -> tuple[np.ndarray, float]:
 
 
 @lru_cache(maxsize=None)
-def _hermgauss(quad_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Gauss-Hermite rule of one order, computed once; read-only arrays."""
+def _hermite_rule(quad_order: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tensor Gauss-Hermite rule of one order in n dimensions, built
+    once: nodes (quad_order^n, n) and weights for the weight function
+    pi^{-n/2} e^{-|z|^2}; read-only arrays."""
     z, w = np.polynomial.hermite.hermgauss(quad_order)
-    z.flags.writeable = w.flags.writeable = False
-    return z, w
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*([z] * n), indexing="ij")], axis=-1)
+    weights = np.ones(nodes.shape[0])
+    for g in np.meshgrid(*([w] * n), indexing="ij"):
+        weights *= g.ravel() / math.sqrt(math.pi)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _hermite_points(mean: np.ndarray, var: float, quad_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Hermite nodes/weights for N(mean, var I) expectation."""
-    n = mean.shape[0]
-    z, w = _hermgauss(quad_order)
-    scale = math.sqrt(2.0 * var)
-    grids = np.meshgrid(*([z] * n), indexing="ij")
-    pts = mean[None, :] + scale * np.stack([g.ravel() for g in grids], axis=-1)
-    weights = np.ones(pts.shape[0])
-    for g in np.meshgrid(*([w] * n), indexing="ij"):
-        weights *= g.ravel() / math.sqrt(math.pi)
-    return pts, weights
+    """Tensor Gauss-Hermite nodes/weights for N(mean, var I) expectation:
+    the cached rule of :func:`_hermite_rule`, shifted to ``mean`` and scaled
+    by sqrt(2 var).  The weights are the cached read-only array."""
+    nodes, weights = _hermite_rule(quad_order, mean.shape[0])
+    return mean[None, :] + math.sqrt(2.0 * var) * nodes, weights
 
 
 def _require_gaussian(p: ProblemSpec, who: str) -> None:
@@ -495,8 +514,9 @@ def estimate_fk_term_many(
         fzp, zp_ok = _endpoint_values(fields, _simulate_grid(p, Y, (t - s_j,), cfg, noise, (4, j, 1)))
         node_ok = w2_ok[0, 0] & z_ok[:, 0] & zp_ok[:, 0]
         ok = ok & node_ok
-        acc = acc + np.where(node_ok, 2.0 * w_j * w2[0, 0] * fz[:, 0] * fzp[:, 0], 0.0)
-    return [_estimate(acc[i], ok[i], cfg, "estimate_fk_term") for i in range(len(fields))]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed total is a failed path
+            acc = acc + np.where(node_ok, 2.0 * w_j * w2[0, 0] * fz[:, 0] * fzp[:, 0], 0.0)
+    return [_estimate(acc[i], ok[i], cfg, ("estimate_fk_term", i, f, x, t)) for i, f in enumerate(fields)]
 
 
 def estimate_fk_term(
@@ -604,10 +624,12 @@ def estimate_grad_Qt_many(
         e[d] = h
         vp, okp = _endpoint_values(fields, _simulate_grid(p, x + e, t_grid, cfg, noise, (1,)))
         vm, okm = _endpoint_values(fields, _simulate_grid(p, x - e, t_grid, cfg, noise, (1,)))
-        diffs, ok = (vp - vm) / (2.0 * h), okp & okm
+        with np.errstate(over="ignore"):  # an overflowed difference is a failed path
+            diffs = (vp - vm) / (2.0 * h)
+        ok = okp & okm
         per_dir.append([
-            [_estimate(diffs[i, j], ok[i, j], cfg, "estimate_grad_Qt") for j in range(len(t_grid))]
-            for i in range(len(fields))
+            [_estimate(diffs[i, j], ok[i, j], cfg, ("estimate_grad_Qt", i, f, x, t)) for j, t in enumerate(t_grid)]
+            for i, f in enumerate(fields)
         ])
     return [
         [

@@ -440,6 +440,7 @@ def test_verify_blow_up_exits_3(tmp_path, capsys):
     ("mc_generic", "of paths failed"),  # sampled left sides: overflowed paths fail
     ("mc_ou", "overflow at"),  # Mehler closed forms
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_overflow_exits_3(name, message, tmp_path, capsys):
     # exp(800 x0) overflows near x0 = 1, the second start point
     code = main([

@@ -22,6 +22,8 @@ from gammaw.semigroup_mc import (
     PathBlowUpError,
     ZeroNoise,
     _em_step,
+    _endpoint_values,
+    _simulate_grid,
     em_path,
     estimate_fk_term,
     estimate_fk_term_many,
@@ -295,12 +297,32 @@ def test_blow_up_detection():
     lambda p, fs, x, cfg: estimate_grad_Qt_many(p, fs, x, [0.1], cfg),
     lambda p, fs, x, cfg: estimate_fk_term_many(p, fs, x, 0.1, 3, cfg),
 ], ids=["Qt", "Qt_sq", "grad_Qt", "fk_term"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowed_values_are_failed_paths(estimator):
-    # exp(800 x0) overflows on about half the paths from x0 = 1
+    # exp(800 x0) overflows on about half the paths from x0 = 1; the
+    # products and sums of the others overflow quietly and fail too
     p = gaussian_problem(1)
     cfg = MCConfig(n_paths=200, dt=0.05, seed=5)
+    with pytest.raises(AggregatePathFailure, match=(
+        r"^estimate_\w+ of field 1 \(exp\(800\.0\*x0\)\) from x = \[1\.0\] at t = 0\.1: "
+        r"[0-9.]+% of paths failed"
+    )):
+        estimator(p, [parse_field("x0", 1), parse_field("exp(800*x0)", 1)], [1.0], cfg)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowed_products_are_failed_paths():
+    # each replica value exp(400 x0) is finite, but the product of two
+    # overflows on most paths; before, the estimate came out as mean=inf
+    p = gaussian_problem(2)
+    f, x, t = parse_field("exp(400*x0)", 2), np.array([1.0, 0.0]), 0.02
+    cfg = MCConfig(n_paths=200, dt=0.01)
+    for stream in ((7,), (8,)):
+        snapshots = _simulate_grid(p, x, (t,), cfg, GaussianNoise(cfg.seed), stream)
+        vals, ok = _endpoint_values([f], snapshots)
+        assert ok.all() and np.isfinite(vals).all()
     with pytest.raises(AggregatePathFailure, match="of paths failed"):
-        estimator(p, [parse_field("exp(800*x0)", 1)], [1.0], cfg)
+        estimate_Qt_sq(p, f, x, t, cfg)
 
 
 def _gaussian_potential_forms(dim):
