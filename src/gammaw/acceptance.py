@@ -296,8 +296,8 @@ def ac6(ov: tuple[str, ...]) -> CriterionResult:
     rep = verify_commutation(p, battery(2), -1.0, t_grid, x_grid, cfg)
     # an over-strong rate must be caught: kappa = -0.5 at t = 1 far out
     rep_neg = verify_commutation(
-        p, exp_field(np.array([0.1, 0.0]), 2), -0.5, (1.0,),
-        _grid2((10.0, 0.0)), cfg, f_label="exp_a0.1",
+        p, [("exp_a0.1", exp_field(np.array([0.1, 0.0]), 2))], -0.5, (1.0,),
+        _grid2((10.0, 0.0)), cfg,
     )
     lines = [rep.summary(), f"kappa=-0.5 rerun: {rep_neg.n_fail} fail verdicts (want >= 1)"]
     passed = rep.n_fail == 0 and rep.n_inconclusive == 0 and rep_neg.n_fail >= 1

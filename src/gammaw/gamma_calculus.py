@@ -30,8 +30,6 @@ there instead of returning huge values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .field_expr import (
@@ -43,7 +41,6 @@ from .field_expr import (
 
 __all__ = [
     "WeightVanishesError",
-    "GammaPointReport",
     "apply_L",
     "apply_L_symbolic",
     "gamma",
@@ -53,7 +50,6 @@ __all__ = [
     "gamma2_w_definitional",
     "gamma_integrand",
     "sqrt_defect",
-    "point_report",
     "gamma_field",
     "gamma_w_field",
     "gamma2_w_field",
@@ -66,18 +62,6 @@ WEIGHT_EPS = 1e-12
 
 class WeightVanishesError(FieldError):
     """The curvature integrand is undefined where the weight vanishes."""
-
-
-@dataclass(frozen=True)
-class GammaPointReport:
-    """All pointwise operator values for one (f, x) pair."""
-
-    x: np.ndarray
-    gamma: float
-    gamma2: float
-    gamma_w: float
-    gamma2_w: float
-    lf: float
 
 
 def apply_L(p: ProblemSpec, f: ScalarField, x) -> float:
@@ -172,20 +156,6 @@ def sqrt_defect(p: ProblemSpec, g: ScalarField, x, rho: float, c: float) -> tupl
     lhs = jg.value * (lw - rho * jw.value) + 2.0 * float(jw.gradient @ jg.gradient)
     bound = -c * (float(np.linalg.norm(jg.gradient)) + jw.value * jg.value)
     return lhs, bound
-
-
-def point_report(p: ProblemSpec, f: ScalarField, x) -> GammaPointReport:
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    g = gamma(p, f, f, x)
-    wf = p.W.value(x) * f.value(x)
-    return GammaPointReport(
-        x=xa,
-        gamma=g,
-        gamma2=gamma2(p, f, x),
-        gamma_w=g + wf * wf,
-        gamma2_w=gamma2_w(p, f, x),
-        lf=apply_L(p, f, x),
-    )
 
 
 # ---------------------------------------------------------------------------

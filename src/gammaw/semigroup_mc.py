@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -58,10 +58,7 @@ __all__ = [
     "MCEstimate",
     "GradEstimate",
     "GaussianNoise",
-    "ZeroNoise",
-    "PathBlowUpError",
     "AggregatePathFailure",
-    "em_path",
     "estimate_Qt",
     "estimate_Qt_many",
     "estimate_Qt_sq",
@@ -78,10 +75,6 @@ __all__ = [
 
 _BLOWUP_RADIUS = 1e8
 _MAX_FAIL_FRACTION = 0.01
-
-
-class PathBlowUpError(RuntimeError):
-    """A single simulated path left the overflow guard region."""
 
 
 class AggregatePathFailure(RuntimeError):
@@ -133,13 +126,6 @@ class GaussianNoise:
     def normals(self, label: tuple[int, ...], shape) -> np.ndarray:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=tuple(int(v) for v in label))
         return np.random.Generator(np.random.Philox(ss)).standard_normal(shape)
-
-
-class ZeroNoise:
-    """Deterministic drift-only stream for tests."""
-
-    def normals(self, label: tuple[int, ...], shape) -> np.ndarray:
-        return np.zeros(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +230,12 @@ def _estimate(values: np.ndarray, ok: np.ndarray, cfg: MCConfig, case: tuple) ->
     """Mean and standard error of one ensemble's path values over its usable
     paths.  A path whose value is not finite (a product or difference of
     finite values can overflow) is not usable.  Antithetic pairs are averaged
-    into one sample and count only when both halves are usable.  More than 1%
-    unusable paths, or a mean or standard error that overflows, raises
-    :class:`AggregatePathFailure` naming ``case``, the tuple (estimator,
-    field index, field, start x, t)."""
+    into one sample and count only when both halves are usable.  When the
+    mean is finite but the squared deviations overflow, the standard error is
+    taken on the samples divided by their largest magnitude and scaled back.
+    More than 1% unusable paths, or a mean or standard error that still
+    overflows, raises :class:`AggregatePathFailure` naming ``case``, the
+    tuple (estimator, field index, field, start x, t)."""
     ok = ok & np.isfinite(values)
     frac = 1.0 - float(np.mean(ok))
     if frac > _MAX_FAIL_FRACTION:
@@ -262,6 +250,9 @@ def _estimate(values: np.ndarray, ok: np.ndarray, cfg: MCConfig, case: tuple) ->
         n = samples.shape[0]
         mean = float(np.mean(samples)) if n else math.nan
         stderr = float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        if math.isfinite(mean) and not math.isfinite(stderr):  # the squared deviations overflowed
+            scale = float(np.max(np.abs(samples)))
+            stderr = scale * float(np.std(samples / scale, ddof=1) / math.sqrt(n))
     if not (math.isfinite(mean) and math.isfinite(stderr)):
         raise AggregatePathFailure(
             f"{_case_text(case)}: {100 * frac:.1f}% of paths failed, and the rest give"
@@ -273,15 +264,6 @@ def _estimate(values: np.ndarray, ok: np.ndarray, cfg: MCConfig, case: tuple) ->
 def _case_text(case: tuple) -> str:
     what, i, f, x, t = case
     return f"{what} of field {i} ({f.to_text()}) from x = {np.asarray(x).tolist()} at t = {t:g}"
-
-
-def em_path(p: ProblemSpec, x0, t: float, cfg: MCConfig, noise) -> np.ndarray:
-    """Single Euler-Maruyama endpoint; raises on blow-up."""
-    start = np.asarray(x0, dtype=float)[None, :]
-    [(X, alive)] = _simulate_grid(p, start, (t,), replace(cfg, antithetic=False), noise, (0,))
-    if not alive[0]:
-        raise PathBlowUpError(f"path from {x0} left |x| <= {_BLOWUP_RADIUS:g} before t={t}")
-    return X[0]
 
 
 def _replica_products(

@@ -1,16 +1,27 @@
 """Inequality verification harness for the weighted semigroup bounds.
 
-Each checker runs over a (t, x) grid, estimates both sides of its
-inequality, and issues a three-valued verdict per case:
+The paper's three semigroup inequalities share one shape: a left side built
+from Q_t f is at most c(t) Q_t(payload(f)).
+
+* commutation  GammaW(Q_t f) <= e^{-2 kappa t} Q_t(GammaW(f));
+* variance     Q_t(f^2) - (Q_t f)^2 + 2 int_0^t Q_s(W^2 (Q_{t-s} f)^2) ds
+               <= (1 - e^{-2 kappa t})/kappa Q_t(GammaW(f));
+* sqrt         sqrt(Gamma(Q_t f)) + W Q_t f <= e^{(c-rho)t} Q_t(sqrt(Gamma(f)) + W f).
+
+Each checker supplies only its payload fields, c(t) and the left side at x;
+``_battery_report`` is the one route that runs a battery of (label, field)
+pairs over a (t, x) grid, estimates the right sides from one ensemble and
+issues a three-valued verdict per case:
 
 * ``pass``          margin >= -3 margin_stderr (plus a tiny roundoff slack);
 * ``fail``          margin below the noise band with both sides estimated
                     tightly (relative standard error under the cap);
 * ``inconclusive``  the noise is too large to call it either way.
 
-Margins are rhs - lhs, so nonnegative means the inequality holds.  Every
-case records the sampling configuration that produced it, and reports
-serialize to a fixed CSV schema
+The weighted bound W^2 <= e^{-2 kappa t} Q_t(W^2) is the commutation check
+at f = 1, where GammaW(1) = W^2.  Margins are rhs - lhs, so nonnegative
+means the inequality holds.  A report records the sampling configuration
+that produced it, and serializes to a fixed CSV schema
 
     check_id, t, x0..x{n-1}, f_label, lhs, lhs_se, rhs, rhs_se, margin, verdict
 
@@ -52,7 +63,6 @@ __all__ = [
     "verify_commutation",
     "verify_variance",
     "verify_sqrt_commutation",
-    "degenerate_w_check",
     "optimality_study",
     "OptimalityRow",
     "OptimalityTable",
@@ -86,7 +96,6 @@ class CaseResult:
     rhs: float
     rhs_se: float
     verdict: str
-    meta: dict
 
     @property
     def margin(self) -> float:
@@ -118,15 +127,6 @@ class VerificationReport:
     @property
     def inconclusive_fraction(self) -> float:
         return self.n_inconclusive / len(self.cases) if self.cases else 0.0
-
-    def merged(self, other: "VerificationReport") -> "VerificationReport":
-        if other.check_id != self.check_id:
-            raise ValueError("cannot merge reports of different checks")
-        return VerificationReport(
-            check_id=self.check_id,
-            cases=self.cases + other.cases,
-            meta={**self.meta, **other.meta},
-        )
 
     def csv_lines(self) -> list[str]:
         if not self.cases:
@@ -173,7 +173,7 @@ def _verdict(lhs: float, lhs_se: float, rhs: float, rhs_se: float) -> str:
     return "fail"
 
 
-def _case(check_id, t, x, label, lhs, lhs_se, rhs, rhs_se, meta) -> CaseResult:
+def _case(check_id, t, x, label, lhs, lhs_se, rhs, rhs_se) -> CaseResult:
     return CaseResult(
         check_id=check_id,
         t=float(t),
@@ -184,18 +184,7 @@ def _case(check_id, t, x, label, lhs, lhs_se, rhs, rhs_se, meta) -> CaseResult:
         rhs=float(rhs),
         rhs_se=float(rhs_se),
         verdict=_verdict(lhs, lhs_se, rhs, rhs_se),
-        meta=meta,
     )
-
-
-def _meta(cfg: MCConfig, **extra) -> dict:
-    return {
-        "seed": cfg.seed,
-        "n_paths": cfg.n_paths,
-        "dt": cfg.dt,
-        "antithetic": cfg.antithetic,
-        **extra,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -229,54 +218,68 @@ def battery(dim: int) -> list[tuple[str, ScalarField]]:
 # ---------------------------------------------------------------------------
 
 
-def _labelled(f, f_label: str) -> list[tuple[str, ScalarField]]:
-    """One field, or a battery of (label, field) pairs, as a list of pairs."""
-    return [(f_label, f)] if isinstance(f, ScalarField) else list(f)
-
-
-def _battery_report(check_id: str, fields, t_grid, x_grid, meta: dict, sides) -> VerificationReport:
-    """Cases in (field, t, x) order.  ``sides(x)`` returns, for every field
-    and t, the tuple (lhs, lhs_se, rhs, rhs_se) at x, estimating them all
-    from shared ensembles."""
-    tables = [(x, sides(x)) for x in x_grid]
+def _battery_report(
+    check_id: str,
+    p: ProblemSpec,
+    fields,
+    payloads,
+    coef,
+    lhs,
+    t_grid,
+    x_grid,
+    cfg: MCConfig,
+    **meta,
+) -> VerificationReport:
+    """The one route of every check: lhs <= coef(t) Q_t(payload) for each
+    (label, field) of ``fields``, whose payload is the field of the same
+    index in ``payloads``.  At each x, ``lhs(x, t_grid)`` first returns the
+    [field][t] pairs (lhs, lhs_se), then the right sides are estimated from
+    one ensemble on stream (0,).  Cases come in (field, t, x) order; the
+    report's meta is the sampling configuration plus ``meta``."""
+    t_grid = list(t_grid)
+    coefs = [coef(t) for t in t_grid]
+    tables = []
+    for x in x_grid:
+        left = lhs(x, t_grid)
+        tables.append((x, left, estimate_Qt_many(p, payloads, x, t_grid, cfg, stream=(0,))))
+    meta = {"seed": cfg.seed, "n_paths": cfg.n_paths, "dt": cfg.dt, "antithetic": cfg.antithetic, **meta}
     report = VerificationReport(check_id, meta=meta)
     for i, (label, _) in enumerate(fields):
-        for j, t in enumerate(t_grid):
-            for x, table in tables:
-                report.cases.append(_case(check_id, t, x, label, *table[i][j], dict(meta)))
+        for j, (t, k) in enumerate(zip(t_grid, coefs)):
+            for x, left, right in tables:
+                rhs = right[i][j]
+                report.cases.append(_case(check_id, t, x, label, *left[i][j], k * rhs.mean, k * rhs.stderr))
     return report
 
 
-def _join_sides(lhs, rhs, coefs):
-    """[field][t] tables of (lhs, lhs_se) and of rhs estimates, joined into
-    (lhs, lhs_se, coef rhs, coef rhs_se) with coefs[j] scaling the j-th t."""
-    return [
-        [(l, l_se, k * r.mean, k * r.stderr) for (l, l_se), r, k in zip(l_row, r_row, coefs)]
-        for l_row, r_row in zip(lhs, rhs)
-    ]
+def _gradient_lhs(p: ProblemSpec, fs, cfg: MCConfig, form):
+    """The left side form(W(x), Q_t f(x), grad Q_t f(x)) for every field and
+    t, as ``_battery_report`` takes it.  This is where the left sides pick
+    their route: for a Gaussian U (``p.gaussian_U``) Q_t f and its gradient
+    come from Mehler's closed forms (mehler_Qt, mehler_grad_Qt) with zero
+    stderr, no paths and h = 0; otherwise both are Monte Carlo, the gradient
+    by common-random-number central differences."""
 
-
-def _qt_and_grad(p: ProblemSpec, fields, x, t_grid, cfg: MCConfig):
-    """[field][t] pairs (Q_t f(x), grad Q_t f(x)) as (MCEstimate,
-    GradEstimate).  This is where the left sides pick their route: for a
-    Gaussian U (``p.gaussian_U``) both come from Mehler's closed forms
-    (mehler_Qt, mehler_grad_Qt) with zero stderr, no paths and h = 0;
-    otherwise both are Monte Carlo, the gradient by common-random-number
-    central differences."""
-    if p.gaussian_U:
-        return [
-            [
-                (
-                    MCEstimate(mehler_Qt(p, f, x, t), 0.0, 0, cfg.dt),
-                    GradEstimate(mehler_grad_Qt(p, f, x, t), np.zeros(p.dim), 0, cfg.dt, 0.0),
-                )
-                for t in t_grid
+    def lhs(x, t_grid):
+        w = p.W.value(x)
+        if p.gaussian_U:
+            pairs = [
+                [
+                    (
+                        MCEstimate(mehler_Qt(p, f, x, t), 0.0, 0, cfg.dt),
+                        GradEstimate(mehler_grad_Qt(p, f, x, t), np.zeros(p.dim), 0, cfg.dt, 0.0),
+                    )
+                    for t in t_grid
+                ]
+                for f in fs
             ]
-            for f in fields
-        ]
-    qts = estimate_Qt_many(p, fields, x, t_grid, cfg, stream=(5,))
-    gests = estimate_grad_Qt_many(p, fields, x, t_grid, cfg)
-    return [list(zip(q_row, g_row)) for q_row, g_row in zip(qts, gests)]
+        else:
+            qts = estimate_Qt_many(p, fs, x, t_grid, cfg, stream=(5,))
+            gests = estimate_grad_Qt_many(p, fs, x, t_grid, cfg)
+            pairs = [list(zip(q_row, g_row)) for q_row, g_row in zip(qts, gests)]
+        return [[form(w, q, g) for q, g in row] for row in pairs]
+
+    return lhs
 
 
 def _gamma_w_lhs(w: float, qt: MCEstimate, gest: GradEstimate) -> tuple[float, float]:
@@ -291,70 +294,54 @@ def _gamma_w_lhs(w: float, qt: MCEstimate, gest: GradEstimate) -> tuple[float, f
 
 def verify_commutation(
     p: ProblemSpec,
-    f,
+    fields,
     kappa: float,
     t_grid,
     x_grid,
     cfg: MCConfig,
-    f_label: str = "f",
 ) -> VerificationReport:
-    """GammaW(Q_t f) <= e^{-2 kappa t} Q_t(GammaW(f)) over the grid.
-
-    ``f`` is one field (labelled ``f_label``) or a battery of (label, field)
-    pairs."""
-    fields = _labelled(f, f_label)
-    fs = [g for _, g in fields]
-    gw = [gamma_w_field(p, g, g) for g in fs]
-    t_grid = list(t_grid)
-    coefs = [math.exp(-2.0 * kappa * t) for t in t_grid]
-
-    def sides(x):
-        w = p.W.value(x)
-        lhs = [[_gamma_w_lhs(w, q, g) for q, g in row] for row in _qt_and_grad(p, fs, x, t_grid, cfg)]
-        return _join_sides(lhs, estimate_Qt_many(p, gw, x, t_grid, cfg, stream=(0,)), coefs)
-
-    return _battery_report("commutation", fields, t_grid, x_grid, _meta(cfg, kappa=kappa), sides)
+    """GammaW(Q_t f) <= e^{-2 kappa t} Q_t(GammaW(f)) over the grid, for each
+    (label, f) of the battery ``fields``."""
+    fs = [f for _, f in fields]
+    return _battery_report(
+        "commutation", p, fields, [gamma_w_field(p, f, f) for f in fs],
+        lambda t: math.exp(-2.0 * kappa * t), _gradient_lhs(p, fs, cfg, _gamma_w_lhs),
+        t_grid, x_grid, cfg, kappa=kappa,
+    )
 
 
 def verify_variance(
     p: ProblemSpec,
-    f,
+    fields,
     kappa: float,
     t_grid,
     x_grid,
     cfg: MCConfig,
-    f_label: str = "f",
     time_nodes: int = 21,
 ) -> VerificationReport:
     """Q_t(f^2) - (Q_t f)^2 + 2 int_0^t Q_s(W^2 (Q_{t-s} f)^2) ds
     <= (1 - e^{-2 kappa t})/kappa Q_t(GammaW(f)), with the kappa -> 0
-    coefficient meaning 2t.
+    coefficient meaning 2t, for each (label, f) of the battery ``fields``."""
+    fs = [f for _, f in fields]
+    f_sq = [f * f for f in fs]
 
-    ``f`` is one field (labelled ``f_label``) or a battery of (label, field)
-    pairs."""
-    fields = _labelled(f, f_label)
-    fs = [g for _, g in fields]
-    gw = [gamma_w_field(p, g, g) for g in fs]
-    f_sq = [g * g for g in fs]
-    t_grid = list(t_grid)
-    coefs = [_variance_coefficient(kappa, t) for t in t_grid]
-
-    def sides(x):
+    def lhs(x, t_grid):
         qt_fsq = estimate_Qt_many(p, f_sq, x, t_grid, cfg, stream=(6,))
         qt_sq = estimate_Qt_sq_many(p, fs, x, t_grid, cfg)
         # the memory term's Simpson nodes depend on t: one call per t, [t][field]
         fk = zip(*[estimate_fk_term_many(p, fs, x, t, time_nodes, cfg) for t in t_grid])
-        lhs = [
+        return [
             [
                 (a.mean - b.mean + c.mean, math.sqrt(a.stderr**2 + b.stderr**2 + c.stderr**2))
                 for a, b, c in zip(*rows)
             ]
             for rows in zip(qt_fsq, qt_sq, fk)
         ]
-        return _join_sides(lhs, estimate_Qt_many(p, gw, x, t_grid, cfg, stream=(0,)), coefs)
 
-    meta = _meta(cfg, kappa=kappa, time_nodes=time_nodes)
-    return _battery_report("variance", fields, t_grid, x_grid, meta, sides)
+    return _battery_report(
+        "variance", p, fields, [gamma_w_field(p, f, f) for f in fs],
+        lambda t: _variance_coefficient(kappa, t), lhs, t_grid, x_grid, cfg, kappa=kappa, time_nodes=time_nodes,
+    )
 
 
 def _variance_coefficient(kappa: float, t: float) -> float:
@@ -393,55 +380,25 @@ def _sqrt_lhs(w: float, qt: MCEstimate, gest: GradEstimate) -> tuple[float, floa
 
 def verify_sqrt_commutation(
     p: ProblemSpec,
-    f,
+    fields,
     rho: float,
     c: float,
     t_grid,
     x_grid,
     cfg: MCConfig,
-    f_label: str = "f",
 ) -> VerificationReport:
     """sqrt(Gamma(Q_t f)) + W Q_t f <= e^{(c-rho)t} Q_t(sqrt(Gamma(f)) + W f)
-    for nonnegative f.
-
-    ``f`` is one field (labelled ``f_label``) or a battery of (label, field)
-    pairs."""
-    fields = _labelled(f, f_label)
-    fs = [g for _, g in fields]
+    for each (label, f) of the battery ``fields``; every f must be
+    nonnegative, which is checked before any sampling."""
+    fs = [f for _, f in fields]
     x_grid = list(x_grid)
-    for g in fs:
-        _reject_negative(g, x_grid, p.dim)
-    payloads = [sqrt_gamma_w_field(p, g) for g in fs]
-    t_grid = list(t_grid)
-    coefs = [math.exp((c - rho) * t) for t in t_grid]
-
-    def sides(x):
-        w = p.W.value(x)
-        lhs = [[_sqrt_lhs(w, q, g) for q, g in row] for row in _qt_and_grad(p, fs, x, t_grid, cfg)]
-        return _join_sides(lhs, estimate_Qt_many(p, payloads, x, t_grid, cfg, stream=(0,)), coefs)
-
-    return _battery_report("sqrt", fields, t_grid, x_grid, _meta(cfg, rho=rho, c=c), sides)
-
-
-def degenerate_w_check(
-    p: ProblemSpec,
-    kappa: float,
-    t_grid,
-    x_grid,
-    cfg: MCConfig,
-) -> VerificationReport:
-    """W(x)^2 <= e^{-2 kappa t} Q_t(W^2)(x): the constant-function reduction
-    of the commutation bound (take f = 1, so GammaW(f) = W^2)."""
-    fields = [("W^2", p.W * p.W)]
-    t_grid = list(t_grid)
-    coefs = [math.exp(-2.0 * kappa * t) for t in t_grid]
-
-    def sides(x):
-        w = p.W.value(x)
-        rhs = estimate_Qt_many(p, [fields[0][1]], x, t_grid, cfg, stream=(0,))
-        return _join_sides([[(w * w, 0.0)] * len(t_grid)], rhs, coefs)
-
-    return _battery_report("degenerate", fields, t_grid, x_grid, _meta(cfg, kappa=kappa), sides)
+    for f in fs:
+        _reject_negative(f, x_grid, p.dim)
+    return _battery_report(
+        "sqrt", p, fields, [sqrt_gamma_w_field(p, f) for f in fs],
+        lambda t: math.exp((c - rho) * t), _gradient_lhs(p, fs, cfg, _sqrt_lhs),
+        t_grid, x_grid, cfg, rho=rho, c=c,
+    )
 
 
 # ---------------------------------------------------------------------------

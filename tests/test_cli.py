@@ -353,7 +353,7 @@ def test_verify_pretty_output(fast_config, tmp_path):
     ])
     assert code == 0
     text = (tmp_path / "report.txt").read_text()
-    assert text.startswith("check degenerate:")
+    assert text.startswith("check commutation:")
     assert "worst margin" in text
 
 

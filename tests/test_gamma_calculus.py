@@ -21,7 +21,6 @@ from gammaw.gamma_calculus import (
     gamma_integrand_field,
     gamma_w,
     gamma_w_field,
-    point_report,
     sqrt_defect,
     sqrt_gamma_w_field,
 )
@@ -204,18 +203,6 @@ def test_sqrt_defect_zero_weight(p2_noweight):
     lhs, bound = sqrt_defect(p2_noweight, g, x, rho=1.0, c=0.5)
     assert lhs == 0.0
     assert bound == pytest.approx(-0.5 * math.hypot(2.0, 2.0))
-
-
-def test_point_report_consistency(p2):
-    f = parse_field("exp(0.1*x0) * (1 + x1)", 2)
-    x = [0.4, -0.2]
-    rep = point_report(p2, f, x)
-    assert rep.gamma == pytest.approx(gamma(p2, f, f, x))
-    assert rep.gamma2 == pytest.approx(gamma2(p2, f, x))
-    assert rep.gamma_w == pytest.approx(gamma_w(p2, f, f, x))
-    assert rep.gamma2_w == pytest.approx(gamma2_w(p2, f, x))
-    assert rep.lf == pytest.approx(apply_L(p2, f, x))
-    assert rep.gamma_w >= rep.gamma  # W^2 f^2 >= 0
 
 
 def test_iterated_L_stays_symbolic(p2):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,12 +20,10 @@ from gammaw.semigroup_mc import (
     AggregatePathFailure,
     GaussianNoise,
     MCConfig,
-    PathBlowUpError,
-    ZeroNoise,
     _em_step,
     _endpoint_values,
+    _estimate,
     _simulate_grid,
-    em_path,
     estimate_fk_term,
     estimate_fk_term_many,
     estimate_grad_Qt,
@@ -69,11 +68,26 @@ def test_t_zero_reports_no_samples(p2, p2_noweight, small_mc):
     assert estimate_Qt(p2, f, x, 0.1, small_mc).n_paths == small_mc.n_paths // 2
 
 
+class ZeroNoise:
+    """Drift-only noise: every block is zeros."""
+
+    def normals(self, label, shape):
+        return np.zeros(shape)
+
+
+def _drift_path(p, x0, t, cfg):
+    """The endpoint and alive flag of one path from x0 with no noise."""
+    start = np.asarray(x0, dtype=float)[None, :]
+    [(X, alive)] = _simulate_grid(p, start, (t,), replace(cfg, antithetic=False), ZeroNoise(), (0,))
+    return X[0], alive[0]
+
+
 def test_zero_noise_follows_drift(p2):
     # gaussian drift -x discretizes to x (1 - dt)^k exactly
     cfg = MCConfig(n_paths=2, dt=0.1, seed=0, antithetic=False)
     x0 = np.array([2.0, -1.0])
-    end = em_path(p2, x0, 0.5, cfg, ZeroNoise())
+    end, alive = _drift_path(p2, x0, 0.5, cfg)
+    assert alive
     assert np.allclose(end, x0 * (1.0 - 0.1) ** 5, rtol=0, atol=1e-15)
 
 
@@ -83,7 +97,8 @@ def test_zero_noise_dt_halving(p2):
     errs = []
     for dt in (0.02, 0.01, 0.005):
         cfg = MCConfig(n_paths=2, dt=dt, seed=0, antithetic=False)
-        end = em_path(p2, x0, 1.0, cfg, ZeroNoise())
+        end, alive = _drift_path(p2, x0, 1.0, cfg)
+        assert alive
         errs.append(abs(end[0] - math.exp(-1.0)))
     assert 1.7 < errs[0] / errs[1] < 2.3
     assert 1.7 < errs[1] / errs[2] < 2.3
@@ -281,14 +296,25 @@ def test_grad_qt_crn_constant_field():
 def test_blow_up_detection():
     p = make_problem(1, "-x0^4", "zero")
     cfg = MCConfig(n_paths=50, dt=0.1, seed=0, antithetic=False)
-    with pytest.raises(PathBlowUpError):
-        em_path(p, [3.0], 2.0, cfg, ZeroNoise())
+    assert not _drift_path(p, [3.0], 2.0, cfg)[1]
     with pytest.raises(AggregatePathFailure):
         estimate_Qt(p, parse_field("x0", 1), [3.0], 2.0, cfg)
     # the drift at (0, 800) overflows: the tape gives a NaN gradient, and a NaN state blows up
     p = make_problem(2, "x0*exp(x1)", "zero")
-    with pytest.raises(PathBlowUpError):
-        em_path(p, [0.0, 800.0], 0.1, cfg, ZeroNoise())
+    assert not _drift_path(p, [0.0, 800.0], 0.1, cfg)[1]
+
+
+def test_estimate_stderr_survives_squared_overflow():
+    # deviations near 1e199 square past the float range; the mean does not
+    values = 1e200 * (1.0 + 0.1 * np.random.default_rng(4).standard_normal(1000))
+    cfg = MCConfig(n_paths=1000, antithetic=False)
+    case = ("estimate_Qt", 0, const_field(1.0, 1), [0.0], 0.1)
+    est = _estimate(values, np.ones(1000, dtype=bool), cfg, case)
+    scale = np.max(np.abs(values))
+    want = scale * np.std(values / scale, ddof=1) / math.sqrt(1000)
+    assert math.isfinite(est.stderr)
+    assert est.stderr == pytest.approx(want, rel=1e-12)
+    assert est.mean == np.mean(values)
 
 
 @pytest.mark.parametrize("estimator", [

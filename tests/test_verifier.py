@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gammaw.field_expr import DomainError, parse_field
+from gammaw.field_expr import DomainError, const_field, parse_field
 from gammaw.presets import gaussian_problem, make_problem
 from gammaw.semigroup_mc import GaussianNoise, MCConfig
 from gammaw.verifier import (
@@ -12,7 +12,6 @@ from gammaw.verifier import (
     VerificationReport,
     _verdict,
     battery,
-    degenerate_w_check,
     exp_field,
     optimality_study,
     random_smooth_field,
@@ -54,7 +53,7 @@ def test_exp_field(p2):
 
 def test_commutation_passes_small_grid(p2):
     cfg = MCConfig(n_paths=4000, dt=5e-3, seed=21)
-    f = exp_field([0.1, 0.0], 2)
+    f = [("f", exp_field([0.1, 0.0], 2))]
     rep = verify_commutation(p2, f, -1.0, (0.1, 0.5), ((0.0, 0.0), (1.0, 1.0)), cfg)
     assert len(rep.cases) == 4
     assert rep.n_fail == 0
@@ -65,7 +64,7 @@ def test_commutation_passes_small_grid(p2):
 def test_commutation_margin_monotone_in_kappa(p2):
     # raising kappa shrinks the rhs, so margins can only drop
     cfg = MCConfig(n_paths=2000, dt=5e-3, seed=22)
-    f = exp_field([1.0, 0.0], 2)
+    f = [("f", exp_field([1.0, 0.0], 2))]
     grid = ((2.0, 0.0),)
     margins = []
     for kappa in (-2.0, -1.0, 0.0, 1.0):
@@ -77,14 +76,14 @@ def test_commutation_margin_monotone_in_kappa(p2):
 def test_commutation_detects_false_kappa(p2):
     # kappa far above the curvature bound must fail far from the origin
     cfg = MCConfig(n_paths=4000, dt=5e-3, seed=23)
-    f = exp_field([0.1, 0.0], 2)
+    f = [("f", exp_field([0.1, 0.0], 2))]
     rep = verify_commutation(p2, f, 5.0, (1.0,), ((10.0, 0.0),), cfg)
     assert rep.n_fail == 1
     assert not rep.passed
 
 
 def test_t_zero_margins_vanish(p2, small_mc):
-    f = exp_field([0.5, 0.0], 2)
+    f = [("f", exp_field([0.5, 0.0], 2))]
     rep = verify_commutation(p2, f, -1.0, (0.0,), ((0.7, -0.3),), small_mc)
     case = rep.cases[0]
     assert case.margin == pytest.approx(0.0, abs=1e-12)
@@ -93,14 +92,14 @@ def test_t_zero_margins_vanish(p2, small_mc):
 
 def test_variance_small_grid(p2):
     cfg = MCConfig(n_paths=4000, dt=5e-3, seed=24)
-    f = exp_field([0.1, 0.0], 2)
+    f = [("f", exp_field([0.1, 0.0], 2))]
     rep = verify_variance(p2, f, -1.0, (0.1,), ((0.0, 0.0),), cfg, time_nodes=5)
     assert rep.n_fail == 0
-    assert rep.cases[0].meta["time_nodes"] == 5
+    assert rep.meta["time_nodes"] == 5
 
 
 def test_variance_t_zero(p2, small_mc):
-    f = exp_field([0.2, 0.0], 2)
+    f = [("f", exp_field([0.2, 0.0], 2))]
     rep = verify_variance(p2, f, -1.0, (0.0,), ((0.4, 0.4),), small_mc, time_nodes=5)
     case = rep.cases[0]
     assert case.lhs == pytest.approx(0.0, abs=1e-12)
@@ -110,7 +109,7 @@ def test_variance_t_zero(p2, small_mc):
 
 def test_sqrt_commutation_small_grid(p2):
     cfg = MCConfig(n_paths=4000, dt=5e-3, seed=25)
-    f = exp_field([0.1, 0.0], 2)
+    f = [("f", exp_field([0.1, 0.0], 2))]
     rep = verify_sqrt_commutation(p2, f, 1.0, 2.0, (0.1, 0.5), ((0.0, 0.0),), cfg)
     assert rep.n_fail == 0
     assert rep.meta["rho"] == 1.0 and rep.meta["c"] == 2.0
@@ -119,7 +118,7 @@ def test_sqrt_commutation_small_grid(p2):
 def test_sqrt_commutation_rejects_negative_f(p2, small_mc):
     with pytest.raises(NegativeBatteryError):
         verify_sqrt_commutation(
-            p2, parse_field("x0", 2), 1.0, 2.0, (0.1,), ((0.0, 0.0),), small_mc
+            p2, [("x0", parse_field("x0", 2))], 1.0, 2.0, (0.1,), ((0.0, 0.0),), small_mc
         )
 
 
@@ -127,20 +126,23 @@ def test_sqrt_commutation_rejects_negative_f(p2, small_mc):
 def test_sqrt_commutation_first_bad_point_decides(small_mc, x, error):
     # log(x0 + 5) is negative on (-5, -4) and undefined below -5; the random
     # sample holds points of both kinds, so the grid point, checked first, decides
+    f = [("log", parse_field("log(x0 + 5)", 1))]
     with pytest.raises(error):
-        verify_sqrt_commutation(
-            gaussian_problem(1), parse_field("log(x0 + 5)", 1), 1.0, 2.0, (0.1,), ((x,),), small_mc
-        )
+        verify_sqrt_commutation(gaussian_problem(1), f, 1.0, 2.0, (0.1,), ((x,),), small_mc)
 
 
 def test_degenerate_w_check(p2):
+    # W^2 <= e^{-2 kappa t} Q_t(W^2) is the commutation bound at f = 1; Mehler
+    # (Gaussian U) and the sampled left side (the other U) both give W(x)^2 exactly
     cfg = MCConfig(n_paths=4000, dt=5e-3, seed=26)
-    rep = degenerate_w_check(p2, -1.0, (0.1, 1.0), ((0.0, 0.0), (2.0, 0.0)), cfg)
-    assert rep.n_fail == 0
-    for case in rep.cases:
-        assert case.f_label == "W^2"
-        assert case.lhs_se == 0.0
-        assert case.lhs == pytest.approx(1.0 + case.x @ case.x)
+    one = [("W^2", const_field(1.0, 2))]
+    for p in (p2, make_problem(2, "normsq(x)/2 + 0.25*x0^2", "sqrt1sq")):
+        rep = verify_commutation(p, one, -1.0, (0.1, 1.0), ((0.0, 0.0), (2.0, 0.0)), cfg)
+        assert rep.n_fail == 0
+        for case in rep.cases:
+            assert case.f_label == "W^2"
+            assert case.lhs_se == 0.0
+            assert case.lhs == pytest.approx(1.0 + case.x @ case.x, rel=1e-15)
 
 
 def test_run_battery_merges(p2):
@@ -166,7 +168,7 @@ def test_battery_draws_noise_once_for_all_fields(p2, monkeypatch):
     rep = verify_variance(p2, fields, -1.0, *grid, cfg, time_nodes=5)
     battery_labels = list(labels)
     labels.clear()
-    single = verify_variance(p2, fields[0][1], -1.0, *grid, cfg, time_nodes=5)
+    single = verify_variance(p2, fields[:1], -1.0, *grid, cfg, time_nodes=5)
     assert len(rep.cases) == 3 * len(single.cases)
     assert len(battery_labels) == len(labels) > 0
     assert battery_labels == labels
@@ -187,21 +189,14 @@ def test_run_battery_csv_matches_single_field_reports(op, gaussian, args, kwargs
     lines = op(p, battery(2), *args, *grid, cfg, **kwargs).csv_lines()
     want = []
     for label, f in battery(2):
-        single = op(p, f, *args, *grid, cfg, f_label=label, **kwargs).csv_lines()
+        single = op(p, [(label, f)], *args, *grid, cfg, **kwargs).csv_lines()
         want += single if not want else single[1:]
     assert lines == want
 
 
-def test_report_merge_requires_same_check():
-    a = VerificationReport(check_id="commutation")
-    b = VerificationReport(check_id="variance")
-    with pytest.raises(ValueError):
-        a.merged(b)
-
-
 def test_csv_schema_and_determinism(p2, tmp_path):
     cfg = MCConfig(n_paths=2000, dt=1e-2, seed=28)
-    f = exp_field([0.1, 0.0], 2)
+    f = [("f", exp_field([0.1, 0.0], 2))]
 
     def run():
         return verify_commutation(p2, f, -1.0, (0.1,), ((0.5, -0.5),), cfg)
