@@ -213,6 +213,7 @@ def _run(f: ScalarField, pts: np.ndarray, want_grads: bool):
         if want_grads:
             for i in range(n):  # a column at a time: g[:, i] is one contiguous row of the chunk
                 grads[lo:hi, i] = g[:, i]
+        del g  # frees the chunk's gradient registers before the next chunk allocates its own
     return out, grads, err
 
 

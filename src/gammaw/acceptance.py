@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, split_override
 from .curvature_bounds import SearchConfig, check_pointwise_cd, estimate_c, estimate_gamma, estimate_rho
-from .field_expr import DomainError, ProblemSpec, const_field
+from .field_expr import DomainError, const_field
 from . import _tape
 from .gamma_calculus import (
     apply_L_symbolic,

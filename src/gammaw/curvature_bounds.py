@@ -17,7 +17,9 @@ heuristic and the trace is always kept so callers can judge.
 
 ``check_pointwise_cd`` tests the curvature inequality Gamma2W >= kappa GammaW
 over a sweep of (field, points) cases, one tape batch of Gamma2W and one of
-GammaW per field, and reports the violations of the whole sweep.
+GammaW per field, and reports the violations of the whole sweep.  The
+U/W-only terms of Gamma2W are built once per sweep; each field's
+derivatives are built once for its Gamma2W and GammaW together.
 """
 
 from __future__ import annotations
@@ -31,14 +33,7 @@ import numpy as np
 
 from . import _tape
 from .field_expr import DomainError, ProblemSpec, ScalarField
-from .gamma_calculus import (
-    WEIGHT_EPS,
-    apply_L_symbolic,
-    gamma2_w_field,
-    gamma_field,
-    gamma_integrand_field,
-    gamma_w_field,
-)
+from .gamma_calculus import WEIGHT_EPS, _Builds, gamma_integrand_field
 
 __all__ = [
     "SearchConfig",
@@ -221,7 +216,8 @@ def estimate_rho(p: ProblemSpec, s: SearchConfig) -> BoundEstimate:
             trace=[1.0] * len(s.radii_schedule),
         )
     n = p.dim
-    entries = [[p.U.diff(i).diff(j) for j in range(n)] for i in range(n)]
+    b = _Builds(p)
+    entries = [b.grad(u_i) for u_i in b.grad(p.U)]
 
     def batch(pts: np.ndarray) -> np.ndarray:
         m = pts.shape[0]
@@ -284,8 +280,9 @@ def estimate_c(p: ProblemSpec, rho: float, s: SearchConfig) -> BoundEstimate:
             diverging=False,
             trace=[0.0] * len(s.radii_schedule),
         )
-    grad_norm_sq = gamma_field(p, p.W, p.W)
-    lw_over_w = apply_L_symbolic(p, p.W) / p.W
+    b = _Builds(p)
+    grad_norm_sq = b.gamma(p.W, p.W)
+    lw_over_w = b.apply_L(p.W) / p.W
 
     def batch_a(pts: np.ndarray) -> np.ndarray:
         vals, err = _tape.eval_values(grad_norm_sq, pts)
@@ -340,10 +337,12 @@ def check_pointwise_cd(
     point is the first one with the smallest margin, in case order.
     """
     parts = []
+    sweep = _Builds(p)  # the U/W terms of Gamma2W, once for the sweep
     for f, points in cases:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        g2w, err2 = _tape.eval_values(gamma2_w_field(p, f), pts)
-        gw, err1 = _tape.eval_values(gamma_w_field(p, f, f), pts)
+        b = sweep.fresh()  # f's derivatives, shared by its Gamma2W and GammaW
+        g2w, err2 = _tape.eval_values(b.gamma2_w(f), pts)
+        gw, err1 = _tape.eval_values(b.gamma_w(f, f), pts)
         ok = (err2 == 0) & (err1 == 0)
         parts.append((pts, g2w, gw, ok))
     pts, g2w, gw, ok = (np.concatenate(a) for a in zip(*parts))

@@ -7,7 +7,11 @@ grammar
 
 where ``^`` takes a real constant exponent and ``c`` is a literal vector.
 Each structure has one live node object, so a subexpression that recurs is
-stored, evaluated and differentiated once per call.
+stored, evaluated and differentiated once per call, and the same (node,
+coordinate) always differentiates to the same node.  That is what lets the
+builders of :mod:`gammaw.gamma_calculus` share one derivative memo per
+coordinate across a whole builder call without changing any DAG.  A node
+takes ``max_coord`` and ``dot_lens`` from its 0, 1 or 2 children.
 Every field is C-infinity on its domain and the family is closed under
 symbolic differentiation, so quantities like L f = tr Hess f - grad U . grad f
 and iterated applications L(Lf) stay first-class fields.
@@ -94,11 +98,16 @@ def _intern(cls: type, key: tuple, args: tuple) -> "Node":
     node = object.__new__(cls)
     for name, value in zip(cls.__slots__, args):
         object.__setattr__(node, name, value)
-    kids = [v for v in args if isinstance(v, Node)]
-    max_coord = args[0] if cls is Coord else max([-1, *(k.max_coord for k in kids)])
-    dot_lens = (len(args[0]),) if cls is Dot else ()
-    for kid in kids:
-        dot_lens += tuple(k for k in kid.dot_lens if k not in dot_lens)
+    arity = cls._arity
+    if arity == 2:
+        a, b = args
+        max_coord = max(a.max_coord, b.max_coord)
+        dot_lens = a.dot_lens + tuple(k for k in b.dot_lens if k not in a.dot_lens)
+    elif arity == 1:
+        max_coord, dot_lens = args[0].max_coord, args[0].dot_lens
+    else:
+        max_coord = args[0] if cls is Coord else -1
+        dot_lens = (len(args[0]),) if cls is Dot else ()
     object.__setattr__(node, "max_coord", max_coord)
     object.__setattr__(node, "dot_lens", dot_lens)
     _NODES[key] = weakref.KeyedRef(node, _forget, key)
@@ -113,6 +122,7 @@ class Node:
     """
 
     __slots__ = ("max_coord", "dot_lens", "__weakref__")
+    _arity = 0  # Node children, leading in __slots__: 0, 1 or 2
 
     def __new__(cls, *args):
         return _intern(cls, (cls, *args), args)
@@ -134,34 +144,42 @@ class Coord(Node):
 
 class Add(Node):
     __slots__ = ("a", "b")
+    _arity = 2
 
 
 class Sub(Node):
     __slots__ = ("a", "b")
+    _arity = 2
 
 
 class Mul(Node):
     __slots__ = ("a", "b")
+    _arity = 2
 
 
 class Div(Node):
     __slots__ = ("a", "b")
+    _arity = 2
 
 
 class Pow(Node):
     __slots__ = ("a", "expo")  # expo: real constant exponent
+    _arity = 1
 
 
 class Exp(Node):
     __slots__ = ("a",)
+    _arity = 1
 
 
 class Log(Node):
     __slots__ = ("a",)
+    _arity = 1
 
 
 class Sqrt(Node):
     __slots__ = ("a",)
+    _arity = 1
 
 
 class NormSq(Node):
@@ -185,37 +203,43 @@ def _is_const(n: Node, value: float | None = None) -> bool:
     return True if value is None else n.c == value
 
 
+# The zero constant stays interned for the life of the module.
+_ZERO = Const(0.0)
+
 # Smart constructors: constant folding plus 0/1 identities.  No deeper
 # canonicalization; equality of fields is checked numerically, not
-# symbolically.
+# symbolically.  The hot three test ``type(x) is Const`` inline.
 
 
 def _add(a: Node, b: Node) -> Node:
-    if isinstance(a, Const) and isinstance(b, Const):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb:
         return Const(a.c + b.c)
-    if _is_const(a, 0.0):
+    if ca and a.c == 0.0:
         return b
-    if _is_const(b, 0.0):
+    if cb and b.c == 0.0:
         return a
     return Add(a, b)
 
 
 def _sub(a: Node, b: Node) -> Node:
-    if isinstance(a, Const) and isinstance(b, Const):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb:
         return Const(a.c - b.c)
-    if _is_const(b, 0.0):
+    if cb and b.c == 0.0:
         return a
     return Sub(a, b)
 
 
 def _mul(a: Node, b: Node) -> Node:
-    if isinstance(a, Const) and isinstance(b, Const):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb:
         return Const(a.c * b.c)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return Const(0.0)
-    if _is_const(a, 1.0):
+    if (ca and a.c == 0.0) or (cb and b.c == 0.0):
+        return _ZERO
+    if ca and a.c == 1.0:
         return b
-    if _is_const(b, 1.0):
+    if cb and b.c == 1.0:
         return a
     return Mul(a, b)
 
@@ -229,7 +253,7 @@ def _div(a: Node, b: Node) -> Node:
         if b.c == 1.0:
             return a
         if _is_const(a, 0.0):
-            return Const(0.0)
+            return _ZERO
     return Div(a, b)
 
 
@@ -495,13 +519,13 @@ def _diff_node(n: Node, i: int, memo: dict) -> Node:
     if d is not None:
         return d
     if isinstance(n, Coord):
-        d = Const(1.0 if n.i == i else 0.0)
+        d = Const(1.0) if n.i == i else _ZERO
     elif isinstance(n, Dot):
         d = Const(n.coeffs[i])
     elif isinstance(n, NormSq):
         d = _mul(Const(2.0), Coord(i))
     elif isinstance(n, Const):
-        d = Const(0.0)
+        d = _ZERO
     elif isinstance(n, Add):
         d = _add(_diff_node(n.a, i, memo), _diff_node(n.b, i, memo))
     elif isinstance(n, Sub):
@@ -643,7 +667,7 @@ class ScalarField:
         return ScalarField(_pow(self.root, float(expo)), self.dim)
 
     def __neg__(self):
-        return ScalarField(_sub(Const(0.0), self.root), self.dim)
+        return ScalarField(_sub(_ZERO, self.root), self.dim)
 
     def exp(self) -> "ScalarField":
         return ScalarField(_exp(self.root), self.dim)
@@ -904,7 +928,7 @@ class _Parser:
         kind, text, _ = self._peek()
         if kind == "op" and text == "-":
             self._next()
-            return _sub(Const(0.0), self._unary())
+            return _sub(_ZERO, self._unary())
         if kind == "op" and text == "+":
             self._next()
             return self._unary()

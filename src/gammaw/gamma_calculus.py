@@ -18,6 +18,14 @@ two oracles are ``gamma2_w``, the same expansion from order-2 jets at one
 point, and ``gamma2_w_definitional``, the definition through the symbolic
 route; the three are pinned against each other in tests.
 
+The field builders differentiate through one memo per coordinate for the
+whole call (``_Builds``), so a (node, coordinate) pair is differentiated once
+however often it recurs; the three symbolic steps of
+``gamma2_w_definitional`` share one set.  Nodes are hash-consed, so the roots
+are the ones a fresh ``diff`` per partial derivative builds.  A pointwise
+sweep builds the U/W-only terms of Gamma2W once and gives each field fresh
+memos, so nothing outlives the sweep.
+
 The curvature integrand
 
     lap W / W - 3 |grad W|^2 / W^2 - grad U . grad W / W
@@ -36,6 +44,7 @@ from .field_expr import (
     FieldError,
     ProblemSpec,
     ScalarField,
+    _diff_node,
     const_field,
 )
 
@@ -73,11 +82,7 @@ def apply_L(p: ProblemSpec, f: ScalarField, x) -> float:
 
 def apply_L_symbolic(p: ProblemSpec, f: ScalarField) -> ScalarField:
     """L f as a field, composable for iterated applications."""
-    out = const_field(0.0, p.dim)
-    for i in range(p.dim):
-        fi = f.diff(i)
-        out = out + fi.diff(i) - p.U.diff(i) * fi
-    return out
+    return _Builds(p).apply_L(f)
 
 
 def gamma(p: ProblemSpec, f: ScalarField, g: ScalarField, x) -> float:
@@ -122,9 +127,10 @@ def gamma2_w_definitional(p: ProblemSpec, f: ScalarField, x) -> float:
     Serves as the independent oracle for :func:`gamma2_w`: GammaW(f,f) is
     built as a field, L is applied symbolically, and the result is evaluated.
     """
-    gw = gamma_w_field(p, f, f)
-    lf = apply_L_symbolic(p, f)
-    l_gw = apply_L_symbolic(p, gw).value(x)
+    b = _Builds(p)
+    gw = b.gamma_w(f, f)
+    lf = b.apply_L(f)
+    l_gw = b.apply_L(gw).value(x)
     return 0.5 * (l_gw - 2.0 * gamma_w(p, f, lf, x))
 
 
@@ -163,43 +169,108 @@ def sqrt_defect(p: ProblemSpec, g: ScalarField, x, rho: float, c: float) -> tupl
 # ---------------------------------------------------------------------------
 
 
+class _Builds:
+    """Symbolic builds for one problem, within one call or sweep.
+
+    Every partial derivative goes through one memo per coordinate, so a
+    (node, coordinate) pair that recurs anywhere in the call is
+    differentiated once.  Nodes are hash-consed, so this is the node a fresh
+    ``ScalarField.diff`` builds.  The U/W-only terms of Gamma2W are built on
+    first use; :meth:`fresh` hands them to a new object with empty memos, so
+    a sweep builds them once while each field's derivatives die with it.
+    """
+
+    def __init__(self, p: ProblemSpec, uw: "_UWTerms | None" = None):
+        self.p = p
+        self.zero = const_field(0.0, p.dim)
+        self._memos: list[dict] = [{} for _ in range(p.dim)]
+        self._uw = uw
+
+    def fresh(self) -> "_Builds":
+        return _Builds(self.p, self.uw)
+
+    def d(self, f: ScalarField, i: int) -> ScalarField:
+        return ScalarField(_diff_node(f.root, i, self._memos[i]), f.dim)
+
+    def grad(self, f: ScalarField) -> list[ScalarField]:
+        return [self.d(f, i) for i in range(self.p.dim)]
+
+    def dot(self, a: list[ScalarField], b: list[ScalarField]) -> ScalarField:
+        out = self.zero
+        for ai, bi in zip(a, b):
+            out = out + ai * bi
+        return out
+
+    @property
+    def uw(self) -> "_UWTerms":
+        if self._uw is None:
+            self._uw = _UWTerms(self)
+        return self._uw
+
+    def gamma(self, f: ScalarField, g: ScalarField) -> ScalarField:
+        return self.dot(self.grad(f), self.grad(g))
+
+    def gamma_w(self, f: ScalarField, g: ScalarField) -> ScalarField:
+        return self.gamma(f, g) + self.p.W * self.p.W * f * g
+
+    def apply_L(self, f: ScalarField) -> ScalarField:
+        out = self.zero
+        for i in range(self.p.dim):
+            fi = self.d(f, i)
+            out = out + self.d(fi, i) - self.d(self.p.U, i) * fi
+        return out
+
+    def gamma2_w(self, f: ScalarField) -> ScalarField:
+        n, w, uw, zero = self.p.dim, self.p.W, self.uw, self.zero
+        df = self.grad(f)
+        hess_sq = sum((self.d(df[i], j) ** 2 for i in range(n) for j in range(n)), zero)
+        hess_u = sum((self.dot(df, uw.hess_u[j]) * df[j] for j in range(n)), zero)
+        return (
+            hess_sq + hess_u
+            + f * f * uw.weight_coef
+            + uw.w_sq * self.dot(df, df)
+            + 4.0 * f * w * self.dot(uw.grad_w, df)
+        )
+
+
+class _UWTerms:
+    """The U/W-only pieces of Gamma2W: grad U, Hess U (``hess_u[j][i]`` is
+    d_i d_j U), grad W, W^2 and W lap W + |grad W|^2 - W grad W . grad U."""
+
+    def __init__(self, b: _Builds):
+        w = b.p.W
+        self.grad_u = b.grad(b.p.U)
+        self.hess_u = [b.grad(u_j) for u_j in self.grad_u]
+        self.grad_w = b.grad(w)
+        self.w_sq = w * w
+        lap_w = sum((b.d(w_i, i) for i, w_i in enumerate(self.grad_w)), b.zero)
+        self.weight_coef = w * lap_w + b.dot(self.grad_w, self.grad_w) - w * b.dot(self.grad_w, self.grad_u)
+
+
 def gamma_field(p: ProblemSpec, f: ScalarField, g: ScalarField) -> ScalarField:
     """Gamma(f,g) as a field: sum_i (d_i f)(d_i g)."""
-    out = const_field(0.0, p.dim)
-    for i in range(p.dim):
-        out = out + f.diff(i) * g.diff(i)
-    return out
+    return _Builds(p).gamma(f, g)
 
 
 def gamma_w_field(p: ProblemSpec, f: ScalarField, g: ScalarField) -> ScalarField:
     """GammaW(f,g) as a field."""
-    return gamma_field(p, f, g) + p.W * p.W * f * g
+    return _Builds(p).gamma_w(f, g)
 
 
 def gamma2_w_field(p: ProblemSpec, f: ScalarField) -> ScalarField:
     """Gamma2W(f) as a field: the expansion of :func:`gamma2_w`, summed in its order."""
-    n, w, zero = p.dim, p.W, const_field(0.0, p.dim)
-    df = [f.diff(i) for i in range(n)]
-    hess_sq = sum((df[i].diff(j) ** 2 for i in range(n) for j in range(n)), zero)
-    hess_u = sum((gamma_field(p, f, p.U.diff(j)) * df[j] for j in range(n)), zero)
-    lap_w = sum((w.diff(i).diff(i) for i in range(n)), zero)
-    weight_term = f * f * (w * lap_w + gamma_field(p, w, w) - w * gamma_field(p, w, p.U))
-    return (
-        hess_sq + hess_u
-        + weight_term
-        + w * w * gamma_field(p, f, f)
-        + 4.0 * f * w * gamma_field(p, w, f)
-    )
+    return _Builds(p).gamma2_w(f)
 
 
 def sqrt_gamma_w_field(p: ProblemSpec, f: ScalarField) -> ScalarField:
     """sqrt(Gamma(f)) + W f as a field (the square-root commutation payload)."""
-    return gamma_field(p, f, f).sqrt() + p.W * f
+    return _Builds(p).gamma(f, f).sqrt() + p.W * f
 
 
 def gamma_integrand_field(p: ProblemSpec) -> ScalarField:
     """The curvature integrand as a field; division flags W = 0 points."""
-    lw = apply_L_symbolic(p, p.W) + gamma_field(p, p.U, p.W)  # = lap W as a field
-    gw = gamma_field(p, p.W, p.W)
-    gu_w = gamma_field(p, p.U, p.W)
+    b = _Builds(p)
+    lw = b.apply_L(p.W) + b.gamma(p.U, p.W)  # = lap W as a field
+    gw = b.gamma(p.W, p.W)
+    gu_w = b.gamma(p.U, p.W)
     return lw / p.W - 3.0 * gw / (p.W * p.W) - gu_w / p.W

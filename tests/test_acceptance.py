@@ -5,8 +5,6 @@ criterion's PASS/FAIL line, and asserts the verdict.  These are the slow
 end-to-end checks; the unit suites cover the same machinery at small scale.
 """
 
-import pytest
-
 from gammaw import acceptance
 
 

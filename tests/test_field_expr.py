@@ -11,13 +11,17 @@ from gammaw.field_expr import (
     Add,
     Const,
     Coord,
+    Div,
     DomainError,
     Dot,
     Exp,
     Mul,
+    NormSq,
     ParseError,
+    Pow,
     ScalarField,
     Sqrt,
+    Sub,
     const_field,
     coord_field,
     dot_field,
@@ -273,6 +277,19 @@ def test_field_rejects_bad_leaves_at_any_depth():
             ScalarField(root, 2)
     ok = ScalarField(Add(Coord(1), Dot((1.0, 2.0))), 2)
     assert ok.value([1.0, 1.0]) == 4.0
+
+
+def test_node_metadata_from_children():
+    d2, d3 = Dot((1.0, 2.0)), Dot((1.0, 2.0, 3.0))
+    mixed = Add(Mul(d2, Coord(4)), Sub(d3, d2))
+    assert (mixed.dot_lens, mixed.max_coord) == ((2, 3), 4)
+    mixed = Add(Sub(d3, d2), Mul(d2, Coord(4)))
+    assert (mixed.dot_lens, mixed.max_coord) == ((3, 2), 4)
+    assert (Div(d3, Exp(d2)).dot_lens, Div(Exp(d2), d3).dot_lens) == ((3, 2), (2, 3))
+    assert (Pow(Coord(1), 0.5).dot_lens, Pow(Coord(1), 0.5).max_coord) == ((), 1)
+    assert (Sqrt(d3).dot_lens, Sqrt(d3).max_coord) == ((3,), -1)
+    assert (Coord(2).max_coord, Const(2.0).max_coord, NormSq().max_coord) == (2, -1, -1)
+    assert (Coord(2).dot_lens, Const(2.0).dot_lens, NormSq().dot_lens) == ((), (), ())
 
 
 def test_nodes_are_interned():

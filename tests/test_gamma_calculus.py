@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammaw import _tape
-from gammaw.field_expr import DomainError, coord_field, dot_field, normsq_field, parse_field
+from gammaw import _tape, curvature_bounds, field_expr, gamma_calculus
+from gammaw.field_expr import DomainError, coord_field, const_field, dot_field, parse_field
 from gammaw.gamma_calculus import (
     WeightVanishesError,
     apply_L,
@@ -224,3 +225,116 @@ def test_gamma2_w_overflow_is_a_domain_error():
     p = make_problem(2, "x0*exp(x1)", "zero")
     with pytest.raises(DomainError):
         gamma2_w(p, parse_field("x0 + x1", 2), [0.0, 800.0])
+
+
+# ---------------------------------------------------------------------------
+# Shared derivative memos: the builders against a fresh memo per .diff
+# ---------------------------------------------------------------------------
+
+
+def _ref_gamma(p, f, g):
+    out = const_field(0.0, p.dim)
+    for i in range(p.dim):
+        out = out + f.diff(i) * g.diff(i)
+    return out
+
+
+def _ref_apply_L(p, f):
+    out = const_field(0.0, p.dim)
+    for i in range(p.dim):
+        fi = f.diff(i)
+        out = out + fi.diff(i) - p.U.diff(i) * fi
+    return out
+
+
+def _ref_gamma2_w(p, f):
+    n, w, zero = p.dim, p.W, const_field(0.0, p.dim)
+    df = [f.diff(i) for i in range(n)]
+    hess_sq = sum((df[i].diff(j) ** 2 for i in range(n) for j in range(n)), zero)
+    hess_u = sum((_ref_gamma(p, f, p.U.diff(j)) * df[j] for j in range(n)), zero)
+    lap_w = sum((w.diff(i).diff(i) for i in range(n)), zero)
+    weight_term = f * f * (w * lap_w + _ref_gamma(p, w, w) - w * _ref_gamma(p, w, p.U))
+    return (
+        hess_sq + hess_u
+        + weight_term
+        + w * w * _ref_gamma(p, f, f)
+        + 4.0 * f * w * _ref_gamma(p, w, f)
+    )
+
+
+def _ref_integrand(p):
+    lw = _ref_apply_L(p, p.W) + _ref_gamma(p, p.U, p.W)
+    return lw / p.W - 3.0 * _ref_gamma(p, p.W, p.W) / (p.W * p.W) - _ref_gamma(p, p.U, p.W) / p.W
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_builders_return_the_reference_root(seed):
+    # hash-consing makes a shared memo build the very nodes a fresh one builds
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 4))
+    p = random_problem(rng, dim)
+    f = random_smooth_field(rng, dim)
+    g = random_smooth_field(rng, dim)
+    try:
+        ref_integrand = _ref_integrand(p)
+    except DomainError:
+        ref_integrand = None
+    assert gamma_field(p, f, g).root is _ref_gamma(p, f, g).root
+    assert gamma_w_field(p, f, g).root is (_ref_gamma(p, f, g) + p.W * p.W * f * g).root
+    assert gamma2_w_field(p, f).root is _ref_gamma2_w(p, f).root
+    assert apply_L_symbolic(p, f).root is _ref_apply_L(p, f).root
+    assert sqrt_gamma_w_field(p, f).root is (_ref_gamma(p, f, f).sqrt() + p.W * f).root
+    if ref_integrand is not None:
+        assert gamma_integrand_field(p).root is ref_integrand.root
+    b = gamma_calculus._Builds(p)
+    assert b.apply_L(b.gamma_w(f, f)).root is _ref_apply_L(p, _ref_gamma(p, f, f) + p.W * p.W * f * f).root
+    assert b.fresh().gamma2_w(g).root is _ref_gamma2_w(p, g).root
+
+
+def _count_diffs(monkeypatch):
+    """Record every (node, coordinate) that _diff_node computes, not looks up."""
+    inner = field_expr._diff_node
+    computed = []
+
+    def counting(n, i, memo):
+        if n not in memo:
+            computed.append((n, i))
+        return inner(n, i, memo)
+
+    monkeypatch.setattr(field_expr, "_diff_node", counting)
+    monkeypatch.setattr(gamma_calculus, "_diff_node", counting)
+    return computed
+
+
+def test_gamma2_w_field_differentiates_each_node_once(monkeypatch):
+    rng = np.random.default_rng(7)
+    p = random_problem(rng, 2)
+    f = random_smooth_field(rng, 2)
+    computed = _count_diffs(monkeypatch)
+    field = gamma2_w_field(p, f)
+    assert computed and len(computed) == len(set(computed))
+    assert field.root is _ref_gamma2_w(p, f).root
+    assert len(computed) > len(set(computed))  # the reference redoes them
+
+
+def test_pointwise_cd_differentiates_u_and_w_once_per_sweep(monkeypatch, p2):
+    rng = np.random.default_rng(8)
+    cases = [(random_smooth_field(rng, 2), rng.uniform(-1, 1, (4, 2))) for _ in range(5)]
+    computed = _count_diffs(monkeypatch)
+    curvature_bounds.check_pointwise_cd(p2, cases, -1.0)
+    for root in (p2.U.root, p2.W.root):
+        assert sorted(i for n, i in computed if n is root) == [0, 1]
+
+
+def test_gamma2_w_build_leaves_no_nodes_behind():
+    rng = np.random.default_rng(9)
+    p = random_problem(rng, 3)
+    f = random_smooth_field(rng, 3)
+    gc.collect()
+    before = len(field_expr._NODES)
+    field = gamma2_w_field(p, f)
+    assert len(field_expr._NODES) > before
+    del field
+    gc.collect()
+    assert len(field_expr._NODES) == before
