@@ -33,7 +33,13 @@ import numpy as np
 
 from . import _tape
 from .field_expr import DomainError, ProblemSpec, ScalarField
-from .gamma_calculus import WEIGHT_EPS, _Builds, gamma_integrand_field
+from .gamma_calculus import (
+    WEIGHT_EPS,
+    apply_L_symbolic,
+    gamma2_w_sweep,
+    gamma_field,
+    gamma_integrand_field,
+)
 
 __all__ = [
     "SearchConfig",
@@ -216,8 +222,7 @@ def estimate_rho(p: ProblemSpec, s: SearchConfig) -> BoundEstimate:
             trace=[1.0] * len(s.radii_schedule),
         )
     n = p.dim
-    b = _Builds(p)
-    entries = [b.grad(u_i) for u_i in b.grad(p.U)]
+    entries = [[p.U.diff(i).diff(j) for j in range(n)] for i in range(n)]
 
     def batch(pts: np.ndarray) -> np.ndarray:
         m = pts.shape[0]
@@ -280,9 +285,8 @@ def estimate_c(p: ProblemSpec, rho: float, s: SearchConfig) -> BoundEstimate:
             diverging=False,
             trace=[0.0] * len(s.radii_schedule),
         )
-    b = _Builds(p)
-    grad_norm_sq = b.gamma(p.W, p.W)
-    lw_over_w = b.apply_L(p.W) / p.W
+    grad_norm_sq = gamma_field(p, p.W, p.W)
+    lw_over_w = apply_L_symbolic(p, p.W) / p.W
 
     def batch_a(pts: np.ndarray) -> np.ndarray:
         vals, err = _tape.eval_values(grad_norm_sq, pts)
@@ -337,12 +341,10 @@ def check_pointwise_cd(
     point is the first one with the smallest margin, in case order.
     """
     parts = []
-    sweep = _Builds(p)  # the U/W terms of Gamma2W, once for the sweep
-    for f, points in cases:
+    for (_, points), (g2w_f, gw_f) in zip(cases, gamma2_w_sweep(p, (f for f, _ in cases))):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        b = sweep.fresh()  # f's derivatives, shared by its Gamma2W and GammaW
-        g2w, err2 = _tape.eval_values(b.gamma2_w(f), pts)
-        gw, err1 = _tape.eval_values(b.gamma_w(f, f), pts)
+        g2w, err2 = _tape.eval_values(g2w_f, pts)
+        gw, err1 = _tape.eval_values(gw_f, pts)
         ok = (err2 == 0) & (err1 == 0)
         parts.append((pts, g2w, gw, ok))
     pts, g2w, gw, ok = (np.concatenate(a) for a in zip(*parts))

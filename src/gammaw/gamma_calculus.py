@@ -22,9 +22,10 @@ The field builders differentiate through one memo per coordinate for the
 whole call (``_Builds``), so a (node, coordinate) pair is differentiated once
 however often it recurs; the three symbolic steps of
 ``gamma2_w_definitional`` share one set.  Nodes are hash-consed, so the roots
-are the ones a fresh ``diff`` per partial derivative builds.  A pointwise
-sweep builds the U/W-only terms of Gamma2W once and gives each field fresh
-memos, so nothing outlives the sweep.
+are the ones a fresh ``diff`` per partial derivative builds.
+``gamma2_w_sweep``, the pointwise sweep's builder, builds the U/W-only terms
+of Gamma2W once and gives each field fresh memos, so nothing outlives the
+sweep.
 
 The curvature integrand
 
@@ -37,6 +38,8 @@ there instead of returning huge values.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -62,6 +65,7 @@ __all__ = [
     "gamma_field",
     "gamma_w_field",
     "gamma2_w_field",
+    "gamma2_w_sweep",
     "gamma_integrand_field",
     "sqrt_gamma_w_field",
 ]
@@ -260,6 +264,18 @@ def gamma_w_field(p: ProblemSpec, f: ScalarField, g: ScalarField) -> ScalarField
 def gamma2_w_field(p: ProblemSpec, f: ScalarField) -> ScalarField:
     """Gamma2W(f) as a field: the expansion of :func:`gamma2_w`, summed in its order."""
     return _Builds(p).gamma2_w(f)
+
+
+def gamma2_w_sweep(p: ProblemSpec, fs: Iterable[ScalarField]) -> Iterator[tuple[ScalarField, ScalarField]]:
+    """(Gamma2W(f), GammaW(f,f)) as fields for each f of a sweep, in order.
+
+    The U/W-only terms of Gamma2W are built once for the sweep; each field's
+    derivatives are built once for its pair and dropped before the next.
+    """
+    sweep = _Builds(p)
+    for f in fs:
+        b = sweep.fresh()
+        yield b.gamma2_w(f), b.gamma_w(f, f)
 
 
 def sqrt_gamma_w_field(p: ProblemSpec, f: ScalarField) -> ScalarField:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import _tape
-from .field_expr import Const, DomainError, ProblemSpec, ScalarField, const_field, dot_field, normsq_field
+from .field_expr import DomainError, ProblemSpec, ScalarField, const_field, dot_field, normsq_field
 from .gamma_calculus import (
     gamma2_w,
     gamma_w,
@@ -258,14 +258,7 @@ def _gradient_lhs(p: ProblemSpec, fs, cfg: MCConfig, form):
     their route: for a Gaussian U (``p.gaussian_U``) Q_t f and its gradient
     come from Mehler's closed forms (mehler_Qt, mehler_grad_Qt) with zero
     stderr, no paths and h = 0; otherwise both are Monte Carlo, the gradient
-    by common-random-number central differences, except for a constant field
-    c, which takes Q_t c = c and grad Q_t c = 0 exactly, without an ensemble."""
-    exact = [
-        (MCEstimate(f.root.c, 0.0, 0, cfg.dt), GradEstimate(np.zeros(p.dim), np.zeros(p.dim), 0, cfg.dt, 0.0))
-        if isinstance(f.root, Const) else None
-        for f in fs
-    ]
-    sampled = [f for f, e in zip(fs, exact) if e is None]
+    by common-random-number central differences."""
 
     def lhs(x, t_grid):
         w = p.W.value(x)
@@ -281,11 +274,9 @@ def _gradient_lhs(p: ProblemSpec, fs, cfg: MCConfig, form):
                 for f in fs
             ]
         else:
-            rows = iter(zip(
-                estimate_Qt_many(p, sampled, x, t_grid, cfg, stream=(5,)),
-                estimate_grad_Qt_many(p, sampled, x, t_grid, cfg),
-            ) if sampled else ())
-            pairs = [list(zip(*next(rows))) if e is None else [e] * len(t_grid) for e in exact]
+            qts = estimate_Qt_many(p, fs, x, t_grid, cfg, stream=(5,))
+            gests = estimate_grad_Qt_many(p, fs, x, t_grid, cfg)
+            pairs = [list(zip(q_row, g_row)) for q_row, g_row in zip(qts, gests)]
         return [[form(w, q, g) for q, g in row] for row in pairs]
 
     return lhs

@@ -17,6 +17,7 @@ from gammaw.gamma_calculus import (
     gamma2_w,
     gamma2_w_definitional,
     gamma2_w_field,
+    gamma2_w_sweep,
     gamma_field,
     gamma_integrand,
     gamma_integrand_field,
@@ -289,7 +290,9 @@ def test_builders_return_the_reference_root(seed):
         assert gamma_integrand_field(p).root is ref_integrand.root
     b = gamma_calculus._Builds(p)
     assert b.apply_L(b.gamma_w(f, f)).root is _ref_apply_L(p, _ref_gamma(p, f, f) + p.W * p.W * f * f).root
-    assert b.fresh().gamma2_w(g).root is _ref_gamma2_w(p, g).root
+    for h, (g2w, gw) in zip((f, g), gamma2_w_sweep(p, (f, g))):
+        assert g2w.root is _ref_gamma2_w(p, h).root
+        assert gw.root is (_ref_gamma(p, h, h) + p.W * p.W * h * h).root
 
 
 def _count_diffs(monkeypatch):

@@ -144,30 +144,6 @@ def test_degenerate_w_check(p2):
             assert case.lhs == pytest.approx(1.0 + case.x @ case.x, rel=1e-15)
 
 
-def test_constant_fields_draw_no_left_side_noise(monkeypatch):
-    # Q_t c = c and grad Q_t c = 0 exactly: only the right side's stream (0,) runs
-    labels = []
-    normals = GaussianNoise.normals
-
-    def counting(self, label, shape):
-        labels.append(label)
-        return normals(self, label, shape)
-
-    monkeypatch.setattr(GaussianNoise, "normals", counting)
-    p = make_problem(2, "normsq(x)/2 + 0.25*x0^2", "sqrt1sq")
-    consts = [("one", const_field(1.0, 2)), ("c", const_field(2.5, 2))]
-    cfg = MCConfig(n_paths=400, dt=0.05, seed=3)
-    rep = verify_commutation(p, consts, -1.0, (0.1, 0.2), ((0.5, -1.0),), cfg)
-    assert labels and {label[0] for label in labels} == {0}
-    for case, c in zip(rep.cases, (1.0, 1.0, 2.5, 2.5)):
-        assert (case.lhs, case.lhs_se) == (c * c * (1.0 + case.x @ case.x), 0.0)
-    # in a mixed battery the sampled field sees the same ensembles as alone
-    f = [("exp", exp_field([0.3, 0.0], 2))]
-    mixed = verify_commutation(p, consts[:1] + f, -1.0, (0.1,), ((0.5, -1.0),), cfg)
-    alone = verify_commutation(p, f, -1.0, (0.1,), ((0.5, -1.0),), cfg)
-    assert mixed.csv_lines()[2:] == alone.csv_lines()[1:]
-
-
 def test_run_battery_merges(p2):
     cfg = MCConfig(n_paths=2000, dt=1e-2, seed=27)
     rep = verify_commutation(p2, battery(2), -1.0, (0.1,), ((0.0, 0.0),), cfg)
