@@ -369,10 +369,12 @@ def ac8(ov: tuple[str, ...]) -> CriterionResult:
     r_max = max(scfg.radii_schedule) * math.sqrt(2.0)
     rs = np.concatenate([[0.0], np.geomspace(1e-3, r_max, 20_000)])
     pts = np.column_stack([rs, np.zeros_like(rs)])
-    grad_sq = gamma_field(p, p.W, p.W)
-    lw = apply_L_symbolic(p, p.W)
-    branch_a = 2.0 * np.sqrt([max(grad_sq.value(pt), 0.0) for pt in pts])
-    branch_b = np.array([max(1.0 - lw.value(pt) / p.W.value(pt), 0.0) for pt in pts])
+    # a point with an error code is NaN on the tape, and a NaN oracle fails
+    grad_sq, lw, w = (
+        _tape.eval_values(f, pts)[0] for f in (gamma_field(p, p.W, p.W), apply_L_symbolic(p, p.W), p.W)
+    )
+    branch_a = 2.0 * np.sqrt(np.maximum(grad_sq, 0.0))
+    branch_b = np.maximum(1.0 - lw / w, 0.0)
     oracle = float(np.max(np.maximum(branch_a, branch_b)))
     ok = abs(oracle - c_est.value) <= 1e-4
     passed &= ok

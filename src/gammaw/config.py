@@ -7,10 +7,11 @@ names are matched exactly and keys case-insensitively; an unknown section
 or key, or a value that does not parse, raises ``ConfigError`` naming the
 key.  ``mc.antithetic`` takes configparser's boolean words (1/yes/true/on,
 0/no/false/off).  ``from_text`` and ``to_text`` round-trip, and overrides
-apply on top of the file, so a run is reproducible from its printed config
-alone.  The schema is one table, ``_KEYS``, with a parser and a formatter
-per key; the defaults are those of :class:`RunConfig`, and
-``RunConfig().to_text()`` prints them as the template of every key.
+apply on top of the file, so a run is reproducible from its config file and
+command line; no subcommand prints the config it resolved.  The schema is
+one table, ``_KEYS``, with a parser and a formatter per key; the defaults
+are those of :class:`RunConfig`, and ``RunConfig().to_text()`` prints them
+as the template of every key.
 """
 
 from __future__ import annotations

@@ -7,13 +7,16 @@ The three constants are extrema over all of R^n:
     c     = max( 2 sup_x |grad W(x)|,
                  sup_{W(x) != 0} max(rho - LW/W, 0) )
 
-Each is approximated over an increasing schedule of boxes [-R, R]^n: a dense
-grid for n <= 2, deterministic probes (corners, axis endpoints, log-spaced
-radial rays) and random points, then a compass search in the box from the
-best few and some random starts, one tape batch per round for all of them.
-Extrema that keep escaping to larger radii are reported as diverging
-(value -inf or +inf) with the per-radius trace attached; the rule is a
-heuristic and the trace is always kept so callers can judge.
+Each constant is one objective, searched once over an increasing schedule
+of boxes [-R, R]^n: a dense grid for n <= 2, deterministic probes (corners,
+axis endpoints, log-spaced radial rays) and random points, then a compass
+search in the box from the best few and some random starts, one tape batch
+per round for all of them.  Since sup max = max sup, c's objective is the
+larger of its two branches at each point.  The points of {W != 0} are those
+where W evaluates without an error code and |W| >= WEIGHT_EPS, one mask for
+gamma and c.  Extrema that keep escaping to larger radii are reported as
+diverging (value -inf or +inf) with the per-radius trace attached; the rule
+is a heuristic and the trace is always kept so callers can judge.
 
 ``check_pointwise_cd`` tests the curvature inequality Gamma2W >= kappa GammaW
 over a sweep of (field, points) cases, one tape batch of Gamma2W and one of
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,7 +96,6 @@ class ViolationReport:
     n_domain_errors: int
     worst_margin: float | None
     worst_point: np.ndarray | None
-    tol: float
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +200,15 @@ def _extremize_min(
     )
 
 
-def _negated(est: BoundEstimate) -> BoundEstimate:
-    return BoundEstimate(
-        value=-est.value,
-        witness=est.witness,
-        diverging=est.diverging,
-        trace=[-v for v in est.trace],
-    )
+def _exact(value: float, witness: np.ndarray | None, s: SearchConfig) -> BoundEstimate:
+    """A closed-form result, with the value repeated as its per-radius trace."""
+    return BoundEstimate(value, witness, diverging=False, trace=[value] * len(s.radii_schedule))
+
+
+def _in_weight_domain(p: ProblemSpec, pts: np.ndarray) -> np.ndarray:
+    """The points of {W != 0}: W has no error code and |W| >= WEIGHT_EPS."""
+    w_vals, w_err = _tape.eval_values(p.W, pts)
+    return (w_err == 0) & (np.abs(w_vals) >= WEIGHT_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +219,7 @@ def _negated(est: BoundEstimate) -> BoundEstimate:
 def estimate_rho(p: ProblemSpec, s: SearchConfig) -> BoundEstimate:
     """inf over the box schedule of lambda_min(Hess U); exact 1 for Gaussian U."""
     if p.gaussian_U:
-        return BoundEstimate(
-            value=1.0,
-            witness=np.zeros(p.dim),
-            diverging=False,
-            trace=[1.0] * len(s.radii_schedule),
-        )
+        return _exact(1.0, np.zeros(p.dim), s)
     n = p.dim
     entries = [[p.U.diff(i).diff(j) for j in range(n)] for i in range(n)]
 
@@ -249,19 +248,12 @@ def estimate_rho(p: ProblemSpec, s: SearchConfig) -> BoundEstimate:
 def estimate_gamma(p: ProblemSpec, s: SearchConfig) -> BoundEstimate:
     """inf of the curvature integrand; +inf for W = 0 (empty domain)."""
     if p.W.is_zero():
-        return BoundEstimate(
-            value=math.inf,
-            witness=None,
-            diverging=False,
-            trace=[math.inf] * len(s.radii_schedule),
-        )
+        return _exact(math.inf, None, s)
     integrand = gamma_integrand_field(p)
 
     def batch(pts: np.ndarray) -> np.ndarray:
-        w_vals, w_err = _tape.eval_values(p.W, pts)
         vals, err = _tape.eval_values(integrand, pts)
-        skip = (err != 0) | (w_err != 0) | (np.abs(w_vals) < WEIGHT_EPS)
-        return np.where(skip, np.nan, vals)
+        return np.where((err == 0) & _in_weight_domain(p, pts), vals, np.nan)
 
     return _extremize_min(batch, p.dim, s)
 
@@ -274,66 +266,48 @@ def estimate_gamma(p: ProblemSpec, s: SearchConfig) -> BoundEstimate:
 def estimate_c(p: ProblemSpec, rho: float, s: SearchConfig) -> BoundEstimate:
     """max(2 sup|grad W|, sup over {W != 0} of (LW/W - rho)_-), by box search.
 
-    Diverging means c = +inf and the square-root commutation bound carries no
-    information for this weight.  Raises DomainError when no candidate point
-    lies in W's domain, since c is a maximum of nonnegative terms.
+    One search of the larger branch at each point; a point is skipped only
+    when neither branch is defined there.  Diverging means c = +inf and the
+    square-root commutation bound carries no information for this weight.
+    Raises DomainError when no candidate point lies in W's domain, since c
+    is a maximum of nonnegative terms.
     """
     if p.W.is_zero():
-        return BoundEstimate(
-            value=0.0,
-            witness=np.zeros(p.dim),
-            diverging=False,
-            trace=[0.0] * len(s.radii_schedule),
-        )
+        return _exact(0.0, np.zeros(p.dim), s)
     grad_norm_sq = gamma_field(p, p.W, p.W)
     lw_over_w = apply_L_symbolic(p, p.W) / p.W
 
-    def batch_a(pts: np.ndarray) -> np.ndarray:
-        vals, err = _tape.eval_values(grad_norm_sq, pts)
-        out = 2.0 * np.sqrt(np.maximum(vals, 0.0))
-        return np.where(err != 0, np.nan, -out)  # negated: extremizer minimizes
+    def batch(pts: np.ndarray) -> np.ndarray:
+        g, g_err = _tape.eval_values(grad_norm_sq, pts)
+        lw, lw_err = _tape.eval_values(lw_over_w, pts)
+        grad_branch = np.where(g_err == 0, 2.0 * np.sqrt(np.maximum(g, 0.0)), np.nan)
+        in_domain = (lw_err == 0) & _in_weight_domain(p, pts)
+        drift_branch = np.where(in_domain, np.maximum(rho - lw, 0.0), np.nan)
+        return -np.fmax(grad_branch, drift_branch)  # negated: the extremizer minimizes
 
-    def batch_b(pts: np.ndarray) -> np.ndarray:
-        w_vals, w_err = _tape.eval_values(p.W, pts)
-        vals, err = _tape.eval_values(lw_over_w, pts)
-        skip = (err != 0) | (w_err != 0) | (np.abs(w_vals) < WEIGHT_EPS)
-        neg_part = np.maximum(rho - vals, 0.0)
-        return np.where(skip, np.nan, -neg_part)
-
-    est_a = _negated(_extremize_min(batch_a, p.dim, s))
-    est_b = _negated(_extremize_min(batch_b, p.dim, s))
-    if est_a.witness is None and est_b.witness is None:
+    est = _extremize_min(batch, p.dim, s)
+    if est.witness is None:
         raise DomainError(
             f"estimate_c: no search point up to radius {s.radii_schedule[-1]:g} lies in the domain of W"
         )
-    # combine on traces: a branch's own divergence verdict must not leak an
-    # inf into the max when the other branch dominates everywhere
-    val_a, val_b = est_a.trace[-1], est_b.trace[-1]
-    trace = [max(a, b) for a, b in zip(est_a.trace, est_b.trace)]
-    diverging = _diverging([-v for v in trace], s.tol)
-    pick = est_a if val_a >= val_b else est_b
-    return BoundEstimate(
-        value=math.inf if diverging else max(val_a, val_b),
-        witness=pick.witness,
-        diverging=diverging,
-        trace=trace,
-    )
+    return replace(est, value=-est.value, trace=[-v for v in est.trace])
 
 
 # ---------------------------------------------------------------------------
 # Pointwise curvature-dimension check
 # ---------------------------------------------------------------------------
 
+_CD_TOL = 1e-8  # relative roundoff allowance of the pointwise check
+
 
 def check_pointwise_cd(
     p: ProblemSpec,
     cases: Sequence[tuple[ScalarField, np.ndarray]],
     kappa: float,
-    tol: float = 1e-8,
 ) -> ViolationReport:
     """Check Gamma2W(f) >= kappa GammaW(f) at the points of each (f, points) case.
 
-    A point is a violation when margin < -tol * scale with
+    A point is a violation when margin < -1e-8 * scale with
     scale = max(1, |Gamma2W|, |kappa GammaW|), so the threshold tracks the
     magnitude of the quantities instead of punishing large fields for
     roundoff.  A point where either field has a nonzero tape error code
@@ -354,9 +328,8 @@ def check_pointwise_cd(
     worst = int(np.argmin(margin)) if margin.size else None
     return ViolationReport(
         n_checked=ok.size,
-        n_violations=int(np.sum(margin < -tol * scale)),
+        n_violations=int(np.sum(margin < -_CD_TOL * scale)),
         n_domain_errors=int(np.sum(~ok)),
         worst_margin=None if worst is None else float(margin[worst]),
         worst_point=None if worst is None else pts[worst].copy(),
-        tol=tol,
     )

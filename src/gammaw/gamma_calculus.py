@@ -12,11 +12,13 @@ Weighted variants, for a nonnegative weight W:
                  = Gamma2(f) + f^2 (W lap W + |grad W|^2 - W grad W . grad U)
                    + W^2 |grad f|^2 + 4 f W grad W . grad f
 
-``gamma2_w_field`` builds the expanded form as a field; it is the batch
-route, evaluated on the tape by ``curvature_bounds.check_pointwise_cd``.  Its
-two oracles are ``gamma2_w``, the same expansion from order-2 jets at one
-point, and ``gamma2_w_definitional``, the definition through the symbolic
-route; the three are pinned against each other in tests.
+``gamma2_w_field`` builds the expanded form as a field, and
+``gamma2_w_sweep`` builds it, with GammaW(f,f), for each field of a sweep;
+the sweep is the batch route that ``curvature_bounds.check_pointwise_cd``
+evaluates on the tape.  Their two oracles are ``gamma2_w``, the same
+expansion from order-2 jets at one point, and ``gamma2_w_definitional``, the
+definition through the symbolic route; they are pinned against each other
+in tests.
 
 The field builders differentiate through one memo per coordinate for the
 whole call (``_Builds``), so a (node, coordinate) pair is differentiated once

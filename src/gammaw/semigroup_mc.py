@@ -75,6 +75,8 @@ __all__ = [
 
 _BLOWUP_RADIUS = 1e8
 _MAX_FAIL_FRACTION = 0.01
+_SQ_STREAMS = ((7,), (8,))  # the two independent replicas of estimate_Qt_sq
+_GRAD_H = 1e-3  # central-difference step of estimate_grad_Qt
 
 
 class AggregatePathFailure(RuntimeError):
@@ -331,11 +333,10 @@ def estimate_Qt_sq_many(
     x,
     t_grid,
     cfg: MCConfig,
-    streams: tuple[tuple[int, ...], tuple[int, ...]] = ((7,), (8,)),
 ) -> list[list[MCEstimate]]:
     """:func:`estimate_Qt_sq` for every field and every t; entry [i][j] is
     fields[i] at t_grid[j]."""
-    return _replica_products(p, fields, x, t_grid, cfg, streams, "estimate_Qt_sq")
+    return _replica_products(p, fields, x, t_grid, cfg, _SQ_STREAMS, "estimate_Qt_sq")
 
 
 def estimate_Qt_sq(
@@ -344,14 +345,13 @@ def estimate_Qt_sq(
     x,
     t: float,
     cfg: MCConfig,
-    streams: tuple[tuple[int, ...], tuple[int, ...]] = ((7,), (8,)),
 ) -> MCEstimate:
     """Unbiased (Q_t f(x))^2 via the product of two independent replicas.
 
     Squaring a single ensemble mean would be biased upward by its variance;
     f(Z) f(Z') with Z, Z' independent has expectation exactly (Q_t f)^2.
     """
-    return estimate_Qt_sq_many(p, [f], x, [t], cfg, streams)[0][0]
+    return estimate_Qt_sq_many(p, [f], x, [t], cfg)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +593,6 @@ def estimate_grad_Qt_many(
     x,
     t_grid,
     cfg: MCConfig,
-    h: float = 1e-3,
 ) -> list[list[GradEstimate]]:
     """:func:`estimate_grad_Qt` for every field and every t; entry [i][j] is
     fields[i] at t_grid[j].  The ensembles from x +- h e_d are simulated once
@@ -603,11 +602,11 @@ def estimate_grad_Qt_many(
     per_dir = []  # [direction][field][t]
     for d in range(p.dim):
         e = np.zeros(p.dim)
-        e[d] = h
+        e[d] = _GRAD_H
         vp, okp = _endpoint_values(fields, _simulate_grid(p, x + e, t_grid, cfg, noise, (1,)))
         vm, okm = _endpoint_values(fields, _simulate_grid(p, x - e, t_grid, cfg, noise, (1,)))
         with np.errstate(over="ignore"):  # an overflowed difference is a failed path
-            diffs = (vp - vm) / (2.0 * h)
+            diffs = (vp - vm) / (2.0 * _GRAD_H)
         ok = okp & okm
         per_dir.append([
             [_estimate(diffs[i, j], ok[i, j], cfg, ("estimate_grad_Qt", i, f, x, t)) for j, t in enumerate(t_grid)]
@@ -620,7 +619,7 @@ def estimate_grad_Qt_many(
                 stderr=np.array([est[i][j].stderr for est in per_dir]),
                 n_paths=per_dir[-1][i][j].n_paths,
                 dt=cfg.dt,
-                h=h,
+                h=_GRAD_H,
             )
             for j in range(len(t_grid))
         ]
@@ -634,10 +633,9 @@ def estimate_grad_Qt(
     x,
     t: float,
     cfg: MCConfig,
-    h: float = 1e-3,
 ) -> GradEstimate:
     """Monte Carlo grad Q_t f(x) by central differences with common random
-    numbers (the same noise stream drives both x +- h e_i, so the difference
-    cancels almost all Monte Carlo variance).  It samples for every U; the
+    numbers (the same noise stream drives both x +- h e_i, h = 1e-3, so the
+    difference cancels almost all Monte Carlo variance).  It samples for every U; the
     closed form for the Gaussian potential is :func:`mehler_grad_Qt`."""
-    return estimate_grad_Qt_many(p, [f], x, [t], cfg, h)[0][0]
+    return estimate_grad_Qt_many(p, [f], x, [t], cfg)[0][0]

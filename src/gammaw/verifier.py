@@ -13,7 +13,7 @@ Each checker supplies only its payload fields, c(t) and the left side at x;
 pairs over a (t, x) grid, estimates the right sides from one ensemble and
 issues a three-valued verdict per case:
 
-* ``pass``          margin >= -3 margin_stderr (plus a tiny roundoff slack);
+* ``pass``          margin >= -3 hypot(lhs_se, rhs_se) (plus a tiny roundoff slack);
 * ``fail``          margin below the noise band with both sides estimated
                     tightly (relative standard error under the cap);
 * ``inconclusive``  the noise is too large to call it either way.
@@ -100,10 +100,6 @@ class CaseResult:
     @property
     def margin(self) -> float:
         return self.rhs - self.lhs
-
-    @property
-    def margin_stderr(self) -> float:
-        return math.hypot(self.lhs_se, self.rhs_se)
 
 
 @dataclass

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gammaw import curvature_bounds
 from gammaw.curvature_bounds import (
     BoundEstimate,
     SearchConfig,
@@ -128,6 +129,45 @@ def test_c_diverging_quadratic_weight(fast_search):
     est = estimate_c(p, 1.0, fast_search)
     assert est.diverging
     assert est.value == math.inf
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize(
+    "rho, want, x0",
+    [
+        (1.0, 5.0, 0.0),  # (rho - LW/W)_+ = (rho + 4 - 20 x0^2)_+ peaks at x0 = 0
+        (-4.0, 4.0 * math.exp(-0.5), 0.5),  # 2|grad W| = 8 |x0| e^{-2 x0^2} peaks at |x0| = 1/2
+    ],
+)
+def test_c_takes_the_larger_branch(fast_search, n, rho, want, x0):
+    # W = exp(-2 x0^2) under the Gaussian U: LW/W = 20 x0^2 - 4, so rho picks
+    # which branch attains c
+    p = gaussian_problem(n, parse_field("exp(-2*x0^2)", n))
+    est = estimate_c(p, rho, fast_search)
+    assert not est.diverging
+    assert est.value == pytest.approx(want, abs=1e-9)
+    assert est.trace[-1] == est.value
+    assert abs(est.witness[0]) == pytest.approx(x0, abs=1e-6)
+
+
+def test_c_gradient_branch_counts_outside_the_weight_domain(fast_search):
+    # |W| < WEIGHT_EPS everywhere, so the drift branch skips every point, but
+    # 2 sup|grad W| is a sup over all of R^n: c is finite and no error is raised
+    p = gaussian_problem(1, parse_field("1e-13*exp(-2*x0^2)", 1))
+    est = estimate_c(p, 1.0, fast_search)
+    assert est.value == pytest.approx(4e-13 * math.exp(-0.5), rel=1e-9)
+
+
+def test_estimate_c_is_one_search(fast_search, monkeypatch):
+    calls = []
+
+    def counted(batch, dim, cfg):
+        calls.append(dim)
+        return _extremize_min(batch, dim, cfg)
+
+    monkeypatch.setattr(curvature_bounds, "_extremize_min", counted)
+    estimate_c(gaussian_problem(2), 1.0, fast_search)
+    assert calls == [2]
 
 
 def test_c_bounds_sqrt_defect(fast_search, rng):
