@@ -125,29 +125,30 @@ def compile_tape(f: ScalarField) -> Tape:
         reg = seen.get(n)
         if reg is not None:
             return reg
-        if isinstance(n, Const):
-            reg = emit(OP_CONST, pool(n.c))
-        elif isinstance(n, Coord):
-            reg = emit(OP_COORD, n.i)
-        elif isinstance(n, Add):
-            reg = emit(OP_ADD, visit(n.a), visit(n.b))
-        elif isinstance(n, Sub):
-            reg = emit(OP_SUB, visit(n.a), visit(n.b))
-        elif isinstance(n, Mul):
+        t = type(n)
+        if t is Mul:
             reg = emit(OP_MUL, visit(n.a), visit(n.b))
-        elif isinstance(n, Div):
+        elif t is Add:
+            reg = emit(OP_ADD, visit(n.a), visit(n.b))
+        elif t is Const:
+            reg = emit(OP_CONST, pool(n.c))
+        elif t is Coord:
+            reg = emit(OP_COORD, n.i)
+        elif t is Sub:
+            reg = emit(OP_SUB, visit(n.a), visit(n.b))
+        elif t is Div:
             reg = emit(OP_DIV, visit(n.a), visit(n.b))
-        elif isinstance(n, Pow):
+        elif t is Pow:
             reg = emit(OP_POW, visit(n.a), pool(n.expo))
-        elif isinstance(n, Exp):
+        elif t is Exp:
             reg = emit(OP_EXP, visit(n.a))
-        elif isinstance(n, Log):
+        elif t is Log:
             reg = emit(OP_LOG, visit(n.a))
-        elif isinstance(n, Sqrt):
+        elif t is Sqrt:
             reg = emit(OP_SQRT, visit(n.a))
-        elif isinstance(n, NormSq):
+        elif t is NormSq:
             reg = emit(OP_NORMSQ)
-        elif isinstance(n, Dot):
+        elif t is Dot:
             vecs.append(n.coeffs)
             reg = emit(OP_DOT, len(vecs) - 1)
         else:

@@ -19,8 +19,9 @@ then sets ``search.seed`` and ``mc.seed``, so it wins over an override.
 ``reproduce-paper`` has no ``--config`` and takes only ``mc.*`` and
 ``search.*`` overrides.
 
-Exit codes: 0 ok, 1 fail verdicts (or violations), 2 bad configuration,
-3 domain/sampling errors, 4 too many inconclusive verdicts.
+Exit codes: 0 ok, 1 fail verdicts (or violations), 2 bad configuration (or
+a field nested too deeply for the recursive walkers), 3 domain/sampling
+errors, 4 too many inconclusive verdicts.
 """
 
 from __future__ import annotations
@@ -263,6 +264,10 @@ def main(argv=None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except RecursionError:
+        # the evaluators and derivative builders recurse once per DAG level
+        print("error: a field is nested too deeply to evaluate or differentiate", file=sys.stderr)
         return EXIT_CONFIG
     except (DomainError, WeightVanishesError, AggregatePathFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)

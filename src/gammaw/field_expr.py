@@ -11,7 +11,12 @@ stored, evaluated and differentiated once per call, and the same (node,
 coordinate) always differentiates to the same node.  That is what lets the
 builders of :mod:`gammaw.gamma_calculus` share one derivative memo per
 coordinate across a whole builder call without changing any DAG.  A node
-takes ``max_coord`` and ``dot_lens`` from its 0, 1 or 2 children.
+takes ``max_coord`` and ``dot_lens`` from its 0, 1 or 2 children.  A fresh
+node is built in one step by the constructor of its arity: Add, Sub, Mul and
+Div by ``_binary``, Exp, Log and Sqrt by ``_unary``.  The recursive walkers
+(value, jet, ``diff`` and the tape compiler's) dispatch inline on
+``type(node)``, one Python frame per DAG level, so the deepest field they
+take is set by the interpreter's recursion limit (1000 by default).
 Every field is C-infinity on its domain and the family is closed under
 symbolic differentiation, so quantities like L f = tr Hess f - grad U . grad f
 and iterated applications L(Lf) stay first-class fields.
@@ -82,36 +87,19 @@ class DomainError(FieldError):
 
 # Hash-consing (Filliatre & Conchon, "Type-safe modular hash-consing", 2006):
 # one live node per key.  Keys hold children by identity and the floats of
-# Const and Dot by their bits, so 0.0 and -0.0 stay distinct.
-_NODES: dict[tuple, weakref.KeyedRef] = {}
+# Const and Dot by their bits, so 0.0 and -0.0 stay distinct.  Each entry is a
+# weak reference that carries its key, so a dead node's callback removes
+# exactly its own entry.
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
 
 
-def _forget(ref: weakref.KeyedRef, table: dict = _NODES) -> None:
+_NODES: dict[tuple, _Ref] = {}
+
+
+def _forget(ref: _Ref, table: dict = _NODES) -> None:
     if table.get(ref.key) is ref:
         del table[ref.key]
-
-
-def _intern(cls: type, key: tuple, args: tuple) -> "Node":
-    ref = _NODES.get(key)
-    if ref is not None and (node := ref()) is not None:
-        return node
-    node = object.__new__(cls)
-    for name, value in zip(cls.__slots__, args):
-        object.__setattr__(node, name, value)
-    arity = cls._arity
-    if arity == 2:
-        a, b = args
-        max_coord = max(a.max_coord, b.max_coord)
-        dot_lens = a.dot_lens + tuple(k for k in b.dot_lens if k not in a.dot_lens)
-    elif arity == 1:
-        max_coord, dot_lens = args[0].max_coord, args[0].dot_lens
-    else:
-        max_coord = args[0] if cls is Coord else -1
-        dot_lens = (len(args[0]),) if cls is Dot else ()
-    object.__setattr__(node, "max_coord", max_coord)
-    object.__setattr__(node, "dot_lens", dot_lens)
-    _NODES[key] = weakref.KeyedRef(node, _forget, key)
-    return node
 
 
 class Node:
@@ -122,70 +110,135 @@ class Node:
     """
 
     __slots__ = ("max_coord", "dot_lens", "__weakref__")
-    _arity = 0  # Node children, leading in __slots__: 0, 1 or 2
-
-    def __new__(cls, *args):
-        return _intern(cls, (cls, *args), args)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+# Constructors write a node's slots once, through the slot descriptors.
+_set_max_coord = Node.max_coord.__set__
+_set_dot_lens = Node.dot_lens.__set__
+
+
+def _fresh(cls: type, key: tuple, max_coord: int, dot_lens: tuple) -> Node:
+    """A new node of ``cls`` in the table under ``key``; the caller sets its own fields."""
+    node = object.__new__(cls)
+    _set_max_coord(node, max_coord)
+    _set_dot_lens(node, dot_lens)
+    ref = _Ref(node, _forget)
+    ref.key = key
+    _NODES[key] = ref
+    return node
+
+
+# The two hot constructors, called directly by the smart constructors.
+def _binary(cls: type, a: Node, b: Node) -> Node:
+    key = (cls, a, b)
+    ref = _NODES.get(key)
+    if ref is not None and (node := ref()) is not None:
+        return node
+    ma, mb = a.max_coord, b.max_coord
+    da, db = a.dot_lens, b.dot_lens
+    if db and db != da:
+        da = da + tuple(k for k in db if k not in da)
+    node = _fresh(cls, key, ma if ma >= mb else mb, da)
+    _set_binary_a(node, a)
+    _set_binary_b(node, b)
+    return node
+
+
+def _unary(cls: type, a: Node) -> Node:
+    key = (cls, a)
+    ref = _NODES.get(key)
+    if ref is not None and (node := ref()) is not None:
+        return node
+    node = _fresh(cls, key, a.max_coord, a.dot_lens)
+    _set_unary_a(node, a)
+    return node
+
+
+def _interned(cls: type, key: tuple, max_coord: int = -1, dot_lens: tuple = (), **fields) -> Node:
+    ref = _NODES.get(key)
+    if ref is not None and (node := ref()) is not None:
+        return node
+    node = _fresh(cls, key, max_coord, dot_lens)
+    for name, value in fields.items():
+        object.__setattr__(node, name, value)
+    return node
+
+
+class _Binary(Node):
+    __slots__ = ("a", "b")
+    __new__ = _binary
+
+
+class _Unary(Node):
+    __slots__ = ("a",)
+    __new__ = _unary
+
+
+_set_binary_a = _Binary.a.__set__
+_set_binary_b = _Binary.b.__set__
+_set_unary_a = _Unary.a.__set__
+_pack_double = struct.Struct("<d").pack
 
 
 class Const(Node):
     __slots__ = ("c",)
 
     def __new__(cls, c: float):
-        return _intern(cls, (cls, struct.pack("<d", c)), (c,))
+        return _interned(cls, (cls, _pack_double(c)), c=c)
 
 
 class Coord(Node):
     __slots__ = ("i",)
 
-
-class Add(Node):
-    __slots__ = ("a", "b")
-    _arity = 2
+    def __new__(cls, i: int):
+        return _interned(cls, (cls, i), i, i=i)
 
 
-class Sub(Node):
-    __slots__ = ("a", "b")
-    _arity = 2
+class Add(_Binary):
+    __slots__ = ()
 
 
-class Mul(Node):
-    __slots__ = ("a", "b")
-    _arity = 2
+class Sub(_Binary):
+    __slots__ = ()
 
 
-class Div(Node):
-    __slots__ = ("a", "b")
-    _arity = 2
+class Mul(_Binary):
+    __slots__ = ()
+
+
+class Div(_Binary):
+    __slots__ = ()
 
 
 class Pow(Node):
     __slots__ = ("a", "expo")  # expo: real constant exponent
-    _arity = 1
+
+    def __new__(cls, a: Node, expo: float):
+        return _interned(cls, (cls, a, expo), a.max_coord, a.dot_lens, a=a, expo=expo)
 
 
-class Exp(Node):
-    __slots__ = ("a",)
-    _arity = 1
+class Exp(_Unary):
+    __slots__ = ()
 
 
-class Log(Node):
-    __slots__ = ("a",)
-    _arity = 1
+class Log(_Unary):
+    __slots__ = ()
 
 
-class Sqrt(Node):
-    __slots__ = ("a",)
-    _arity = 1
+class Sqrt(_Unary):
+    __slots__ = ()
 
 
 class NormSq(Node):
     """Squared Euclidean norm |x|^2 of the coordinate vector."""
 
     __slots__ = ()
+
+    def __new__(cls):
+        return _interned(cls, (cls,))
 
 
 class Dot(Node):
@@ -194,7 +247,8 @@ class Dot(Node):
     __slots__ = ("coeffs",)
 
     def __new__(cls, coeffs: tuple[float, ...]):
-        return _intern(cls, (cls, struct.pack(f"<{len(coeffs)}d", *coeffs)), (coeffs,))
+        key = (cls, struct.pack(f"<{len(coeffs)}d", *coeffs))
+        return _interned(cls, key, -1, (len(coeffs),), coeffs=coeffs)
 
 
 def _is_const(n: Node, value: float | None = None) -> bool:
@@ -203,8 +257,8 @@ def _is_const(n: Node, value: float | None = None) -> bool:
     return True if value is None else n.c == value
 
 
-# The zero constant stays interned for the life of the module.
-_ZERO = Const(0.0)
+# The constants that differentiation builds stay interned for the life of the module.
+_ZERO, _ONE, _TWO = Const(0.0), Const(1.0), Const(2.0)
 
 # Smart constructors: constant folding plus 0/1 identities.  No deeper
 # canonicalization; equality of fields is checked numerically, not
@@ -219,7 +273,7 @@ def _add(a: Node, b: Node) -> Node:
         return b
     if cb and b.c == 0.0:
         return a
-    return Add(a, b)
+    return _binary(Add, a, b)
 
 
 def _sub(a: Node, b: Node) -> Node:
@@ -228,7 +282,7 @@ def _sub(a: Node, b: Node) -> Node:
         return Const(a.c - b.c)
     if cb and b.c == 0.0:
         return a
-    return Sub(a, b)
+    return _binary(Sub, a, b)
 
 
 def _mul(a: Node, b: Node) -> Node:
@@ -241,7 +295,7 @@ def _mul(a: Node, b: Node) -> Node:
         return b
     if cb and b.c == 1.0:
         return a
-    return Mul(a, b)
+    return _binary(Mul, a, b)
 
 
 def _div(a: Node, b: Node) -> Node:
@@ -254,7 +308,7 @@ def _div(a: Node, b: Node) -> Node:
             return a
         if _is_const(a, 0.0):
             return _ZERO
-    return Div(a, b)
+    return _binary(Div, a, b)
 
 
 @contextmanager
@@ -270,7 +324,7 @@ def _pow(a: Node, expo: float) -> Node:
     if expo == 1.0:
         return a
     if expo == 0.0:
-        return Const(1.0)
+        return _ONE
     if isinstance(a, Const):
         with _overflow_is_domain_error(f"constant {a.c} ^ {expo}"):
             return Const(_pow_value(a.c, expo))
@@ -281,7 +335,7 @@ def _exp(a: Node) -> Node:
     if isinstance(a, Const):
         with _overflow_is_domain_error(f"constant exp({a.c})"):
             return Const(math.exp(a.c))
-    return Exp(a)
+    return _unary(Exp, a)
 
 
 def _log(a: Node) -> Node:
@@ -289,7 +343,7 @@ def _log(a: Node) -> Node:
         if a.c <= 0.0:
             raise DomainError("log of non-positive constant")
         return Const(math.log(a.c))
-    return Log(a)
+    return _unary(Log, a)
 
 
 def _sqrt(a: Node) -> Node:
@@ -297,7 +351,7 @@ def _sqrt(a: Node) -> Node:
         if a.c < 0.0:
             raise DomainError("sqrt of negative constant")
         return Const(math.sqrt(a.c))
-    return Sqrt(a)
+    return _unary(Sqrt, a)
 
 
 def _as_int_exponent(expo: float) -> int | None:
@@ -334,27 +388,26 @@ class Jet:
         return self.gradient.shape[0]
 
 
+_outer = np.multiply.outer  # the bits of np.outer, without its ravel and reshape
+
+
 def _zero_jet(dim: int, value: float = 0.0) -> Jet:
     return Jet(value, np.zeros(dim), np.zeros((dim, dim)))
 
 
-def _j_add(a: Jet, b: Jet, sign: float = 1.0) -> Jet:
-    return Jet(
-        a.value + sign * b.value,
-        a.gradient + sign * b.gradient,
-        a.hessian + sign * b.hessian,
-    )
+def _j_add(a: Jet, b: Jet) -> Jet:
+    return Jet(a.value + b.value, a.gradient + b.gradient, a.hessian + b.hessian)
+
+
+def _j_sub(a: Jet, b: Jet) -> Jet:
+    return Jet(a.value - b.value, a.gradient - b.gradient, a.hessian - b.hessian)
 
 
 def _j_mul(a: Jet, b: Jet) -> Jet:
     value = a.value * b.value
     grad = a.value * b.gradient + b.value * a.gradient
-    hess = (
-        a.value * b.hessian
-        + b.value * a.hessian
-        + np.outer(a.gradient, b.gradient)
-        + np.outer(b.gradient, a.gradient)
-    )
+    cross = _outer(a.gradient, b.gradient)  # its transpose is the other outer product, bit for bit
+    hess = a.value * b.hessian + b.value * a.hessian + cross + cross.T
     return Jet(value, grad, hess)
 
 
@@ -363,7 +416,7 @@ def _j_compose(u: Sequence[float], a: Jet) -> Jet:
     g, h = a.gradient, a.hessian
     value = u[0]
     grad = u[1] * g
-    hess = u[2] * np.outer(g, g) + u[1] * h
+    hess = u[2] * _outer(g, g) + u[1] * h
     return Jet(value, grad, hess)
 
 
@@ -424,38 +477,39 @@ def _eval_node(n: Node, x: np.ndarray, memo: dict) -> float:
     v = memo.get(n)
     if v is not None:
         return v
-    if isinstance(n, Const):
-        v = n.c
-    elif isinstance(n, Coord):
-        v = float(x[n.i])
-    elif isinstance(n, Add):
-        v = _eval_node(n.a, x, memo) + _eval_node(n.b, x, memo)
-    elif isinstance(n, Sub):
-        v = _eval_node(n.a, x, memo) - _eval_node(n.b, x, memo)
-    elif isinstance(n, Mul):
+    t = type(n)
+    if t is Mul:
         v = _eval_node(n.a, x, memo) * _eval_node(n.b, x, memo)
-    elif isinstance(n, Div):
+    elif t is Add:
+        v = _eval_node(n.a, x, memo) + _eval_node(n.b, x, memo)
+    elif t is Const:
+        v = n.c
+    elif t is Coord:
+        v = float(x[n.i])
+    elif t is Sub:
+        v = _eval_node(n.a, x, memo) - _eval_node(n.b, x, memo)
+    elif t is Div:
         d = _eval_node(n.b, x, memo)
         if d == 0.0:
             raise DomainError("division by zero")
         v = _eval_node(n.a, x, memo) / d
-    elif isinstance(n, Pow):
+    elif t is Pow:
         v = _pow_value(_eval_node(n.a, x, memo), n.expo)
-    elif isinstance(n, Exp):
+    elif t is Exp:
         v = math.exp(_eval_node(n.a, x, memo))
-    elif isinstance(n, Log):
+    elif t is Log:
         v = _eval_node(n.a, x, memo)
         if v <= 0.0:
             raise DomainError(f"log of {v}")
         v = math.log(v)
-    elif isinstance(n, Sqrt):
+    elif t is Sqrt:
         v = _eval_node(n.a, x, memo)
         if v < 0.0:
             raise DomainError(f"sqrt of {v}")
         v = math.sqrt(v)
-    elif isinstance(n, NormSq):
+    elif t is NormSq:
         v = float(np.dot(x, x))
-    elif isinstance(n, Dot):
+    elif t is Dot:
         v = float(np.dot(np.asarray(n.coeffs), x))
     else:
         raise TypeError(f"unknown node {n!r}")
@@ -467,19 +521,19 @@ def _jet_node(n: Node, x: np.ndarray, memo: dict) -> Jet:
     j = memo.get(n)
     if j is not None:
         return j
-    dim = x.shape[0]
-    if isinstance(n, Const):
-        j = _zero_jet(dim, n.c)
-    elif isinstance(n, Coord):
-        j = _zero_jet(dim, float(x[n.i]))
-        j.gradient[n.i] = 1.0
-    elif isinstance(n, Add):
-        j = _j_add(_jet_node(n.a, x, memo), _jet_node(n.b, x, memo))
-    elif isinstance(n, Sub):
-        j = _j_add(_jet_node(n.a, x, memo), _jet_node(n.b, x, memo), sign=-1.0)
-    elif isinstance(n, Mul):
+    t = type(n)
+    if t is Mul:
         j = _j_mul(_jet_node(n.a, x, memo), _jet_node(n.b, x, memo))
-    elif isinstance(n, Div):
+    elif t is Add:
+        j = _j_add(_jet_node(n.a, x, memo), _jet_node(n.b, x, memo))
+    elif t is Const:
+        j = _zero_jet(x.shape[0], n.c)
+    elif t is Coord:
+        j = _zero_jet(x.shape[0], float(x[n.i]))
+        j.gradient[n.i] = 1.0
+    elif t is Sub:
+        j = _j_sub(_jet_node(n.a, x, memo), _jet_node(n.b, x, memo))
+    elif t is Div:
         b = _jet_node(n.b, x, memo)
         if b.value == 0.0:
             raise DomainError("division by zero")
@@ -488,25 +542,26 @@ def _jet_node(n: Node, x: np.ndarray, memo: dict) -> Jet:
             # negative denominator: 1/v derivatives directly
             recip = [((-1.0) ** m) * math.factorial(m) / b.value ** (m + 1) for m in range(3)]
         j = _j_mul(_jet_node(n.a, x, memo), _j_compose(recip, b))
-    elif isinstance(n, Pow):
+    elif t is Pow:
         a = _jet_node(n.a, x, memo)
         j = _j_compose(_pow_derivs(a.value, n.expo), a)
-    elif isinstance(n, Exp):
+    elif t is Exp:
         a = _jet_node(n.a, x, memo)
         j = _j_compose(_exp_derivs(a.value), a)
-    elif isinstance(n, Log):
+    elif t is Log:
         a = _jet_node(n.a, x, memo)
         j = _j_compose(_log_derivs(a.value), a)
-    elif isinstance(n, Sqrt):
+    elif t is Sqrt:
         a = _jet_node(n.a, x, memo)
         j = _j_compose(_sqrt_derivs(a.value), a)
-    elif isinstance(n, NormSq):
+    elif t is NormSq:
+        dim = x.shape[0]
         j = _zero_jet(dim, float(np.dot(x, x)))
         j.gradient[:] = 2.0 * x
         j.hessian[:] = 2.0 * np.eye(dim)
-    elif isinstance(n, Dot):
+    elif t is Dot:
         c = np.asarray(n.coeffs, dtype=float)
-        j = _zero_jet(dim, float(np.dot(c, x)))
+        j = _zero_jet(x.shape[0], float(np.dot(c, x)))
         j.gradient[:] = c
     else:
         raise TypeError(f"unknown node {n!r}")
@@ -518,32 +573,33 @@ def _diff_node(n: Node, i: int, memo: dict) -> Node:
     d = memo.get(n)
     if d is not None:
         return d
-    if isinstance(n, Coord):
-        d = Const(1.0) if n.i == i else _ZERO
-    elif isinstance(n, Dot):
-        d = Const(n.coeffs[i])
-    elif isinstance(n, NormSq):
-        d = _mul(Const(2.0), Coord(i))
-    elif isinstance(n, Const):
-        d = _ZERO
-    elif isinstance(n, Add):
-        d = _add(_diff_node(n.a, i, memo), _diff_node(n.b, i, memo))
-    elif isinstance(n, Sub):
-        d = _sub(_diff_node(n.a, i, memo), _diff_node(n.b, i, memo))
-    elif isinstance(n, Mul):
+    t = type(n)
+    if t is Mul:
         d = _add(_mul(_diff_node(n.a, i, memo), n.b), _mul(n.a, _diff_node(n.b, i, memo)))
-    elif isinstance(n, Div):
+    elif t is Add:
+        d = _add(_diff_node(n.a, i, memo), _diff_node(n.b, i, memo))
+    elif t is Const:
+        d = _ZERO
+    elif t is Coord:
+        d = _ONE if n.i == i else _ZERO
+    elif t is Sub:
+        d = _sub(_diff_node(n.a, i, memo), _diff_node(n.b, i, memo))
+    elif t is Div:
         num = _sub(_mul(_diff_node(n.a, i, memo), n.b), _mul(n.a, _diff_node(n.b, i, memo)))
         d = _div(num, _pow(n.b, 2.0))
-    elif isinstance(n, Pow):
+    elif t is Pow:
         inner = _diff_node(n.a, i, memo)
         d = _mul(_mul(Const(n.expo), _pow(n.a, n.expo - 1.0)), inner)
-    elif isinstance(n, Exp):
+    elif t is Exp:
         d = _mul(n, _diff_node(n.a, i, memo))
-    elif isinstance(n, Log):
+    elif t is Log:
         d = _div(_diff_node(n.a, i, memo), n.a)
-    elif isinstance(n, Sqrt):
-        d = _div(_diff_node(n.a, i, memo), _mul(Const(2.0), n))
+    elif t is Sqrt:
+        d = _div(_diff_node(n.a, i, memo), _mul(_TWO, n))
+    elif t is NormSq:
+        d = _mul(_TWO, Coord(i))
+    elif t is Dot:
+        d = Const(n.coeffs[i])
     else:
         raise TypeError(f"unknown node {n!r}")
     memo[n] = d

@@ -3,9 +3,24 @@
 Each test runs its criterion at the pinned configuration, prints the
 criterion's PASS/FAIL line, and asserts the verdict.  These are the slow
 end-to-end checks; the unit suites cover the same machinery at small scale.
+The deterministic criteria also pin the artifact they write, byte for byte.
 """
 
+import hashlib
+
 from gammaw import acceptance
+
+# SHA-256 of the ``acN.csv`` text ``write_artifacts`` writes, for the criteria
+# that draw no Monte Carlo paths.  They were taken with numpy 2.4.6; another
+# numpy may round differently in the last digits.  A change that moves these
+# numbers on purpose updates the hashes and says why in CHANGES.md.
+ARTIFACT_SHA256 = {
+    2: "9ff173b146d4f74acd48050e2e3419a254326ee73d53d673667ec40c233b7b39",
+    3: "1865d94648f1774ff4ff834da3b82f6a98f80f1e1a285050426f173fe43d4049",
+    4: "5baf94acecfc5cd26c6cde5de460958abac83d4108c9f1da8b6b6e10d5a0d7c7",
+    5: "30382c969872c9681a351f39be4e463a5bf1a005d7dcf7502bc344fd2dba9673",
+    10: "85e3b50dab03054992ee8e916118e46a749e685d9db8f373aebd6b5b095ddac0",
+}
 
 
 def _run(cid: int) -> acceptance.CriterionResult:
@@ -13,6 +28,11 @@ def _run(cid: int) -> acceptance.CriterionResult:
     print()
     print(res.summary_text())
     return res
+
+
+def _assert_artifact_pinned(res: acceptance.CriterionResult) -> None:
+    text = "\n".join(res.csv_lines) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == ARTIFACT_SHA256[res.cid]
 
 
 def test_ac1_curvature_constants():
@@ -25,24 +45,28 @@ def test_ac2_pq_boundary():
     res = _run(2)
     assert not res.inconclusive
     assert res.passed
+    _assert_artifact_pinned(res)
 
 
 def test_ac3_algebra_identity():
     res = _run(3)
     assert not res.inconclusive
     assert res.passed
+    _assert_artifact_pinned(res)
 
 
 def test_ac4_pointwise_cd():
     res = _run(4)
     assert not res.inconclusive
     assert res.passed
+    _assert_artifact_pinned(res)
 
 
 def test_ac5_optimality_limit():
     res = _run(5)
     assert not res.inconclusive
     assert res.passed
+    _assert_artifact_pinned(res)
 
 
 def test_ac6_commutation():
@@ -73,3 +97,4 @@ def test_ac10_taylor_consistency():
     res = _run(10)
     assert not res.inconclusive
     assert res.passed
+    _assert_artifact_pinned(res)

@@ -303,6 +303,15 @@ OUTSIDE_DOMAIN = [
 ]
 
 
+def test_field_nested_too_deeply_exits_2(capsys):
+    # a left-deep sum of 1,500 terms is deeper than the walkers' recursion limit
+    w = " + ".join(f"0.001*x0^{k}" for k in range(2, 1502))
+    code = main(["check-curvature", "--override", f"problem.W={w}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "nested too deeply" in captured.err
+
+
 def test_check_curvature_c_without_domain_points_exits_3(capsys):
     code = main([*OUTSIDE_DOMAIN, "--override", "search.radii=5"])
     captured = capsys.readouterr()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammaw import field_expr
+from gammaw import _tape, field_expr
 from gammaw.field_expr import (
     Add,
     Const,
@@ -329,3 +329,76 @@ def test_value_visits_each_distinct_node_once(monkeypatch):
     f = f * f
     assert f.value([0.3, -0.4]) == pytest.approx((1.25 + 1.25**-0.5 + math.log(1.25) * 1.25) ** 2)
     assert len(computed) == len(set(computed)) == len(_distinct_nodes(f.root))
+
+
+def test_walkers_take_a_deep_left_sum():
+    # one frame per DAG level: 800 levels fit under the default recursion
+    # limit of 1000, two frames per level (a dispatch table) would not
+    x0 = coord_field(0, 1)
+    big = const_field(0.0, 1)
+    for k in range(800):
+        big = big + (x0 + k) ** 2
+    x = 0.5
+    exact = sum((x + k) ** 2 for k in range(800))
+    assert big.value([x]) == pytest.approx(exact, rel=1e-12)
+    assert big.jet([x]).gradient[0] == pytest.approx(sum(2 * (x + k) for k in range(800)), rel=1e-12)
+    assert big.diff(0).value([x]) == pytest.approx(sum(2 * (x + k) for k in range(800)), rel=1e-12)
+    vals, err = _tape.eval_values(big, np.array([[x]]))
+    assert err[0] == 0 and vals[0] == pytest.approx(exact, rel=1e-12)
+    assert parse_field(big.to_text(), 1) == big
+
+
+def _concrete_node_classes() -> list[type]:
+    found, stack = [], [field_expr.Node]
+    while stack:
+        cls = stack.pop()
+        subs = cls.__subclasses__()
+        stack.extend(subs)
+        if not subs and cls.__module__ == field_expr.__name__:
+            found.append(cls)
+    return sorted(found, key=lambda c: c.__name__)
+
+
+# one small 2-D field holding each node class
+NODE_EXAMPLES = {
+    "Const": "x0 + 2.5",
+    "Coord": "x1",
+    "Add": "x0 + x1",
+    "Sub": "x0 - x1",
+    "Mul": "x0*x1",
+    "Div": "x0/(2 + x1)",
+    "Pow": "(1 + x0^2)^0.5",
+    "Exp": "exp(x0*x1)",
+    "Log": "log(1 + normsq(x))",
+    "Sqrt": "sqrt(1 + x1^2)",
+    "NormSq": "normsq(x)",
+    "Dot": "dot((0.5,-1),x)",
+}
+
+
+FIELD_NAMES = ("a", "b", "expo", "c", "i", "coeffs")  # constructor arguments, in order
+
+
+@pytest.mark.parametrize("cls", _concrete_node_classes(), ids=lambda c: c.__name__)
+def test_every_node_class_goes_through_every_walker(cls):
+    gc.collect()
+    before = len(field_expr._NODES)
+    f = parse_field(NODE_EXAMPLES[cls.__name__], 2)
+    node = next(n for n in _distinct_nodes(f.root) if type(n) is cls)
+    x = np.array([0.7, -0.3])
+    value = f.value(x)
+    vals, err = _tape.eval_values(f, x[None, :])
+    assert err[0] == 0 and vals[0] == value
+    jet = f.jet(x)
+    assert jet.value == value
+    for i in range(2):
+        assert jet.gradient[i] == pytest.approx(f.diff(i).value(x), rel=1e-12, abs=1e-12)
+    assert parse_field(f.to_text(), 2).value(x) == value
+    names = [k for k in FIELD_NAMES if hasattr(node, k)]
+    for name in ("max_coord", "dot_lens", *names):
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+    assert cls(*(getattr(node, k) for k in names)) is node
+    del f, node, jet
+    gc.collect()
+    assert len(field_expr._NODES) <= before
