@@ -73,8 +73,12 @@ class ParseError(FieldError):
     """Syntax or semantic error in field source text, with a position."""
 
     def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+        # both arguments stay in ``args``, so the error pickles back whole
+        super().__init__(message, position)
         self.position = position
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (at position {self.position})"
 
 
 class DomainError(FieldError):

@@ -125,9 +125,11 @@ class GaussianNoise:
     def __init__(self, seed: int):
         self.seed = int(seed)
 
-    def normals(self, label: tuple[int, ...], shape) -> np.ndarray:
+    def normals(self, label: tuple[int, ...], shape, out=None) -> np.ndarray:
+        """Normals of ``shape``, written into ``out`` (C-contiguous, of that
+        shape) when it is given; the bits do not depend on where they go."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=tuple(int(v) for v in label))
-        return np.random.Generator(np.random.Philox(ss)).standard_normal(shape)
+        return np.random.Generator(np.random.Philox(ss)).standard_normal(shape, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +145,20 @@ def _split_steps(t: float, dt: float) -> tuple[int, float]:
     return k, rem
 
 
-def _noise_block(noise, stream: tuple[int, ...], step: int, m: int, n: int, antithetic: bool) -> np.ndarray:
-    if antithetic:
-        half = noise.normals((*stream, step), (m // 2, n))
-        return np.concatenate([half, -half], axis=0)
-    return noise.normals((*stream, step), (m, n))
+def _noise_block(noise, label: tuple[int, ...], xi: np.ndarray, antithetic: bool) -> np.ndarray:
+    """Fill ``xi`` (m, n) with the step's noise; antithetic pairs negate the
+    first half into the second, as ``concatenate([half, -half])`` would."""
+    if not antithetic:
+        return noise.normals(label, xi.shape, out=xi)
+    h = xi.shape[0] // 2
+    noise.normals(label, (h, xi.shape[1]), out=xi[:h])
+    np.negative(xi[:h], out=xi[h:])
+    return xi
 
 
-def _em_step(p: ProblemSpec, X: np.ndarray, alive: np.ndarray, dt_s: float, xi: np.ndarray) -> None:
+def _em_step(
+    p: ProblemSpec, X: np.ndarray, alive: np.ndarray, dt_s: float, xi: np.ndarray, new_x: np.ndarray | None = None
+) -> None:
     """One Euler-Maruyama step of every live path, in place; failed paths
     freeze at their last finite state.
 
@@ -161,10 +169,20 @@ def _em_step(p: ProblemSpec, X: np.ndarray, alive: np.ndarray, dt_s: float, xi: 
     fails the blow-up guard.  The guard tests the largest |x_i| of the whole
     block first and the rows only when that trips, and while every path is
     alive the update is a plain copy.
+
+    X - grads dt + sqrt(2 dt) xi is computed in that operation order with no
+    temporary array: the step consumes the noise ``xi`` as scratch, and the
+    new state goes into the tape's gradient array, or for the Gaussian
+    potential into ``new_x`` (m, n) when it is given.
     """
-    grads = X if p.gaussian_U else _tape.eval_values_grads(p.U, X)[1]
-    new_x = X - grads * dt_s + math.sqrt(2.0 * dt_s) * xi
-    if not (np.max(np.abs(new_x)) <= _BLOWUP_RADIUS):  # a NaN anywhere trips it
+    if p.gaussian_U:
+        new_x = np.multiply(X, dt_s, out=new_x)
+    else:
+        new_x = _tape.eval_values_grads(p.U, X)[1]
+        np.multiply(new_x, dt_s, out=new_x)
+    np.subtract(X, new_x, out=new_x)
+    np.add(new_x, np.multiply(math.sqrt(2.0 * dt_s), xi, out=xi), out=new_x)
+    if not (np.max(np.abs(new_x, out=xi)) <= _BLOWUP_RADIUS):  # a NaN anywhere trips it
         alive &= np.max(np.abs(new_x), axis=1) <= _BLOWUP_RADIUS  # NaN rows blow up too
     if alive.all():
         X[...] = new_x
@@ -197,18 +215,19 @@ def _simulate_grid(
     else:
         X = x0.copy()
         m = X.shape[0]
-    n = p.dim
     alive = np.ones(m, dtype=bool)
+    xi = np.empty(X.shape)  # every step's noise, reused
+    new_x = np.empty(X.shape) if p.gaussian_U else None
     snapshots: list = [None] * len(t_grid)
     done = 0
     for idx in sorted(range(len(t_grid)), key=lambda i: t_grid[i]):
         k, rem = _split_steps(t_grid[idx], cfg.dt)
         for step in range(done, k):
-            _em_step(p, X, alive, cfg.dt, _noise_block(noise, stream, step, m, n, cfg.antithetic))
+            _em_step(p, X, alive, cfg.dt, _noise_block(noise, (*stream, step), xi, cfg.antithetic), new_x)
         done = k
         Xt, alive_t = X.copy(), alive.copy()
         if rem > 0.0:
-            _em_step(p, Xt, alive_t, rem, _noise_block(noise, stream, k, m, n, cfg.antithetic))
+            _em_step(p, Xt, alive_t, rem, _noise_block(noise, (*stream, k), xi, cfg.antithetic), new_x)
         snapshots[idx] = (Xt, alive_t)
     return snapshots
 

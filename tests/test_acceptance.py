@@ -3,12 +3,16 @@
 Each test runs its criterion at the pinned configuration, prints the
 criterion's PASS/FAIL line, and asserts the verdict.  These are the slow
 end-to-end checks; the unit suites cover the same machinery at small scale.
-The deterministic criteria also pin the artifact they write, byte for byte.
+The deterministic criteria also pin the artifact they write, byte for byte,
+and write the same bytes when the criteria run in worker processes.
 """
 
 import hashlib
+import multiprocessing
 
-from gammaw import acceptance
+import pytest
+
+from gammaw import acceptance, cli
 
 # SHA-256 of the ``acN.csv`` text ``write_artifacts`` writes, for the criteria
 # that draw no Monte Carlo paths.  They were taken with numpy 2.4.6; another
@@ -98,3 +102,13 @@ def test_ac10_taylor_consistency():
     assert not res.inconclusive
     assert res.passed
     _assert_artifact_pinned(res)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_worker_processes_write_the_pinned_artifacts(jobs, tmp_path):
+    assert cli.main(["reproduce-paper", "--criteria", "2,5,10", "--jobs", jobs, "--out", str(tmp_path)]) == 0
+    for cid in (2, 5, 10):
+        digest = hashlib.sha256((tmp_path / f"ac{cid}.csv").read_bytes()).hexdigest()
+        assert digest == ARTIFACT_SHA256[cid]
+    assert f"jobs {jobs}, wall " in (tmp_path / "summary.txt").read_text()
+    assert multiprocessing.active_children() == []

@@ -1,7 +1,13 @@
+import ast
+import concurrent.futures
+import contextlib
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +17,10 @@ import gammaw
 from gammaw import acceptance, cli
 from gammaw.cli import main
 from gammaw.config import ConfigError, RunConfig
+from gammaw.field_expr import DomainError, ParseError
+from gammaw.gamma_calculus import WeightVanishesError
+from gammaw.semigroup_mc import AggregatePathFailure
+from gammaw.verifier import NegativeBatteryError
 
 FAST_2D = """\
 [problem]
@@ -192,8 +202,11 @@ def fake_criteria(monkeypatch):
 
     def stub(cid, name):
         def run(ov):
-            seen.append((cid, acceptance._mc_cfg(ov, 10, cid), acceptance._search_cfg(ov, cid)))
-            return acceptance.CriterionResult(True, False, csv_lines=["x"])
+            mc, search = acceptance._mc_cfg(ov, 10, cid), acceptance._search_cfg(ov, cid)
+            seen.append((cid, mc, search))
+            # a forked worker's appends stay in the worker; its artifact does not
+            line = repr((mc.n_paths, mc.dt, mc.seed, mc.antithetic, search.radii_schedule, search.seed))
+            return acceptance.CriterionResult(True, False, csv_lines=[line])
         return run
 
     stubs = {cid: (name, stub(cid, name)) for cid, (name, _) in acceptance.CRITERIA.items()}
@@ -222,17 +235,30 @@ def test_reproduce_paper_has_no_config_flag(fake_criteria, tmp_path):
     assert fake_criteria == []
 
 
+OVERRIDES_6_2 = [
+    "reproduce-paper", "--criteria", "6,2",
+    "--override", "mc.n_paths=2000", "--override", "mc.antithetic=off",
+    "--override", "search.radii=5, 50",
+]
+
+
 def test_reproduce_paper_overrides_reach_pinned_configs(fake_criteria, tmp_path):
-    code = main([
-        "reproduce-paper", "--criteria", "6,2", "--out", str(tmp_path / "r"),
-        "--override", "mc.n_paths=2000", "--override", "mc.antithetic=off",
-        "--override", "search.radii=5, 50",
-    ])
+    code = main([*OVERRIDES_6_2, "--out", str(tmp_path / "r"), "--jobs", "1"])
     assert code == 0
     assert [cid for cid, _, _ in fake_criteria] == [2, 6]
     for cid, mc, search in fake_criteria:
         assert (mc.n_paths, mc.dt, mc.seed, mc.antithetic) == (2000, 1e-3, cid, False)
         assert (search.radii_schedule, search.seed) == ((5.0, 50.0), cid)
+
+
+def test_reproduce_paper_overrides_reach_pinned_configs_in_workers(fake_criteria, tmp_path):
+    out = tmp_path / "r"
+    assert main([*OVERRIDES_6_2, "--out", str(out), "--jobs", "2"]) == 0
+    assert fake_criteria == []  # the stubs ran in the workers
+    for cid in (2, 6):
+        line = (out / f"ac{cid}.csv").read_text().strip()
+        assert ast.literal_eval(line) == (2000, 1e-3, cid, False, (5.0, 50.0), cid)
+    assert "jobs 2, wall " in (out / "summary.txt").read_text()
 
 
 def test_seed_flag_wins_over_seed_overrides_in_reproduce_paper(fake_criteria, tmp_path):
@@ -525,6 +551,98 @@ def test_reproduce_paper_starved_sampler_is_inconclusive(tmp_path):
     ])
     assert code == 4
     assert "INCONCLUSIVE" in (out_dir / "summary.txt").read_text()
+
+
+def test_reproduce_paper_jobs_zero_exits_2(fake_criteria, tmp_path, capsys):
+    assert main(["reproduce-paper", "--criteria", "2,5", "--jobs", "0", "--out", str(tmp_path / "r")]) == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert fake_criteria == []
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool a run starts."""
+    sizes = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return sizes
+
+
+def test_reproduce_paper_jobs_are_capped_at_the_criteria(fake_criteria, pool_sizes, tmp_path):
+    # one criterion runs in process, whatever --jobs asks for
+    assert main(["reproduce-paper", "--criteria", "5", "--jobs", "100000", "--out", str(tmp_path / "a")]) == 0
+    assert pool_sizes == []
+    assert [cid for cid, _, _ in fake_criteria] == [5]
+    assert "jobs 1, wall " in (tmp_path / "a" / "summary.txt").read_text()
+    assert main(["reproduce-paper", "--criteria", "2,5", "--jobs", "100000", "--out", str(tmp_path / "b")]) == 0
+    assert pool_sizes == [2]
+    assert "jobs 2, wall " in (tmp_path / "b" / "summary.txt").read_text()
+
+
+def _raise_in(monkeypatch, errors):
+    """Replace criterion ``cid`` by a stub raising ``errors[cid]``."""
+    def stub(exc):
+        def run(ov):
+            raise exc
+        return run
+
+    table = dict(acceptance.CRITERIA)
+    for cid, exc in errors.items():
+        table[cid] = (table[cid][0], stub(exc))
+    monkeypatch.setattr(acceptance, "CRITERIA", table)
+
+
+@pytest.mark.parametrize("errors, code, message", [
+    ({2: DomainError("W vanishes at the witness")}, 3, "error: W vanishes at the witness"),
+    ({5: AggregatePathFailure("too many failed paths")}, 3, "error: too many failed paths"),
+    ({5: AggregatePathFailure("the later one"), 2: DomainError("the lower id")}, 3, "error: the lower id"),
+    ({10: ConfigError("mc.dt is bad")}, 2, "error: mc.dt is bad"),
+])
+def test_reproduce_paper_worker_errors_match_the_serial_run(fake_criteria, monkeypatch, tmp_path, capsys,
+                                                            errors, code, message):
+    _raise_in(monkeypatch, errors)
+    err = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert main(["reproduce-paper", "--criteria", "2,5,10", "--jobs", jobs, "--out", str(out)]) == code
+        err[jobs] = capsys.readouterr().err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+    assert err["1"] == err["2"] == message + "\n"
+
+
+def test_reproduce_paper_prints_each_line_once_into_a_file(fake_criteria, tmp_path):
+    # as perfbench runs it: stdout is a file, holding earlier output in its buffer
+    log = tmp_path / "cli.log"
+    with open(log, "a", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+        print("an earlier round")
+        assert main(["reproduce-paper", "--criteria", "2,5,6", "--jobs", "2", "--out", str(tmp_path / "r")]) == 0
+    lines = log.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "an earlier round"
+    assert len(lines) == len(set(lines)) == 6
+    assert [line.split(" ")[0] for line in lines[1:4]] == ["AC2", "AC5", "AC6"]
+
+
+@pytest.mark.parametrize("exc", [
+    ConfigError("bad key mc.npaths"),
+    ParseError("expected ')'", 6),
+    DomainError("log of a negative number"),
+    WeightVanishesError("W = 0 at x"),
+    AggregatePathFailure("3% of paths failed"),
+    NegativeBatteryError("test function is negative"),
+    RecursionError("maximum recursion depth exceeded"),
+])
+def test_mapped_errors_survive_a_pickle_round_trip(exc):
+    # a worker process sends its exception back pickled
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
 
 
 def test_reproduce_paper_rejects_bad_criteria(fake_criteria, capsys):

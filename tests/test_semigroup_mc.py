@@ -71,8 +71,11 @@ def test_t_zero_reports_no_samples(p2, p2_noweight, small_mc):
 class ZeroNoise:
     """Drift-only noise: every block is zeros."""
 
-    def normals(self, label, shape):
-        return np.zeros(shape)
+    def normals(self, label, shape, out=None):
+        if out is None:
+            return np.zeros(shape)
+        out.fill(0.0)
+        return out
 
 
 def _drift_path(p, x0, t, cfg):
@@ -439,7 +442,7 @@ def test_em_step_matches_reference_step(u_spec, gaussian, case):
     for dt in (0.01, 0.003):
         X_new, alive_new = X.copy(), alive.copy()
         X_ref, alive_ref = X.copy(), alive.copy()
-        _em_step(p, X_new, alive_new, dt, xi)
+        _em_step(p, X_new, alive_new, dt, xi.copy())  # the step consumes its noise
         _em_step_reference(p, X_ref, alive_ref, dt, xi)
         assert np.array_equal(alive_new, alive_ref)
         assert np.array_equal(X_new, X_ref)
@@ -458,7 +461,7 @@ def test_em_step_matches_reference_on_tape_error():
     xi = rng.normal(size=(30, 2))
     X_new, alive_new = X.copy(), alive.copy()
     X_ref, alive_ref = X.copy(), alive.copy()
-    _em_step(p, X_new, alive_new, 0.01, xi)
+    _em_step(p, X_new, alive_new, 0.01, xi.copy())
     _em_step_reference(p, X_ref, alive_ref, 0.01, xi)
     assert np.array_equal(alive_new, alive_ref)
     assert np.array_equal(X_new, X_ref)

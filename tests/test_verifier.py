@@ -156,9 +156,9 @@ def test_battery_draws_noise_once_for_all_fields(p2, monkeypatch):
     labels = []
     normals = GaussianNoise.normals
 
-    def counting(self, label, shape):
+    def counting(self, label, shape, out=None):
         labels.append(label)
-        return normals(self, label, shape)
+        return normals(self, label, shape, out)
 
     monkeypatch.setattr(GaussianNoise, "normals", counting)
     cfg = MCConfig(n_paths=200, dt=0.05, seed=29)
