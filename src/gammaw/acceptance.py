@@ -22,6 +22,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 
 import numpy as np
 
@@ -60,7 +61,7 @@ from .verifier import (
     _variance_coefficient,
 )
 
-__all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all", "worker_count", "write_artifacts", "exit_code"]
+__all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all", "write_artifacts", "exit_code"]
 
 
 @dataclass
@@ -497,23 +498,22 @@ CRITERIA = {
 }
 
 
-# criterion ids by their measured pinned seconds, longest first: a pool
-# starts the long Monte Carlo criteria before the short ones
-LONGEST_FIRST = (7, 6, 8, 9, 3, 4, 10, 2, 1, 5)
-
-
 def run_criterion(cid: int, overrides=()) -> CriterionResult:
-    return run_all([cid], overrides)[0]
+    results, _ = run_all([cid], overrides)
+    return results[0]
 
 
-def worker_count(jobs, n_criteria: int) -> int:
-    """Worker processes for ``n_criteria`` criteria: ``jobs``, or the CPUs
-    this process may run on when it is None, capped at ``n_criteria``."""
-    if jobs is None:
-        jobs = len(os.sched_getaffinity(0))
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return min(jobs, n_criteria)
+def _worker_count(n_criteria: int) -> int:
+    """One worker process per CPU this process may run on, at most one per
+    criterion.  The workers are forked, so a platform without fork runs the
+    criteria in this process."""
+    if n_criteria <= 1 or not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_criteria)
 
 
 def _run_one(cid: int, ov: tuple[str, ...]) -> CriterionResult:
@@ -523,13 +523,13 @@ def _run_one(cid: int, ov: tuple[str, ...]) -> CriterionResult:
     return replace(res, cid=cid, name=name, elapsed=time.perf_counter() - t0)
 
 
-def run_all(criteria=None, overrides=(), jobs=None) -> list[CriterionResult]:
-    """Run the given criteria (default: all) and return them in id order.
-    Criterion ids, overrides and ``jobs`` are checked before the first
-    criterion runs.
+def run_all(criteria=None, overrides=()) -> tuple[list[CriterionResult], int]:
+    """Run the given criteria (default: all); return them in id order and
+    the number of worker processes that ran them.  Criterion ids and
+    overrides are checked before the first criterion runs.
 
-    With more than one worker (:func:`worker_count`) the criteria run in
-    forked processes, submitted longest first; each worker times its own
+    With more than one worker (one per usable CPU, at most one per
+    criterion) the criteria run in forked processes, each timing its own
     criterion.  The seeds and noise labels are pinned, so every result is
     the one the in-process loop gives.  The first exception in id order is
     re-raised once the running criteria finish, and no worker outlives the
@@ -539,9 +539,9 @@ def run_all(criteria=None, overrides=(), jobs=None) -> list[CriterionResult]:
         if cid not in CRITERIA:
             raise ValueError(f"unknown criterion {cid}; valid ids are 1..10")
     ov = _checked_overrides(overrides)
-    jobs = worker_count(jobs, len(ids))
-    if jobs == 1:
-        return [_run_one(cid, ov) for cid in ids]
+    workers = _worker_count(len(ids))
+    if workers == 1:
+        return [_run_one(cid, ov) for cid in ids], 1
 
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -550,13 +550,10 @@ def run_all(criteria=None, overrides=(), jobs=None) -> list[CriterionResult]:
     # imports it again, about 0.2 s) and the CRITERIA table as it stands.
     # The executor forks every worker before it starts its own thread, and
     # the launcher flushes sys.stdout and sys.stderr before each fork, so a
-    # worker that flushes them as it exits writes no line twice.
-    pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"))
-    try:
-        futures = {cid: pool.submit(_run_one, cid, ov) for cid in sorted(ids, key=LONGEST_FIRST.index)}
-        return [futures[cid].result() for cid in ids]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    # worker that flushes them as it exits writes no line twice.  map yields
+    # in id order and cancels the pending criteria at the first exception.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(partial(_run_one, ov=ov), ids)), workers
 
 
 def exit_code(results: list[CriterionResult]) -> int:
@@ -568,10 +565,10 @@ def exit_code(results: list[CriterionResult]) -> int:
     return 0
 
 
-def write_artifacts(results: list[CriterionResult], out_dir, run_line: str | None = None) -> None:
+def write_artifacts(results: list[CriterionResult], out_dir, run_line: str) -> None:
     """Per-criterion CSV and summary files, and ``summary.txt``: one status
-    line per criterion, ``run_line`` (the run's jobs, wall and CPU seconds)
-    when given, and the exit code."""
+    line per criterion, ``run_line`` (the run's workers, wall and CPU
+    seconds) and the exit code."""
     os.makedirs(out_dir, exist_ok=True)
     for r in results:
         with open(os.path.join(out_dir, f"ac{r.cid}.csv"), "w", encoding="utf-8") as fh:
@@ -581,6 +578,5 @@ def write_artifacts(results: list[CriterionResult], out_dir, run_line: str | Non
     with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
         for r in results:
             fh.write(f"AC{r.cid} ({r.name}): {r.status} [{r.elapsed:.1f}s]\n")
-        if run_line is not None:
-            fh.write(run_line + "\n")
+        fh.write(run_line + "\n")
         fh.write(f"exit code: {exit_code(results)}\n")

@@ -11,8 +11,8 @@ Subcommands:
   at f = 1, W^2 <= e^{-2 kappa t} Q_t(W^2), labelled ``W^2``.
 * ``optimality``  far-field ratio table for the exponential family.
 * ``reproduce-paper``  run the pinned verification suite (criteria 1-10)
-  and write per-criterion artifacts; ``--jobs N`` runs the criteria in N
-  worker processes (default: one per usable CPU, at most one per criterion).
+  and write per-criterion artifacts; the criteria run in worker processes,
+  one per usable CPU and at most one per criterion.
 
 Every setting goes through ``RunConfig._set``: ``--override sec.key=value``
 items apply in order on top of ``--config`` (or the defaults), and ``--seed N``
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import resource
+import os
 import sys
 import time
 
@@ -213,15 +213,14 @@ def cmd_optimality(cfg: RunConfig) -> int:
 
 def _cpu_s() -> float:
     """User + system seconds of this process and of its reaped children."""
-    own, kids = resource.getrusage(resource.RUSAGE_SELF), resource.getrusage(resource.RUSAGE_CHILDREN)
-    return own.ru_utime + own.ru_stime + kids.ru_utime + kids.ru_stime
+    return sum(os.times()[:4])
 
 
-def cmd_reproduce_paper(output_dir, overrides=(), criteria=None, jobs=None) -> int:
+def cmd_reproduce_paper(output_dir, overrides=(), criteria=None) -> int:
     wall, cpu = time.perf_counter(), _cpu_s()
-    results = acceptance.run_all(criteria=criteria, overrides=overrides, jobs=jobs)
+    results, workers = acceptance.run_all(criteria=criteria, overrides=overrides)
     wall, cpu = time.perf_counter() - wall, _cpu_s() - cpu
-    run_line = f"jobs {acceptance.worker_count(jobs, len(results))}, wall {wall:.2f} s, cpu {cpu:.2f} s"
+    run_line = f"workers {workers}, wall {wall:.2f} s, cpu {cpu:.2f} s"
     acceptance.write_artifacts(results, output_dir, run_line)
     for r in results:
         print(r.summary_text())
@@ -255,10 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("optimality", help="far-field ratio study"))
     sp = sub.add_parser("reproduce-paper", help="run the pinned verification suite")
     sp.add_argument("--criteria", help="comma-separated criterion ids (default: all)")
-    sp.add_argument(
-        "--jobs", type=int, metavar="N",
-        help="worker processes for the criteria (default: the CPUs this process may use, at most one per criterion)",
-    )
     common(sp, config=False)
     return parser
 
@@ -270,7 +265,7 @@ def main(argv=None) -> int:
             criteria = None
             if args.criteria:
                 criteria = [int(s) for s in args.criteria.split(",") if s.strip()]
-            return cmd_reproduce_paper(args.out or "reproduction", _overrides(args), criteria, args.jobs)
+            return cmd_reproduce_paper(args.out or "reproduction", _overrides(args), criteria)
         cfg = _load_config(args)
         if args.command == "check-curvature":
             return cmd_check_curvature(cfg)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,15 @@ from gammaw import (
     gaussian_problem,
     make_problem,
 )
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(k)`` lets this process run on k CPUs, as far as the
+    reproduce-paper worker count sees."""
+    def set_cpus(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+    return set_cpus
 
 
 @pytest.fixture

@@ -104,11 +104,12 @@ def test_ac10_taylor_consistency():
     _assert_artifact_pinned(res)
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_worker_processes_write_the_pinned_artifacts(jobs, tmp_path):
-    assert cli.main(["reproduce-paper", "--criteria", "2,5,10", "--jobs", jobs, "--out", str(tmp_path)]) == 0
+@pytest.mark.parametrize("workers", [1, 2])
+def test_worker_processes_write_the_pinned_artifacts(workers, cpus, tmp_path):
+    cpus(workers)
+    assert cli.main(["reproduce-paper", "--criteria", "2,5,10", "--out", str(tmp_path)]) == 0
     for cid in (2, 5, 10):
         digest = hashlib.sha256((tmp_path / f"ac{cid}.csv").read_bytes()).hexdigest()
         assert digest == ARTIFACT_SHA256[cid]
-    assert f"jobs {jobs}, wall " in (tmp_path / "summary.txt").read_text()
+    assert f"workers {workers}, wall " in (tmp_path / "summary.txt").read_text()
     assert multiprocessing.active_children() == []

@@ -242,8 +242,9 @@ OVERRIDES_6_2 = [
 ]
 
 
-def test_reproduce_paper_overrides_reach_pinned_configs(fake_criteria, tmp_path):
-    code = main([*OVERRIDES_6_2, "--out", str(tmp_path / "r"), "--jobs", "1"])
+def test_reproduce_paper_overrides_reach_pinned_configs(fake_criteria, cpus, tmp_path):
+    cpus(1)
+    code = main([*OVERRIDES_6_2, "--out", str(tmp_path / "r")])
     assert code == 0
     assert [cid for cid, _, _ in fake_criteria] == [2, 6]
     for cid, mc, search in fake_criteria:
@@ -251,14 +252,15 @@ def test_reproduce_paper_overrides_reach_pinned_configs(fake_criteria, tmp_path)
         assert (search.radii_schedule, search.seed) == ((5.0, 50.0), cid)
 
 
-def test_reproduce_paper_overrides_reach_pinned_configs_in_workers(fake_criteria, tmp_path):
+def test_reproduce_paper_overrides_reach_pinned_configs_in_workers(fake_criteria, cpus, tmp_path):
+    cpus(2)
     out = tmp_path / "r"
-    assert main([*OVERRIDES_6_2, "--out", str(out), "--jobs", "2"]) == 0
+    assert main([*OVERRIDES_6_2, "--out", str(out)]) == 0
     assert fake_criteria == []  # the stubs ran in the workers
     for cid in (2, 6):
         line = (out / f"ac{cid}.csv").read_text().strip()
         assert ast.literal_eval(line) == (2000, 1e-3, cid, False, (5.0, 50.0), cid)
-    assert "jobs 2, wall " in (out / "summary.txt").read_text()
+    assert "workers 2, wall " in (out / "summary.txt").read_text()
 
 
 def test_seed_flag_wins_over_seed_overrides_in_reproduce_paper(fake_criteria, tmp_path):
@@ -553,13 +555,6 @@ def test_reproduce_paper_starved_sampler_is_inconclusive(tmp_path):
     assert "INCONCLUSIVE" in (out_dir / "summary.txt").read_text()
 
 
-def test_reproduce_paper_jobs_zero_exits_2(fake_criteria, tmp_path, capsys):
-    assert main(["reproduce-paper", "--criteria", "2,5", "--jobs", "0", "--out", str(tmp_path / "r")]) == 2
-    assert "jobs must be at least 1" in capsys.readouterr().err
-    assert fake_criteria == []
-    assert not (tmp_path / "r").exists()
-
-
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """The max_workers of every process pool a run starts."""
@@ -574,15 +569,31 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
-def test_reproduce_paper_jobs_are_capped_at_the_criteria(fake_criteria, pool_sizes, tmp_path):
-    # one criterion runs in process, whatever --jobs asks for
-    assert main(["reproduce-paper", "--criteria", "5", "--jobs", "100000", "--out", str(tmp_path / "a")]) == 0
+def test_reproduce_paper_workers_are_capped_at_the_criteria(fake_criteria, pool_sizes, cpus, tmp_path):
+    cpus(8)
+    # one criterion runs in process, however many CPUs there are
+    assert main(["reproduce-paper", "--criteria", "5", "--out", str(tmp_path / "a")]) == 0
     assert pool_sizes == []
     assert [cid for cid, _, _ in fake_criteria] == [5]
-    assert "jobs 1, wall " in (tmp_path / "a" / "summary.txt").read_text()
-    assert main(["reproduce-paper", "--criteria", "2,5", "--jobs", "100000", "--out", str(tmp_path / "b")]) == 0
+    assert "workers 1, wall " in (tmp_path / "a" / "summary.txt").read_text()
+    assert main(["reproduce-paper", "--criteria", "2,5", "--out", str(tmp_path / "b")]) == 0
     assert pool_sizes == [2]
-    assert "jobs 2, wall " in (tmp_path / "b" / "summary.txt").read_text()
+    assert "workers 2, wall " in (tmp_path / "b" / "summary.txt").read_text()
+    assert main(["reproduce-paper", "--criteria", "2,5,10", "--out", str(tmp_path / "c")]) == 0
+    assert pool_sizes == [2, 3]
+
+
+def test_reproduce_paper_workers_without_affinity_or_fork(fake_criteria, pool_sizes, monkeypatch, tmp_path):
+    # platforms without sched_getaffinity count every CPU
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main(["reproduce-paper", "--criteria", "2,5,10", "--out", str(tmp_path / "a")]) == 0
+    assert pool_sizes == [2]
+    # platforms without fork run the criteria in process
+    monkeypatch.delattr(os, "fork")
+    assert main(["reproduce-paper", "--criteria", "2,5,10", "--out", str(tmp_path / "b")]) == 0
+    assert pool_sizes == [2]
+    assert "workers 1, wall " in (tmp_path / "b" / "summary.txt").read_text()
 
 
 def _raise_in(monkeypatch, errors):
@@ -604,25 +615,27 @@ def _raise_in(monkeypatch, errors):
     ({5: AggregatePathFailure("the later one"), 2: DomainError("the lower id")}, 3, "error: the lower id"),
     ({10: ConfigError("mc.dt is bad")}, 2, "error: mc.dt is bad"),
 ])
-def test_reproduce_paper_worker_errors_match_the_serial_run(fake_criteria, monkeypatch, tmp_path, capsys,
+def test_reproduce_paper_worker_errors_match_the_serial_run(fake_criteria, monkeypatch, cpus, tmp_path, capsys,
                                                             errors, code, message):
     _raise_in(monkeypatch, errors)
     err = {}
-    for jobs in ("1", "2"):
-        out = tmp_path / jobs
-        assert main(["reproduce-paper", "--criteria", "2,5,10", "--jobs", jobs, "--out", str(out)]) == code
-        err[jobs] = capsys.readouterr().err
+    for workers in (1, 2):
+        cpus(workers)
+        out = tmp_path / str(workers)
+        assert main(["reproduce-paper", "--criteria", "2,5,10", "--out", str(out)]) == code
+        err[workers] = capsys.readouterr().err
         assert not out.exists()
         assert multiprocessing.active_children() == []
-    assert err["1"] == err["2"] == message + "\n"
+    assert err[1] == err[2] == message + "\n"
 
 
-def test_reproduce_paper_prints_each_line_once_into_a_file(fake_criteria, tmp_path):
+def test_reproduce_paper_prints_each_line_once_into_a_file(fake_criteria, cpus, tmp_path):
+    cpus(2)
     # as perfbench runs it: stdout is a file, holding earlier output in its buffer
     log = tmp_path / "cli.log"
     with open(log, "a", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
         print("an earlier round")
-        assert main(["reproduce-paper", "--criteria", "2,5,6", "--jobs", "2", "--out", str(tmp_path / "r")]) == 0
+        assert main(["reproduce-paper", "--criteria", "2,5,6", "--out", str(tmp_path / "r")]) == 0
     lines = log.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "an earlier round"
     assert len(lines) == len(set(lines)) == 6
