@@ -3,11 +3,15 @@
 An expression DAG is flattened once into a register tape, one register per
 distinct node, then a numpy interpreter runs the tape over a batch of points,
 one opcode at a time, vectorized over chunks of points.  Values and
-gradients share that one loop.  Forward-mode gradients are held
-component-major, ``dreg[register, component, point]``, so each product of a
+gradients share that one loop.  A register lives in a buffer row that is
+reused after the register's last read, so the memory per chunk is the peak
+live set of the tape, not its length: L(L GammaW(f)) in three dimensions has
+2,971 registers and needs 174 rows.  The rows live in a per-thread scratch
+buffer that later calls reuse.  Forward-mode gradients are held
+component-major, ``dreg[row, component, point]``, so each product of a
 value row with a gradient runs over contiguous rows of points; every opcode
-writes into its registers through ufunc ``out=``, and only the CONST and
-COORD gradient rows are zeroed.  The test suite pins the tape against the
+writes into its row through ufunc ``out=``, and only the CONST and COORD
+gradient rows are zeroed.  The test suite pins the tape against the
 recursive evaluator and the jets of :mod:`gammaw.field_expr`, and bit for
 bit against the point-major interpreter it replaced.
 
@@ -22,7 +26,9 @@ the same bits either way.
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +65,10 @@ OP_SQRT = 9
 OP_NORMSQ = 10
 OP_DOT = 11
 
+# how many of an opcode's operands are registers (a1, then a2); the others
+# index the literal pool, the coordinates or the dot-product rows
+_READS = (0, 0, 2, 2, 2, 2, 1, 1, 1, 1, 0, 0)
+
 ERR_NONE = 0
 ERR_DIV = 1
 ERR_LOG = 2
@@ -81,7 +91,8 @@ def err_message(code: int) -> str:
 
 @dataclass
 class Tape:
-    """Flattened expression: one register per distinct node."""
+    """Flattened expression: one register per distinct node, each held in a
+    buffer row that later registers reuse after its last read."""
 
     ops: list[int]  # (K,) opcodes
     a1: list[int]  # (K,) first operand (register or table index)
@@ -89,6 +100,8 @@ class Tape:
     consts: list[float]  # literal pool (values and exponents)
     vecs: np.ndarray  # (V, dim) float64 dot-product coefficient rows
     dim: int
+    slot: list[int]  # (K,) buffer row of each register
+    n_slots: int  # rows a chunk allocates
 
     @property
     def n_registers(self) -> int:
@@ -98,7 +111,10 @@ class Tape:
 def compile_tape(f: ScalarField) -> Tape:
     """Flatten ``f`` into a tape, one register per distinct node.
 
-    Nodes are interned, so deduplication is an identity lookup.  The
+    Nodes are interned, so deduplication is an identity lookup.  Each
+    register lives in a buffer row that is reused after the register's last
+    read, so the memory per chunk is the peak live set, not the tape length.
+    No op's row is one of its operands' rows, and the root keeps row 0.  The
     result is cached on the field, which is safe because fields are
     immutable.
     """
@@ -157,6 +173,22 @@ def compile_tape(f: ScalarField) -> Tape:
         return reg
 
     visit(f.root)
+    # one backward scan over the ops: a register takes a free row at its last
+    # read, the first one met going backward, and gives the row back at its
+    # own op, after that op's operands have taken theirs, so no op writes a
+    # row it reads; the root, which nothing reads, holds row 0 from the start
+    slot = [-1] * len(ops)
+    slot[-1] = 0
+    free: list[int] = []
+    fresh = itertools.count(1)
+    for k in range(len(ops) - 1, -1, -1):
+        reads = _READS[ops[k]]
+        if reads:
+            if slot[a1[k]] < 0:
+                slot[a1[k]] = free.pop() if free else next(fresh)
+            if reads == 2 and slot[a2[k]] < 0:
+                slot[a2[k]] = free.pop() if free else next(fresh)
+        free.append(slot[k])
     tape = Tape(
         ops=ops,
         a1=a1,
@@ -166,6 +198,8 @@ def compile_tape(f: ScalarField) -> Tape:
         if vecs
         else np.zeros((0, f.dim)),
         dim=f.dim,
+        slot=slot,
+        n_slots=next(fresh),
     )
     f._tape = tape
     return tape
@@ -201,6 +235,31 @@ def _as_points(pts: np.ndarray, dim: int) -> np.ndarray:
 _CHUNK = 8192
 
 
+class _Scratch(threading.local):
+    """Each thread's buffer for the rows of a chunk, kept from call to call
+    and grown to the largest chunk seen.  Every op writes its whole row
+    before any op reads it, so stale contents are never read.  Allocating
+    the rows afresh per call made the C allocator give the pages back to
+    the system and fault them in again on every Euler-Maruyama step."""
+
+    buf = np.empty(0)
+
+
+_scratch = _Scratch()
+
+
+def _scratch_views(*shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Side-by-side views of this thread's scratch buffer, one per shape."""
+    sizes = [math.prod(s) for s in shapes]
+    if _scratch.buf.size < sum(sizes):
+        _scratch.buf = np.empty(sum(sizes))
+    views, lo = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(_scratch.buf[lo:lo + size].reshape(shape))
+        lo += size
+    return views
+
+
 def _run(f: ScalarField, pts: np.ndarray, want_grads: bool):
     tape = compile_tape(f)
     pts = _as_points(pts, tape.dim)
@@ -214,20 +273,21 @@ def _run(f: ScalarField, pts: np.ndarray, want_grads: bool):
         if want_grads:
             for i in range(n):  # a column at a time: g[:, i] is one contiguous row of the chunk
                 grads[lo:hi, i] = g[:, i]
-        del g  # frees the chunk's gradient registers before the next chunk allocates its own
     return out, grads, err
 
 
 def _run_chunk(tape: Tape, pts: np.ndarray, want_grads: bool):
     m, n = pts.shape
-    k_regs = tape.n_registers
-    reg = np.empty((k_regs, m))
-    R = list(reg)
+    S = tape.slot
+    rows = tape.n_slots
     if want_grads:
-        dreg = np.empty((k_regs, n, m))  # component-major: dreg[k, i] is d reg[k] / dx_i
+        # component-major: dreg[s, i] is d reg[s] / dx_i; tmp holds MUL's
+        # second product and du the derivative of a unary op
+        reg, dreg, tmp, du = _scratch_views((rows, m), (rows, n, m), (n, m), (m,))
         D = list(dreg)
-        tmp = np.empty((n, m))  # second product of MUL
-        du = np.empty(m)  # derivative of a unary op, one row of points
+    else:
+        (reg,) = _scratch_views((rows, m))
+    R = list(reg)
     err = np.zeros(m, dtype=np.int64)
 
     def flag(bad: np.ndarray, code: int) -> None:
@@ -235,7 +295,8 @@ def _run_chunk(tape: Tape, pts: np.ndarray, want_grads: bool):
         err[fresh] = code
 
     with np.errstate(all="ignore"):
-        for k, (op, i1, i2) in enumerate(zip(tape.ops, tape.a1, tape.a2)):
+        # k is the op's row; each branch maps its register operands to rows
+        for op, k, i1, i2 in zip(tape.ops, S, tape.a1, tape.a2):
             r = R[k]
             if op == OP_CONST:
                 r.fill(tape.consts[i1])
@@ -247,20 +308,24 @@ def _run_chunk(tape: Tape, pts: np.ndarray, want_grads: bool):
                     D[k].fill(0.0)
                     D[k][i1] = 1.0
             elif op == OP_ADD:
+                i1, i2 = S[i1], S[i2]
                 np.add(R[i1], R[i2], out=r)
                 if want_grads:
                     np.add(D[i1], D[i2], out=D[k])
             elif op == OP_SUB:
+                i1, i2 = S[i1], S[i2]
                 np.subtract(R[i1], R[i2], out=r)
                 if want_grads:
                     np.subtract(D[i1], D[i2], out=D[k])
             elif op == OP_MUL:
+                i1, i2 = S[i1], S[i2]
                 np.multiply(R[i1], R[i2], out=r)
                 if want_grads:
                     np.multiply(R[i1], D[i2], out=D[k])
                     np.multiply(R[i2], D[i1], out=tmp)
                     np.add(D[k], tmp, out=D[k])
             elif op == OP_DIV:
+                i1, i2 = S[i1], S[i2]
                 denom = R[i2]
                 bad = denom == 0.0
                 if bad.any():
@@ -272,14 +337,17 @@ def _run_chunk(tape: Tape, pts: np.ndarray, want_grads: bool):
                     np.subtract(D[i1], D[k], out=D[k])
                     np.divide(D[k], denom, out=D[k])
             elif op == OP_POW:
+                i1 = S[i1]
                 _pow(R[i1], tape.consts[i2], r, du if want_grads else None, flag)
                 if want_grads:
                     np.multiply(du, D[i1], out=D[k])
             elif op == OP_EXP:
+                i1 = S[i1]
                 np.exp(R[i1], out=r)
                 if want_grads:
                     np.multiply(r, D[i1], out=D[k])
             elif op == OP_LOG:
+                i1 = S[i1]
                 safe = R[i1]
                 bad = safe <= 0.0
                 if bad.any():
@@ -289,6 +357,7 @@ def _run_chunk(tape: Tape, pts: np.ndarray, want_grads: bool):
                 if want_grads:
                     np.divide(D[i1], safe, out=D[k])
             elif op == OP_SQRT:
+                i1 = S[i1]
                 # sqrt has a value at 0 but no derivative there
                 v = R[i1]
                 bad = (v <= 0.0) if want_grads else (v < 0.0)
@@ -312,8 +381,10 @@ def _run_chunk(tape: Tape, pts: np.ndarray, want_grads: bool):
                 if want_grads:
                     D[k][:] = c[:, None]
 
-        out = R[-1]
-        g = D[-1].T if want_grads else None
+        # the root's row, a view of the scratch buffer: _run copies it out
+        # before the next chunk overwrites it
+        out = R[0]
+        g = D[0].T if want_grads else None
         # one sum tells whether any row is not finite (a sum that overflows
         # trips it too, harmlessly); only then are the rows scanned
         if not math.isfinite(out.sum() + (g.sum() if want_grads else 0.0)):

@@ -1,13 +1,15 @@
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gammaw import _tape
 from gammaw.field_expr import DomainError, coord_field, normsq_field, parse_field
-from gammaw.gamma_calculus import apply_L_symbolic, gamma_w_field
+from gammaw.gamma_calculus import apply_L_symbolic, gamma2_w_field, gamma_w_field
 from gammaw.presets import gaussian_problem
-from gammaw.verifier import exp_field
+from gammaw.verifier import exp_field, random_problem, random_smooth_field
 
 FIELDS = [
     "1 + x0 - 0.5*x1",
@@ -103,17 +105,117 @@ def test_tape_deduplicates_shared_subtrees():
     assert adds == 2  # (1+n) shared, plus the top-level sum
 
 
-def test_registers_are_the_distinct_nodes():
+def _ll_gamma_w_3d():
     p = gaussian_problem(3)
     f = exp_field([0.3, -0.2, 0.5], 3)
-    ll_gw = apply_L_symbolic(p, apply_L_symbolic(p, gamma_w_field(p, f, f)))
+    return apply_L_symbolic(p, apply_L_symbolic(p, gamma_w_field(p, f, f)))
+
+
+def test_registers_are_the_distinct_nodes():
+    ll_gw = _ll_gamma_w_3d()
     seen, stack = set(), [ll_gw.root]
     while stack:
         n = stack.pop()
         if n not in seen:
             seen.add(n)
             stack.extend(getattr(n, k) for k in ("a", "b") if hasattr(n, k))
-    assert _tape.compile_tape(ll_gw).n_registers == len(seen)
+    tape = _tape.compile_tape(ll_gw)
+    assert tape.n_registers == len(seen) == 2971
+    # the rows are the peak live set, not one per register
+    assert tape.n_slots <= 200
+    _assert_rows_hold(tape)
+
+
+# register operands of each opcode, written out apart from the tape's own table
+_BINARY = {_tape.OP_ADD, _tape.OP_SUB, _tape.OP_MUL, _tape.OP_DIV}
+_UNARY = {_tape.OP_POW, _tape.OP_EXP, _tape.OP_LOG, _tape.OP_SQRT}
+
+
+def _operands(tape, k):
+    op = tape.ops[k]
+    if op in _BINARY:
+        return (tape.a1[k], tape.a2[k])
+    return (tape.a1[k],) if op in _UNARY else ()
+
+
+def _assert_rows_hold(tape):
+    """Replay the row map op by op: every read finds its register still in
+    its row, no op writes a row it reads, and the root's row ends holding
+    the root."""
+    assert len(tape.slot) == tape.n_registers
+    assert set(tape.slot) == set(range(tape.n_slots))
+    holder = {}  # row -> register whose value it holds
+    for k in range(tape.n_registers):
+        rows_read = set()
+        for x in _operands(tape, k):
+            assert holder[tape.slot[x]] == x, f"op {k} reads register {x} after its row was reused"
+            rows_read.add(tape.slot[x])
+        assert tape.slot[k] not in rows_read, f"op {k} writes a row it reads"
+        holder[tape.slot[k]] = k
+    root = tape.n_registers - 1
+    assert tape.slot[root] == 0  # the row the interpreter returns
+    assert holder[0] == root
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rows_hold_every_opcode(n):
+    for src in _every_opcode_fields(n):
+        _assert_rows_hold(_tape.compile_tape(parse_field(src, n)))
+
+
+def test_rows_hold_random_gamma2_w_fields():
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        dim = int(rng.integers(1, 4))
+        p = random_problem(rng, dim)
+        _assert_rows_hold(_tape.compile_tape(gamma2_w_field(p, random_smooth_field(rng, dim))))
+
+
+def test_values_batch_memory_is_the_live_set():
+    # one row per register would hold 2971 x 2048 doubles, 48.7 MB; a fresh
+    # thread starts with an empty scratch buffer, so the rows are allocated
+    ll_gw = _ll_gamma_w_3d()
+    _tape.compile_tape(ll_gw)
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(2048, 3))
+    tracemalloc.start()
+    try:
+        worker = threading.Thread(target=_tape.eval_values, args=(ll_gw, pts))
+        worker.start()
+        worker.join(timeout=60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not worker.is_alive()
+    assert 1e6 < peak < 16e6
+
+
+def test_threads_keep_their_own_rows():
+    # each thread evaluates into its own scratch rows, so batches evaluated
+    # at once in two threads match the same batches evaluated one by one
+    rng = np.random.default_rng(7)
+    pts = _edge_points(rng, 3000, 3)
+    fields = [_ll_gamma_w_3d()] + [parse_field(src, 3) for src in _every_opcode_fields(3)]
+    expected = [_tape._run(f, pts, True) for f in fields]
+    results = {}
+
+    def work(name, order):
+        for _ in range(3):
+            for i in order:
+                results[name, i] = _tape._run(fields[i], pts, True)
+
+    threads = [
+        threading.Thread(target=work, args=("up", range(len(fields)))),
+        threading.Thread(target=work, args=("down", range(len(fields) - 1, -1, -1))),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    for (_, i), got in results.items():
+        for a, b in zip(got, expected[i]):
+            assert np.array_equal(a, b, equal_nan=True)
+    assert len(results) == 2 * len(fields)
 
 
 def test_tape_cached_on_field():
