@@ -6,14 +6,14 @@ one opcode at a time, vectorized over chunks of points.  Values and
 gradients share that one loop.  A register lives in a buffer row that is
 reused after the register's last read, so the memory per chunk is the peak
 live set of the tape, not its length: L(L GammaW(f)) in three dimensions has
-2,971 registers and needs 174 rows.  The rows live in a per-thread scratch
-buffer that later calls reuse.  Forward-mode gradients are held
-component-major, ``dreg[row, component, point]``, so each product of a
-value row with a gradient runs over contiguous rows of points; every opcode
-writes into its row through ufunc ``out=``, and only the CONST and COORD
-gradient rows are zeroed.  The test suite pins the tape against the
-recursive evaluator and the jets of :mod:`gammaw.field_expr`, and bit for
-bit against the point-major interpreter it replaced.
+2,971 registers and needs 174 rows, allocated afresh for each chunk.
+Forward-mode gradients are held component-major,
+``dreg[row, component, point]``, so each product of a value row with a
+gradient runs over contiguous rows of points; every opcode writes into its
+row through ufunc ``out=``, and only the CONST and COORD gradient rows are
+zeroed.  The test suite pins the tape against the recursive evaluator and
+the jets of :mod:`gammaw.field_expr`, and bit for bit against the
+point-major interpreter it replaced.
 
 Domain violations do not raise here; each point gets an error code (0 ok,
 1 division by zero, 2 log domain, 3 sqrt domain, 4 power domain, 5 overflow)
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,31 +234,6 @@ def _as_points(pts: np.ndarray, dim: int) -> np.ndarray:
 _CHUNK = 8192
 
 
-class _Scratch(threading.local):
-    """Each thread's buffer for the rows of a chunk, kept from call to call
-    and grown to the largest chunk seen.  Every op writes its whole row
-    before any op reads it, so stale contents are never read.  Allocating
-    the rows afresh per call made the C allocator give the pages back to
-    the system and fault them in again on every Euler-Maruyama step."""
-
-    buf = np.empty(0)
-
-
-_scratch = _Scratch()
-
-
-def _scratch_views(*shapes: tuple[int, ...]) -> list[np.ndarray]:
-    """Side-by-side views of this thread's scratch buffer, one per shape."""
-    sizes = [math.prod(s) for s in shapes]
-    if _scratch.buf.size < sum(sizes):
-        _scratch.buf = np.empty(sum(sizes))
-    views, lo = [], 0
-    for shape, size in zip(shapes, sizes):
-        views.append(_scratch.buf[lo:lo + size].reshape(shape))
-        lo += size
-    return views
-
-
 def _run(f: ScalarField, pts: np.ndarray, want_grads: bool):
     tape = compile_tape(f)
     pts = _as_points(pts, tape.dim)
@@ -273,6 +247,7 @@ def _run(f: ScalarField, pts: np.ndarray, want_grads: bool):
         if want_grads:
             for i in range(n):  # a column at a time: g[:, i] is one contiguous row of the chunk
                 grads[lo:hi, i] = g[:, i]
+        del g  # frees the chunk's gradient rows before the next chunk allocates its own
     return out, grads, err
 
 
@@ -280,14 +255,12 @@ def _run_chunk(tape: Tape, pts: np.ndarray, want_grads: bool):
     m, n = pts.shape
     S = tape.slot
     rows = tape.n_slots
+    R = list(np.empty((rows, m)))
     if want_grads:
         # component-major: dreg[s, i] is d reg[s] / dx_i; tmp holds MUL's
         # second product and du the derivative of a unary op
-        reg, dreg, tmp, du = _scratch_views((rows, m), (rows, n, m), (n, m), (m,))
-        D = list(dreg)
-    else:
-        (reg,) = _scratch_views((rows, m))
-    R = list(reg)
+        D = list(np.empty((rows, n, m)))
+        tmp, du = np.empty((n, m)), np.empty(m)
     err = np.zeros(m, dtype=np.int64)
 
     def flag(bad: np.ndarray, code: int) -> None:
@@ -381,8 +354,7 @@ def _run_chunk(tape: Tape, pts: np.ndarray, want_grads: bool):
                 if want_grads:
                     D[k][:] = c[:, None]
 
-        # the root's row, a view of the scratch buffer: _run copies it out
-        # before the next chunk overwrites it
+        # the root's row, a view of this chunk's rows: _run copies it out
         out = R[0]
         g = D[0].T if want_grads else None
         # one sum tells whether any row is not finite (a sum that overflows

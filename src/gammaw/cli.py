@@ -28,6 +28,7 @@ errors, 4 too many inconclusive verdicts.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
 import sys
@@ -60,6 +61,29 @@ EXIT_DOMAIN = 3
 EXIT_INCONCLUSIVE = 4
 
 INCONCLUSIVE_FRACTION_LIMIT = 0.2
+
+# glibc's mallopt parameters (malloc.h)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory():
+    """Let glibc reuse the large numpy blocks the Euler-Maruyama steps and
+    tape chunks free, instead of giving their pages back to the system and
+    faulting them in again.  Returns mallopt's two results (1 is success),
+    or None where the C library has no mallopt."""
+    try:
+        # the symbols already loaded into this process; Windows takes no None
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # 32 MiB, the largest threshold glibc takes on 64-bit: smaller blocks come from the heap, not mmap
+    mmap = mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    # 256 MiB, above a pinned run's working set (61 MB in its largest worker),
+    # so a free never trims the heap top
+    trim = mallopt(M_TRIM_THRESHOLD, 256 << 20)
+    return mmap, trim
 
 
 def _overrides(args) -> list[str]:
@@ -259,6 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "reproduce-paper":

@@ -387,10 +387,6 @@ class Jet:
     gradient: np.ndarray
     hessian: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.gradient.shape[0]
-
 
 _outer = np.multiply.outer  # the bits of np.outer, without its ravel and reshape
 
@@ -541,11 +537,7 @@ def _jet_node(n: Node, x: np.ndarray, memo: dict) -> Jet:
         b = _jet_node(n.b, x, memo)
         if b.value == 0.0:
             raise DomainError("division by zero")
-        recip = _pow_derivs(b.value, -1.0) if b.value > 0 else None
-        if recip is None:
-            # negative denominator: 1/v derivatives directly
-            recip = [((-1.0) ** m) * math.factorial(m) / b.value ** (m + 1) for m in range(3)]
-        j = _j_mul(_jet_node(n.a, x, memo), _j_compose(recip, b))
+        j = _j_mul(_jet_node(n.a, x, memo), _j_compose(_pow_derivs(b.value, -1.0), b))
     elif t is Pow:
         a = _jet_node(n.a, x, memo)
         j = _j_compose(_pow_derivs(a.value, n.expo), a)

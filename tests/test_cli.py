@@ -4,6 +4,7 @@ import contextlib
 import multiprocessing
 import os
 import pickle
+import platform
 import subprocess
 import sys
 import warnings
@@ -18,8 +19,8 @@ from gammaw import acceptance, cli
 from gammaw.cli import main
 from gammaw.config import ConfigError, RunConfig
 from gammaw.field_expr import DomainError, ParseError
-from gammaw.gamma_calculus import WeightVanishesError
-from gammaw.semigroup_mc import AggregatePathFailure
+from gammaw.gamma_calculus import WeightVanishesError, gamma_w_field
+from gammaw.semigroup_mc import AggregatePathFailure, estimate_Qt_many
 from gammaw.verifier import NegativeBatteryError
 
 FAST_2D = """\
@@ -408,6 +409,31 @@ def test_verify_variance_runs(fast_config):
     assert main(["verify", "variance", "--config", cfg]) == 0
 
 
+def test_verify_variance_at_kappa_zero_takes_2t(fast_config, tmp_path, capsys):
+    # the coefficient (1 - e^{-2 kappa t}) / kappa tends to 2t as kappa -> 0
+    path = fast_config(check="kappa = 0")
+    assert main(["verify", "variance", "--config", path]) == 0
+    assert "kappa = 0: using the limiting coefficient 2t" in capsys.readouterr().out
+    cfg = RunConfig.from_file(path)
+    p = cfg.build_problem()
+    fields = cli._cli_battery(cfg)
+    (t,), (x,) = cfg.t_values, cfg.x_grid()
+    right = estimate_Qt_many(p, [gamma_w_field(p, f, f) for _, f in fields], x, [t], cfg.mc, stream=(0,))
+    header, *rows = (tmp_path / "report.csv").read_text().splitlines()
+    assert header.split(",")[-4] == "rhs"  # counted from the end: the exp_a label holds a comma
+    assert len(rows) == len(fields)
+    for row, (q,) in zip(rows, right):
+        assert float(row.split(",")[-4]) == 2.0 * t * q.mean
+
+
+def test_verify_mostly_inconclusive_exits_4(fast_config, capsys):
+    # 16 paths leave every stderr far above the 5% cap: no verdict can fail
+    cfg = fast_config(check="kappa = -1.0625")
+    code = main(["verify", "variance", "--config", cfg, "--override", "mc.n_paths=16"])
+    assert code == 4
+    assert "inconclusive" in capsys.readouterr().out
+
+
 def test_verify_sqrt_auto_constants(fast_config, capsys):
     cfg = fast_config()
     code = main(["verify", "sqrt", "--config", cfg])
@@ -689,12 +715,18 @@ def _source_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def test_python_dash_m_runs_the_cli():
+def test_python_dash_m_runs_the_cli(fast_config, tmp_path):
     res = subprocess.run(
         [sys.executable, "-m", "gammaw", "--help"], env=_source_env(), capture_output=True, text=True, timeout=60,
     )
     assert res.returncode == 0, res.stderr
     assert "reproduce-paper" in res.stdout
+    res = subprocess.run(
+        [sys.executable, "-m", "gammaw", "verify", "commutation", "--config", fast_config(check="kappa = -1.0625")],
+        env=_source_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "report.csv").read_text().startswith("check_id,t,x0,x1,f_label")
 
 
 def test_cli_import_does_not_load_scipy():
@@ -704,3 +736,72 @@ def test_cli_import_does_not_load_scipy():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_allocator_setting_takes_on_glibc():
+    assert cli._keep_freed_memory() == (1, 1)
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()], ids=["no-libc", "no-mallopt"])
+def test_main_runs_without_mallopt(monkeypatch, fast_config, cdll):
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli._keep_freed_memory() is None
+    assert main(["verify", "commutation", "--config", fast_config(check="kappa = -1.0625")]) == 0
+
+
+NON_GAUSSIAN_32K = """\
+[problem]
+dim = 2
+U = normsq(x)/2 + 0.25*x0^2
+W = sqrt1sq
+
+[mc]
+n_paths = 32000
+dt = 0.02
+seed = 0
+
+[check]
+kappa = -1.515625
+
+[grids]
+t_values = 0.1
+x_points = (1, 0.5)
+a_vectors = (0.5, 0)
+
+[output]
+path = {out}
+"""
+
+# runs main twice in one process and prints the minor page faults of the
+# second run
+SECOND_ROUND_FAULTS = """\
+import contextlib, io, resource, sys
+from gammaw.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_second_verify_round_reuses_freed_memory(tmp_path):
+    # Euler-Maruyama ensembles free and allocate the same large arrays on
+    # every step. With glibc's default thresholds their pages go back to the
+    # system and fault in again: about 2,000 minor faults on this second
+    # round; with the setting main makes, under 10.
+    if cli._keep_freed_memory() is None:
+        pytest.skip("the C library has no mallopt")
+    path = tmp_path / "generic.ini"
+    path.write_text(NON_GAUSSIAN_32K.format(out=tmp_path / "r.csv"))
+    res = subprocess.run(
+        [sys.executable, "-c", SECOND_ROUND_FAULTS, "verify", "commutation", "--config", str(path)],
+        env=_source_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout.split()[-1]) < 300

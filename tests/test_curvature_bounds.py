@@ -17,7 +17,7 @@ from gammaw.curvature_bounds import (
     estimate_rho,
 )
 from gammaw.field_expr import DomainError, parse_field
-from gammaw.gamma_calculus import gamma2_w, gamma_integrand, gamma_w, sqrt_defect
+from gammaw.gamma_calculus import WEIGHT_EPS, gamma2_w, gamma_integrand, gamma_w, sqrt_defect
 from gammaw.presets import gaussian_problem, make_problem, pq_problem
 from gammaw.verifier import random_smooth_field
 
@@ -92,6 +92,18 @@ def test_gamma_zero_weight(fast_search, p2_noweight):
     assert est.value == math.inf
     assert not est.diverging
     assert est.witness is None
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gamma_search_stays_where_the_weight_is_above_eps(n):
+    # W = exp(-|x|^2) under the Gaussian U has the integrand -6|x|^2 - 2n.
+    # The objective's error codes flag only W = 0, which takes |x| ~ 27 to
+    # underflow; the |W| >= WEIGHT_EPS mask stops the search at
+    # |x|^2 = ln(1e12) instead of letting it chase the underflow.
+    p = make_problem(n, "gaussian", "exp(-normsq(x))")
+    est = estimate_gamma(p, SearchConfig())
+    assert not est.diverging
+    assert est.value == pytest.approx(-6.0 * math.log(1.0 / WEIGHT_EPS) - 2.0 * n, abs=1e-6)
 
 
 def test_gamma_trace_monotone(fast_search):

@@ -164,6 +164,22 @@ def test_jet_matches_finite_differences(seed, dim):
     assert np.allclose(j.hessian, fd.hessian, atol=2e-4 * hscale, rtol=1e-4)
 
 
+@pytest.mark.parametrize("src, x", [("1/(x0-3)", [0.5, 0.2]), ("x1/(x0*x0-4)", [0.7, -1.3])])
+def test_jet_of_a_negative_denominator(src, x):
+    # 1/v takes the rule of v^-1, whose integer exponent allows v < 0
+    f = parse_field(src, 2)
+    x = np.array(x)
+    j = f.jet(x)
+    fd = finite_diff_jet(f, x, h=1e-5)
+    assert j.value == pytest.approx(f.value(x), rel=1e-15)
+    assert np.allclose(j.gradient, fd.gradient, rtol=1e-7, atol=1e-9)
+    assert np.allclose(j.hessian, fd.hessian, rtol=1e-4, atol=1e-6)
+    for i in range(2):
+        assert f.diff(i).value(x) == pytest.approx(j.gradient[i], rel=1e-12, abs=1e-15)
+        for k in range(2):
+            assert f.diff(i).diff(k).value(x) == pytest.approx(j.hessian[i, k], rel=1e-12, abs=1e-15)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_hessian_symmetric(seed):

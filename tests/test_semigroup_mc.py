@@ -266,6 +266,19 @@ def test_fk_term_against_mehler(p2):
     assert abs(est.mean - ref) < 4 * est.stderr + 2e-2 * abs(ref)
 
 
+@pytest.mark.parametrize("label, want", [("poly_quad", 6.48697), ("bump", 0.214493)])
+def test_fk_term_nested_quadrature_against_sampling(p2, label, want):
+    # outside the exponential family mehler_fk_term takes Q_{t-s} f by nested
+    # Gauss-Hermite; the sampled term carries an Euler-Maruyama bias, O(dt),
+    # and the error of its three Simpson nodes
+    f = dict(battery(2))[label]
+    x, t = [0.5, -0.3], 0.3
+    ref = mehler_fk_term(p2, f, x, t)
+    assert ref == pytest.approx(want, rel=1e-5)
+    est = estimate_fk_term(p2, f, x, t, 3, MCConfig(n_paths=40_000, dt=2e-3, seed=5))
+    assert abs(est.mean - ref) < 4 * est.stderr + 1e-2 * abs(ref)
+
+
 def test_fk_term_const_f_closed_form(p2):
     # f = 1: the integrand is 2 Q_s(W^2) with W^2 = 1 + |x|^2, so from x = 0
     # the integral is 2 int_0^t (1 + 2(1-e^{-2s})) ds = 6t - 4t... computed below

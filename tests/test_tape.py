@@ -172,8 +172,8 @@ def test_rows_hold_random_gamma2_w_fields():
 
 
 def test_values_batch_memory_is_the_live_set():
-    # one row per register would hold 2971 x 2048 doubles, 48.7 MB; a fresh
-    # thread starts with an empty scratch buffer, so the rows are allocated
+    # one row per register would hold 2971 x 2048 doubles, 48.7 MB; the
+    # chunk's rows are allocated in the traced thread
     ll_gw = _ll_gamma_w_3d()
     _tape.compile_tape(ll_gw)
     pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(2048, 3))
@@ -190,8 +190,8 @@ def test_values_batch_memory_is_the_live_set():
 
 
 def test_threads_keep_their_own_rows():
-    # each thread evaluates into its own scratch rows, so batches evaluated
-    # at once in two threads match the same batches evaluated one by one
+    # each call evaluates into rows of its own, so batches evaluated at once
+    # in two threads match the same batches evaluated one by one
     rng = np.random.default_rng(7)
     pts = _edge_points(rng, 3000, 3)
     fields = [_ll_gamma_w_3d()] + [parse_field(src, 3) for src in _every_opcode_fields(3)]
