@@ -409,8 +409,8 @@ def ac9(ov: tuple[str, ...]) -> CriterionResult:
     n_bad = 0
     fields = battery(2)
     x_grid, t_grid = _grid2((0.0, 0.0), (0.5, -0.3)), (0.1, 0.5)
-    # one ensemble per start point serves every field and both times
-    ests = [estimate_Qt_many(p, [f for _, f in fields], x, t_grid, cfg) for x in x_grid]
+    # one ensemble serves both start points, every field and both times
+    ests = estimate_Qt_many(p, [f for _, f in fields], x_grid, t_grid, cfg)
     for i, (label, f) in enumerate(fields):
         for x, by_field in zip(x_grid, ests):
             for t, est in zip(t_grid, by_field[i]):

@@ -22,15 +22,21 @@ the shared outer trajectory.
 
 Noise streams are labeled tuples hashed into independent Philox states, so
 paths are reproducible per (seed, stream, step) regardless of chunking or
-evaluation order.  An ensemble depends on U, the start point, the MC config,
-the stream and the time schedule, never on the test function, so the
-``*_many`` estimators simulate each ensemble once for a whole battery of
-fields and a whole t-grid; the single-field estimators are those cores
-called with one field and one t, and give bit-identical numbers.
+evaluation order.  A label names no start point, so every start point of a
+call takes the same noise (common random numbers across x) and each noise
+block is drawn once for all of them.  An ensemble depends on U, the MC
+config, the stream and the time schedule, never on the test function, so the
+``*_many`` estimators take a grid of start points and simulate one stacked
+ensemble, one block of paths per start, for a whole battery of fields and a
+whole t-grid; their results carry a leading [x] index.  The single-field
+estimators are those cores called with one start, one field and one t, and
+every number is bit-identical to a call with one start.  The ensemble's
+memory grows with the number of start points: the verify checks and the
+acceptance criteria stack at most 2.
 
 Every estimator takes one route from ensemble to estimate:
 :func:`_simulate_grid` runs the ensemble, :func:`_endpoint_values`
-evaluates the fields at its endpoints and marks the usable paths (inside the
+evaluates one field at its endpoints and marks the usable paths (inside the
 blow-up guard, no tape error code, so an overflowed value is a failed path),
 and :func:`_estimate` drops the paths whose sample is not finite (a replica
 product or a difference can overflow), checks the failure fraction, pairs
@@ -145,6 +151,12 @@ def _split_steps(t: float, dt: float) -> tuple[int, float]:
     return k, rem
 
 
+def _block_paths(cfg: MCConfig) -> int:
+    """Paths from one start point: ``cfg.n_paths``, rounded up to even for
+    antithetic pairs."""
+    return cfg.n_paths + (cfg.n_paths % 2 if cfg.antithetic else 0)
+
+
 def _noise_block(noise, label: tuple[int, ...], xi: np.ndarray, antithetic: bool) -> np.ndarray:
     """Fill ``xi`` (m, n) with the step's noise; antithetic pairs negate the
     first half into the second, as ``concatenate([half, -half])`` would."""
@@ -162,28 +174,33 @@ def _em_step(
     """One Euler-Maruyama step of every live path, in place; failed paths
     freeze at their last finite state.
 
+    ``X`` is one block of paths (m, n) with ``alive`` (m,), or a stack of
+    blocks (k, m, n), one per start point, with ``alive`` (k, m).  The noise
+    ``xi`` (m, n) is one draw that every block takes by broadcasting, so each
+    block's numbers are those of a step of that block alone.
+
     For the Gaussian potential the drift is x, taken exactly: the tape's
     gradient of every form of |x|^2/2 + c that ``ProblemSpec`` recognises is
-    x itself, with error code 0.  Otherwise the drift comes from the tape,
-    which gives a NaN gradient on a row with an error code, so that path
-    fails the blow-up guard.  The guard tests the largest |x_i| of the whole
-    block first and the rows only when that trips, and while every path is
-    alive the update is a plain copy.
+    x itself, with error code 0.  Otherwise the drift comes from one tape
+    call over the whole stack, which gives a NaN gradient on a row with an
+    error code, so that path fails the blow-up guard.  The guard tests the
+    largest and smallest x_i of the whole stack first and the rows only when
+    that trips, and while every path is alive the update is a plain copy.
 
     X - grads dt + sqrt(2 dt) xi is computed in that operation order with no
     temporary array: the step consumes the noise ``xi`` as scratch, and the
     new state goes into the tape's gradient array, or for the Gaussian
-    potential into ``new_x`` (m, n) when it is given.
+    potential into ``new_x`` (of X's shape) when it is given.
     """
     if p.gaussian_U:
         new_x = np.multiply(X, dt_s, out=new_x)
     else:
-        new_x = _tape.eval_values_grads(p.U, X)[1]
+        new_x = _tape.eval_values_grads(p.U, X.reshape(-1, X.shape[-1]))[1].reshape(X.shape)
         np.multiply(new_x, dt_s, out=new_x)
     np.subtract(X, new_x, out=new_x)
     np.add(new_x, np.multiply(math.sqrt(2.0 * dt_s), xi, out=xi), out=new_x)
-    if not (np.max(np.abs(new_x, out=xi)) <= _BLOWUP_RADIUS):  # a NaN anywhere trips it
-        alive &= np.max(np.abs(new_x), axis=1) <= _BLOWUP_RADIUS  # NaN rows blow up too
+    if not (new_x.max() <= _BLOWUP_RADIUS and new_x.min() >= -_BLOWUP_RADIUS):  # a NaN anywhere trips it
+        alive &= np.max(np.abs(new_x), axis=-1) <= _BLOWUP_RADIUS  # NaN rows blow up too
     if alive.all():
         X[...] = new_x
     else:
@@ -198,53 +215,52 @@ def _simulate_grid(
     noise,
     stream: tuple[int, ...],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Evolve one ensemble through every time of ``t_grid``; returns
-    (endpoints, alive mask) per time, in the order of ``t_grid``.
+    """Evolve one stacked ensemble through every time of ``t_grid``; returns
+    (endpoints (k, m, n), alive mask (k, m)) per time, in the order of
+    ``t_grid``.
 
-    ``x0`` is a single start (n,) broadcast to ``cfg.n_paths`` paths, rounded
-    up to even for antithetic pairs, or per-path starts (m, n).  Times are
-    visited in increasing order and share their full steps.  A time that
-    ends on a short step takes it from a copy of the full-step state, under
-    the (stream, step) label a simulation to that time alone would use, so
-    every snapshot is bit-identical to it.
+    ``x0`` is a grid of k start points (k, n), each broadcast to a block of
+    :func:`_block_paths` paths, or per-path starts (k, m, n).  Each (stream,
+    step) noise block is drawn once and drives every block, so block a is
+    bit for bit the ensemble a call from start a alone would simulate; its
+    memory is k such ensembles.
+    Times are visited in increasing order and share their full steps.  A
+    time that ends on a short step takes it from a copy of the full-step
+    state, under the (stream, step) label a simulation to that time alone
+    would use, so every snapshot is bit-identical to it.  The last time
+    takes the state itself, with no copy.
     """
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 1:
-        m = cfg.n_paths + (cfg.n_paths % 2 if cfg.antithetic else 0)
-        X = np.repeat(x0[None, :], m, axis=0)
+    if x0.ndim == 2:
+        X = np.repeat(x0[:, None, :], _block_paths(cfg), axis=1)
     else:
         X = x0.copy()
-        m = X.shape[0]
-    alive = np.ones(m, dtype=bool)
-    xi = np.empty(X.shape)  # every step's noise, reused
+    alive = np.ones(X.shape[:2], dtype=bool)
+    xi = np.empty(X.shape[1:])  # every step's noise, reused, shared by the blocks
     new_x = np.empty(X.shape) if p.gaussian_U else None
     snapshots: list = [None] * len(t_grid)
+    order = sorted(range(len(t_grid)), key=lambda i: t_grid[i])
     done = 0
-    for idx in sorted(range(len(t_grid)), key=lambda i: t_grid[i]):
+    for idx in order:
         k, rem = _split_steps(t_grid[idx], cfg.dt)
         for step in range(done, k):
             _em_step(p, X, alive, cfg.dt, _noise_block(noise, (*stream, step), xi, cfg.antithetic), new_x)
         done = k
-        Xt, alive_t = X.copy(), alive.copy()
+        Xt, alive_t = (X, alive) if idx == order[-1] else (X.copy(), alive.copy())
         if rem > 0.0:
             _em_step(p, Xt, alive_t, rem, _noise_block(noise, (*stream, k), xi, cfg.antithetic), new_x)
         snapshots[idx] = (Xt, alive_t)
     return snapshots
 
 
-def _endpoint_values(fields, snapshots) -> tuple[np.ndarray, np.ndarray]:
-    """Every field on every snapshot of :func:`_simulate_grid`: values and
-    usable-path masks, both indexed [field, t, path].  A path is usable when
-    it stayed inside the blow-up guard and the field has no tape error code
-    at its endpoint, so an overflowed value counts as a failed path."""
-    m = snapshots[0][0].shape[0] if snapshots else 0
-    vals = np.empty((len(fields), len(snapshots), m))
-    ok = np.empty(vals.shape, dtype=bool)
-    for i, f in enumerate(fields):
-        for j, (X, alive) in enumerate(snapshots):
-            vals[i, j], err = _tape.eval_values(f, X)
-            ok[i, j] = alive & (err == 0)
-    return vals, ok
+def _endpoint_values(f: ScalarField, X: np.ndarray, alive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One field on one snapshot of :func:`_simulate_grid`, in one tape call
+    over every block: values and usable-path masks, both of ``alive``'s
+    shape [start, path].  A path is usable when it stayed inside the blow-up
+    guard and the field has no tape error code at its endpoint, so an
+    overflowed value counts as a failed path."""
+    vals, err = _tape.eval_values(f, X.reshape(-1, X.shape[-1]))
+    return vals.reshape(alive.shape), alive & (err.reshape(alive.shape) == 0)
 
 
 def _estimate(values: np.ndarray, ok: np.ndarray, cfg: MCConfig, case: tuple) -> MCEstimate:
@@ -290,48 +306,52 @@ def _case_text(case: tuple) -> str:
 def _replica_products(
     p: ProblemSpec,
     fields,
-    x,
+    x_grid,
     t_grid,
     cfg: MCConfig,
     streams,
     what: str,
-) -> list[list[MCEstimate]]:
-    """[field][t] estimates of E[prod_k f(X^k_t)] with one independent
+) -> list[list[list[MCEstimate]]]:
+    """[x][field][t] estimates of E[prod_k f(X^k_t)] with one independent
     ensemble X^k per stream, so the mean is (Q_t f(x))^len(streams).  Each
-    ensemble is simulated once for all fields and times; t = 0 is exact."""
-    x = np.asarray(x, dtype=float)
+    ensemble is simulated once for all start points, fields and times, and
+    the fields are evaluated one at a time; t = 0 is exact."""
+    xs = np.asarray(x_grid, dtype=float)
     noise = GaussianNoise(cfg.seed)
     sampled_t = [t for t in t_grid if t != 0.0]
-    ensembles = [_simulate_grid(p, x, sampled_t, cfg, noise, s) for s in streams]
-    replicas = [_endpoint_values(fields, snapshots) for snapshots in ensembles]
-    with np.errstate(over="ignore"):  # an overflowed product is a failed path
-        prods = reduce(operator.mul, (vals for vals, _ in replicas))
-    ok = reduce(operator.and_, (good for _, good in replicas))
-    out = []
+    ensembles = [_simulate_grid(p, xs, sampled_t, cfg, noise, s) for s in streams]
+    out = [[[] for _ in fields] for _ in xs]
     for i, f in enumerate(fields):
-        sampled = zip(prods[i], ok[i])
-        row = []
-        for t in t_grid:
-            if t == 0.0:
-                exact = math.prod([f.value(x)] * len(streams))
-                row.append(MCEstimate(mean=exact, stderr=0.0, n_paths=0, dt=cfg.dt))
-            else:
-                row.append(_estimate(*next(sampled), cfg, (what, i, f, x, t)))
-        out.append(row)
+        sampled = []  # per sampled t: the replicas' product and usable mask, [start, path]
+        for snapshots in zip(*ensembles):
+            replicas = [_endpoint_values(f, X, alive) for X, alive in snapshots]
+            with np.errstate(over="ignore"):  # an overflowed product is a failed path
+                prod = reduce(operator.mul, (vals for vals, _ in replicas))
+            sampled.append((prod, reduce(operator.and_, (good for _, good in replicas))))
+        for a, x in enumerate(xs):
+            by_t = iter(sampled)
+            for t in t_grid:
+                if t == 0.0:
+                    exact = math.prod([f.value(x)] * len(streams))
+                    out[a][i].append(MCEstimate(mean=exact, stderr=0.0, n_paths=0, dt=cfg.dt))
+                else:
+                    prod, ok = next(by_t)
+                    out[a][i].append(_estimate(prod[a], ok[a], cfg, (what, i, f, x, t)))
     return out
 
 
 def estimate_Qt_many(
     p: ProblemSpec,
     fields,
-    x,
+    x_grid,
     t_grid,
     cfg: MCConfig,
     stream: tuple[int, ...] = (0,),
-) -> list[list[MCEstimate]]:
-    """Monte Carlo Q_t f(x) for every field and every t from one ensemble;
-    entry [i][j] is fields[i] at t_grid[j]."""
-    return _replica_products(p, fields, x, t_grid, cfg, (stream,), "estimate_Qt")
+) -> list[list[list[MCEstimate]]]:
+    """Monte Carlo Q_t f(x) for every start point, field and t from one
+    stacked ensemble; entry [a][i][j] is fields[i] from x_grid[a] at
+    t_grid[j]."""
+    return _replica_products(p, fields, x_grid, t_grid, cfg, (stream,), "estimate_Qt")
 
 
 def estimate_Qt(
@@ -343,19 +363,19 @@ def estimate_Qt(
     stream: tuple[int, ...] = (0,),
 ) -> MCEstimate:
     """Monte Carlo Q_t f(x) with standard error."""
-    return estimate_Qt_many(p, [f], x, [t], cfg, stream)[0][0]
+    return estimate_Qt_many(p, [f], [x], [t], cfg, stream)[0][0][0]
 
 
 def estimate_Qt_sq_many(
     p: ProblemSpec,
     fields,
-    x,
+    x_grid,
     t_grid,
     cfg: MCConfig,
-) -> list[list[MCEstimate]]:
-    """:func:`estimate_Qt_sq` for every field and every t; entry [i][j] is
-    fields[i] at t_grid[j]."""
-    return _replica_products(p, fields, x, t_grid, cfg, _SQ_STREAMS, "estimate_Qt_sq")
+) -> list[list[list[MCEstimate]]]:
+    """:func:`estimate_Qt_sq` for every start point, field and t; entry
+    [a][i][j] is fields[i] from x_grid[a] at t_grid[j]."""
+    return _replica_products(p, fields, x_grid, t_grid, cfg, _SQ_STREAMS, "estimate_Qt_sq")
 
 
 def estimate_Qt_sq(
@@ -370,7 +390,7 @@ def estimate_Qt_sq(
     Squaring a single ensemble mean would be biased upward by its variance;
     f(Z) f(Z') with Z, Z' independent has expectation exactly (Q_t f)^2.
     """
-    return estimate_Qt_sq_many(p, [f], x, [t], cfg)[0][0]
+    return estimate_Qt_sq_many(p, [f], [x], [t], cfg)[0][0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -491,33 +511,50 @@ def _simpson_weights(t: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def estimate_fk_term_many(
     p: ProblemSpec,
     fields,
-    x,
+    x_grid,
     t: float,
     time_nodes: int,
     cfg: MCConfig,
-) -> list[MCEstimate]:
-    """:func:`estimate_fk_term` for every field, one entry per field.  The
-    outer trajectory and the continuations are simulated once and shared;
-    only the endpoint evaluations are per field."""
-    x = np.asarray(x, dtype=float)
+) -> list[list[MCEstimate]]:
+    """:func:`estimate_fk_term` for every start point and field; entry
+    [a][i] is fields[i] from x_grid[a].  The outer trajectories and the
+    continuations are simulated once for all start points and shared; only
+    the endpoint evaluations are per field, one field at a time, and each
+    field's per-path totals accumulate in place."""
+    xs = np.asarray(x_grid, dtype=float)
     if t == 0.0 or p.W.is_zero():
-        return [MCEstimate(mean=0.0, stderr=0.0, n_paths=0, dt=cfg.dt) for _ in fields]
+        return [[MCEstimate(mean=0.0, stderr=0.0, n_paths=0, dt=cfg.dt) for _ in fields] for _ in xs]
     s_nodes, weights = _simpson_weights(t, time_nodes)
     noise = GaussianNoise(cfg.seed)
     w_sq = p.W * p.W
-    Y, s_prev = x, 0.0  # node 0 is a zero-length segment: no steps, no noise
-    ok, acc = True, 0.0  # [field, path] from the first node on
-    for j, (s_j, w_j) in enumerate(zip(s_nodes, weights)):
-        outer = _simulate_grid(p, Y, (s_j - s_prev,), cfg, noise, (3, j))
-        Y, s_prev = outer[0][0], s_j
-        w2, w2_ok = _endpoint_values([w_sq], outer)
-        fz, z_ok = _endpoint_values(fields, _simulate_grid(p, Y, (t - s_j,), cfg, noise, (4, j, 0)))
-        fzp, zp_ok = _endpoint_values(fields, _simulate_grid(p, Y, (t - s_j,), cfg, noise, (4, j, 1)))
-        node_ok = w2_ok[0, 0] & z_ok[:, 0] & zp_ok[:, 0]
-        ok = ok & node_ok
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed total is a failed path
-            acc = acc + np.where(node_ok, 2.0 * w_j * w2[0, 0] * fz[:, 0] * fzp[:, 0], 0.0)
-    return [_estimate(acc[i], ok[i], cfg, ("estimate_fk_term", i, f, x, t)) for i, f in enumerate(fields)]
+    acc = np.zeros((len(fields), len(xs), _block_paths(cfg)))  # [field, start, path]
+    ok = np.ones(acc.shape, dtype=bool)
+
+    def add_node(j, Y, alive):
+        """Node j: two independent continuations Z, Z' of the outer
+        endpoints Y to time t; each field's samples 2 w_j W^2(Y) f(Z) f(Z')
+        join its totals.  The continuations are freed on return, before the
+        next node simulates."""
+        w2, w2_ok = _endpoint_values(w_sq, Y, alive)
+        [z] = _simulate_grid(p, Y, (t - s_nodes[j],), cfg, noise, (4, j, 0))
+        [zp] = _simulate_grid(p, Y, (t - s_nodes[j],), cfg, noise, (4, j, 1))
+        for i, f in enumerate(fields):
+            fz, z_ok = _endpoint_values(f, *z)
+            fzp, zp_ok = _endpoint_values(f, *zp)
+            node_ok = w2_ok & z_ok & zp_ok
+            ok[i] &= node_ok
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowed total is a failed path
+                acc[i] += np.where(node_ok, 2.0 * weights[j] * w2 * fz * fzp, 0.0)
+
+    Y, s_prev = xs, 0.0  # node 0 is a zero-length segment: no steps, no noise
+    for j, s_j in enumerate(s_nodes):
+        [(Y, alive)] = _simulate_grid(p, Y, (s_j - s_prev,), cfg, noise, (3, j))
+        s_prev = s_j
+        add_node(j, Y, alive)
+    return [
+        [_estimate(acc[i, a], ok[i, a], cfg, ("estimate_fk_term", i, f, x, t)) for i, f in enumerate(fields)]
+        for a, x in enumerate(xs)
+    ]
 
 
 def estimate_fk_term(
@@ -535,7 +572,7 @@ def estimate_fk_term(
     unbiased sample for the inner square is f(Z) f(Z').  Totals are kept per
     path so the standard error reflects the correlation across nodes.
     """
-    return estimate_fk_term_many(p, [f], x, t, time_nodes, cfg)[0]
+    return estimate_fk_term_many(p, [f], [x], t, time_nodes, cfg)[0][0]
 
 
 def mehler_fk_term(
@@ -609,41 +646,39 @@ def _qt_values(
 def estimate_grad_Qt_many(
     p: ProblemSpec,
     fields,
-    x,
+    x_grid,
     t_grid,
     cfg: MCConfig,
-) -> list[list[GradEstimate]]:
-    """:func:`estimate_grad_Qt` for every field and every t; entry [i][j] is
-    fields[i] at t_grid[j].  The ensembles from x +- h e_d are simulated once
-    for all fields and times."""
-    x = np.asarray(x, dtype=float)
-    noise = GaussianNoise(cfg.seed)
-    per_dir = []  # [direction][field][t]
-    for d in range(p.dim):
-        e = np.zeros(p.dim)
-        e[d] = _GRAD_H
-        vp, okp = _endpoint_values(fields, _simulate_grid(p, x + e, t_grid, cfg, noise, (1,)))
-        vm, okm = _endpoint_values(fields, _simulate_grid(p, x - e, t_grid, cfg, noise, (1,)))
-        with np.errstate(over="ignore"):  # an overflowed difference is a failed path
-            diffs = (vp - vm) / (2.0 * _GRAD_H)
-        ok = okp & okm
-        per_dir.append([
-            [_estimate(diffs[i, j], ok[i, j], cfg, ("estimate_grad_Qt", i, f, x, t)) for j, t in enumerate(t_grid)]
-            for i, f in enumerate(fields)
-        ])
-    return [
-        [
-            GradEstimate(
-                grad=np.array([est[i][j].mean for est in per_dir]),
-                stderr=np.array([est[i][j].stderr for est in per_dir]),
-                n_paths=per_dir[-1][i][j].n_paths,
-                dt=cfg.dt,
-                h=_GRAD_H,
-            )
-            for j in range(len(t_grid))
-        ]
-        for i in range(len(fields))
-    ]
+) -> list[list[list[GradEstimate]]]:
+    """:func:`estimate_grad_Qt` for every start point, field and t; entry
+    [a][i][j] is fields[i] from x_grid[a] at t_grid[j].  The 2 dim k shifted
+    starts x +- h e_d of the k start points are one ensemble on stream (1,),
+    simulated once for all fields and times.  Each direction counts its own
+    usable pairs; ``n_paths`` is the smallest count."""
+    xs = np.asarray(x_grid, dtype=float)
+    k, n = xs.shape
+    shifts = _GRAD_H * np.eye(n)
+    # [sign, x, direction] flattened: every x + h e_d, then every x - h e_d
+    starts = np.concatenate([(xs[:, None, :] + shifts).reshape(-1, n), (xs[:, None, :] - shifts).reshape(-1, n)])
+    snapshots = _simulate_grid(p, starts, t_grid, cfg, GaussianNoise(cfg.seed), (1,))
+    out = [[[] for _ in fields] for _ in xs]
+    for i, f in enumerate(fields):
+        for t, (X, alive) in zip(t_grid, snapshots):
+            vals, good = _endpoint_values(f, X, alive)
+            vals, good = vals.reshape(2, k, n, -1), good.reshape(2, k, n, -1)
+            with np.errstate(over="ignore"):  # an overflowed difference is a failed path
+                diffs = (vals[0] - vals[1]) / (2.0 * _GRAD_H)
+            ok = good[0] & good[1]
+            for a, x in enumerate(xs):
+                per_dir = [_estimate(diffs[a, d], ok[a, d], cfg, ("estimate_grad_Qt", i, f, x, t)) for d in range(n)]
+                out[a][i].append(GradEstimate(
+                    grad=np.array([est.mean for est in per_dir]),
+                    stderr=np.array([est.stderr for est in per_dir]),
+                    n_paths=min(est.n_paths for est in per_dir),
+                    dt=cfg.dt,
+                    h=_GRAD_H,
+                ))
+    return out
 
 
 def estimate_grad_Qt(
@@ -657,4 +692,4 @@ def estimate_grad_Qt(
     numbers (the same noise stream drives both x +- h e_i, h = 1e-3, so the
     difference cancels almost all Monte Carlo variance).  It samples for every U; the
     closed form for the Gaussian potential is :func:`mehler_grad_Qt`."""
-    return estimate_grad_Qt_many(p, [f], x, [t], cfg)[0][0]
+    return estimate_grad_Qt_many(p, [f], [x], [t], cfg)[0][0][0]

@@ -228,23 +228,22 @@ def _battery_report(
 ) -> VerificationReport:
     """The one route of every check: lhs <= coef(t) Q_t(payload) for each
     (label, field) of ``fields``, whose payload is the field of the same
-    index in ``payloads``.  At each x, ``lhs(x, t_grid)`` first returns the
-    [field][t] pairs (lhs, lhs_se), then the right sides are estimated from
-    one ensemble on stream (0,).  Cases come in (field, t, x) order; the
-    report's meta is the sampling configuration plus ``meta``."""
-    t_grid = list(t_grid)
+    index in ``payloads``.  ``lhs(x_grid, t_grid)`` first returns the
+    [x][field][t] pairs (lhs, lhs_se) over the whole grid, then the right
+    sides are estimated from one ensemble for all x on stream (0,).  Cases
+    come in (field, t, x) order; the report's meta is the sampling
+    configuration plus ``meta``."""
+    t_grid, x_grid = list(t_grid), list(x_grid)
     coefs = [coef(t) for t in t_grid]
-    tables = []
-    for x in x_grid:
-        left = lhs(x, t_grid)
-        tables.append((x, left, estimate_Qt_many(p, payloads, x, t_grid, cfg, stream=(0,))))
+    left = lhs(x_grid, t_grid)
+    right = estimate_Qt_many(p, payloads, x_grid, t_grid, cfg, stream=(0,))
     meta = {"seed": cfg.seed, "n_paths": cfg.n_paths, "dt": cfg.dt, "antithetic": cfg.antithetic, **meta}
     report = VerificationReport(check_id, meta=meta)
     for i, (label, _) in enumerate(fields):
         for j, (t, k) in enumerate(zip(t_grid, coefs)):
-            for x, left, right in tables:
-                rhs = right[i][j]
-                report.cases.append(_case(check_id, t, x, label, *left[i][j], k * rhs.mean, k * rhs.stderr))
+            for x, lhs_x, rhs_x in zip(x_grid, left, right):
+                rhs = rhs_x[i][j]
+                report.cases.append(_case(check_id, t, x, label, *lhs_x[i][j], k * rhs.mean, k * rhs.stderr))
     return report
 
 
@@ -256,24 +255,23 @@ def _gradient_lhs(p: ProblemSpec, fs, cfg: MCConfig, form):
     stderr, no paths and h = 0; otherwise both are Monte Carlo, the gradient
     by common-random-number central differences."""
 
-    def lhs(x, t_grid):
-        w = p.W.value(x)
+    def closed_forms(f, x, t):
+        return (
+            MCEstimate(mehler_Qt(p, f, x, t), 0.0, 0, cfg.dt),
+            GradEstimate(mehler_grad_Qt(p, f, x, t), np.zeros(p.dim), 0, cfg.dt, 0.0),
+        )
+
+    def lhs(x_grid, t_grid):
         if p.gaussian_U:
-            pairs = [
-                [
-                    (
-                        MCEstimate(mehler_Qt(p, f, x, t), 0.0, 0, cfg.dt),
-                        GradEstimate(mehler_grad_Qt(p, f, x, t), np.zeros(p.dim), 0, cfg.dt, 0.0),
-                    )
-                    for t in t_grid
-                ]
-                for f in fs
-            ]
+            pairs = [[[closed_forms(f, x, t) for t in t_grid] for f in fs] for x in x_grid]
         else:
-            qts = estimate_Qt_many(p, fs, x, t_grid, cfg, stream=(5,))
-            gests = estimate_grad_Qt_many(p, fs, x, t_grid, cfg)
-            pairs = [list(zip(q_row, g_row)) for q_row, g_row in zip(qts, gests)]
-        return [[form(w, q, g) for q, g in row] for row in pairs]
+            qts = estimate_Qt_many(p, fs, x_grid, t_grid, cfg, stream=(5,))
+            gests = estimate_grad_Qt_many(p, fs, x_grid, t_grid, cfg)
+            pairs = [[list(zip(*rows)) for rows in zip(*by_x)] for by_x in zip(qts, gests)]
+        return [
+            [[form(w, q, g) for q, g in row] for row in rows]
+            for w, rows in zip((p.W.value(x) for x in x_grid), pairs)
+        ]
 
     return lhs
 
@@ -321,17 +319,21 @@ def verify_variance(
     fs = [f for _, f in fields]
     f_sq = [f * f for f in fs]
 
-    def lhs(x, t_grid):
-        qt_fsq = estimate_Qt_many(p, f_sq, x, t_grid, cfg, stream=(6,))
-        qt_sq = estimate_Qt_sq_many(p, fs, x, t_grid, cfg)
-        # the memory term's Simpson nodes depend on t: one call per t, [t][field]
-        fk = zip(*[estimate_fk_term_many(p, fs, x, t, time_nodes, cfg) for t in t_grid])
+    def lhs(x_grid, t_grid):
+        qt_fsq = estimate_Qt_many(p, f_sq, x_grid, t_grid, cfg, stream=(6,))
+        qt_sq = estimate_Qt_sq_many(p, fs, x_grid, t_grid, cfg)
+        # the memory term's Simpson nodes depend on t: one call per t, [t][x][field]
+        by_t = [estimate_fk_term_many(p, fs, x_grid, t, time_nodes, cfg) for t in t_grid]
+        fk = [zip(*rows) for rows in zip(*by_t)]  # [x][field][t]
         return [
             [
-                (a.mean - b.mean + c.mean, math.sqrt(a.stderr**2 + b.stderr**2 + c.stderr**2))
-                for a, b, c in zip(*rows)
+                [
+                    (a.mean - b.mean + c.mean, math.sqrt(a.stderr**2 + b.stderr**2 + c.stderr**2))
+                    for a, b, c in zip(*rows)
+                ]
+                for rows in zip(*by_x)
             ]
-            for rows in zip(qt_fsq, qt_sq, fk)
+            for by_x in zip(qt_fsq, qt_sq, fk)
         ]
 
     return _battery_report(

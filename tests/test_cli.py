@@ -418,7 +418,7 @@ def test_verify_variance_at_kappa_zero_takes_2t(fast_config, tmp_path, capsys):
     p = cfg.build_problem()
     fields = cli._cli_battery(cfg)
     (t,), (x,) = cfg.t_values, cfg.x_grid()
-    right = estimate_Qt_many(p, [gamma_w_field(p, f, f) for _, f in fields], x, [t], cfg.mc, stream=(0,))
+    [right] = estimate_Qt_many(p, [gamma_w_field(p, f, f) for _, f in fields], [x], [t], cfg.mc, stream=(0,))
     header, *rows = (tmp_path / "report.csv").read_text().splitlines()
     assert header.split(",")[-4] == "rhs"  # counted from the end: the exp_a label holds a comma
     assert len(rows) == len(fields)

@@ -20,6 +20,7 @@ from gammaw.semigroup_mc import (
     AggregatePathFailure,
     GaussianNoise,
     MCConfig,
+    MCEstimate,
     _em_step,
     _endpoint_values,
     _estimate,
@@ -80,9 +81,9 @@ class ZeroNoise:
 
 def _drift_path(p, x0, t, cfg):
     """The endpoint and alive flag of one path from x0 with no noise."""
-    start = np.asarray(x0, dtype=float)[None, :]
+    start = np.asarray(x0, dtype=float)[None, None, :]
     [(X, alive)] = _simulate_grid(p, start, (t,), replace(cfg, antithetic=False), ZeroNoise(), (0,))
-    return X[0], alive[0]
+    return X[0, 0], alive[0, 0]
 
 
 def test_zero_noise_follows_drift(p2):
@@ -349,7 +350,7 @@ def test_overflowed_values_are_failed_paths(estimator):
         r"^estimate_\w+ of field 1 \(exp\(800\.0\*x0\)\) from x = \[1\.0\] at t = 0\.1: "
         r"[0-9.]+% of paths failed"
     )):
-        estimator(p, [parse_field("x0", 1), parse_field("exp(800*x0)", 1)], [1.0], cfg)
+        estimator(p, [parse_field("x0", 1), parse_field("exp(800*x0)", 1)], [[1.0]], cfg)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -360,8 +361,8 @@ def test_overflowed_products_are_failed_paths():
     f, x, t = parse_field("exp(400*x0)", 2), np.array([1.0, 0.0]), 0.02
     cfg = MCConfig(n_paths=200, dt=0.01)
     for stream in ((7,), (8,)):
-        snapshots = _simulate_grid(p, x, (t,), cfg, GaussianNoise(cfg.seed), stream)
-        vals, ok = _endpoint_values([f], snapshots)
+        [(X, alive)] = _simulate_grid(p, [x], (t,), cfg, GaussianNoise(cfg.seed), stream)
+        vals, ok = _endpoint_values(f, X, alive)
         assert ok.all() and np.isfinite(vals).all()
     with pytest.raises(AggregatePathFailure, match="of paths failed"):
         estimate_Qt_sq(p, f, x, t, cfg)
@@ -510,10 +511,10 @@ def test_many_fields_match_single_field_calls(gaussian):
     fields = [f for _, f in battery(2)]
     assert len(fields) == 5
     x, t = np.array([0.5, -0.3]), 0.1
-    qt = estimate_Qt_many(p, fields, x, [t], cfg, stream=(5,))
-    qt_sq = estimate_Qt_sq_many(p, fields, x, [t], cfg)
-    fk = estimate_fk_term_many(p, fields, x, t, 5, cfg)
-    grad = estimate_grad_Qt_many(p, fields, x, [t], cfg)
+    qt = estimate_Qt_many(p, fields, [x], [t], cfg, stream=(5,))[0]
+    qt_sq = estimate_Qt_sq_many(p, fields, [x], [t], cfg)[0]
+    fk = estimate_fk_term_many(p, fields, [x], t, 5, cfg)[0]
+    grad = estimate_grad_Qt_many(p, fields, [x], [t], cfg)[0]
     for i, f in enumerate(fields):
         assert qt[i][0] == estimate_Qt(p, f, x, t, cfg, stream=(5,))
         assert qt_sq[i][0] == estimate_Qt_sq(p, f, x, t, cfg)
@@ -530,11 +531,128 @@ def test_t_grid_matches_single_t_calls(t_grid):
     cfg = MCConfig(n_paths=400, dt=0.02, seed=32)
     fields = [f for _, f in battery(2)[:2]]
     x = np.array([1.0, 0.5])
-    qt = estimate_Qt_many(p, fields, x, t_grid, cfg)
-    qt_sq = estimate_Qt_sq_many(p, fields, x, t_grid, cfg)
-    grad = estimate_grad_Qt_many(p, fields, x, t_grid, cfg)
+    qt = estimate_Qt_many(p, fields, [x], t_grid, cfg)[0]
+    qt_sq = estimate_Qt_sq_many(p, fields, [x], t_grid, cfg)[0]
+    grad = estimate_grad_Qt_many(p, fields, [x], t_grid, cfg)[0]
     for i, f in enumerate(fields):
         for j, t in enumerate(t_grid):
             assert qt[i][j] == estimate_Qt(p, f, x, t, cfg)
             assert qt_sq[i][j] == estimate_Qt_sq(p, f, x, t, cfg)
             _same_grad(grad[i][j], estimate_grad_Qt(p, f, x, t, cfg))
+
+
+# ---------------------------------------------------------------------------
+# Stacked start points: one call over a grid of starts must reproduce the
+# one-start calls bit for bit, block by block
+# ---------------------------------------------------------------------------
+
+_CORES = {
+    "Qt": lambda p, fs, xs, t_grid, cfg: estimate_Qt_many(p, fs, xs, t_grid, cfg, stream=(5,)),
+    "Qt_sq": estimate_Qt_sq_many,
+    "grad_Qt": estimate_grad_Qt_many,
+    # the memory term takes one t: [x][field] becomes [x][field][t]
+    "fk_term": lambda p, fs, xs, t_grid, cfg: [
+        [list(by_t) for by_t in zip(*by_x)]
+        for by_x in zip(*[estimate_fk_term_many(p, fs, xs, t, 3, cfg) for t in t_grid])
+    ],
+}
+
+
+def _same_estimate(a, b):
+    if isinstance(a, MCEstimate):
+        assert a == b
+    else:
+        _same_grad(a, b)
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+@pytest.mark.parametrize("gaussian", [True, False])
+@pytest.mark.parametrize("core", sorted(_CORES))
+def test_start_grid_matches_single_start_calls(core, gaussian, antithetic):
+    # odd n_paths; dt = 0.02, so t = 0.05 ends on a short step, and t = 0 is exact
+    p = gaussian_problem(2) if gaussian else make_problem(2, NON_GAUSSIAN_U, "sqrt1sq")
+    cfg = MCConfig(n_paths=301, dt=0.02, seed=33, antithetic=antithetic)
+    fields = [f for _, f in battery(2)[1:4]]
+    starts = np.array([[0.0, 0.0], [1.0, 0.5], [-0.4, 0.9]])
+    t_grid = (0.05, 0.0, 0.1)
+    stacked = _CORES[core](p, fields, starts, t_grid, cfg)
+    assert len(stacked) == len(starts)
+    for x, by_x in zip(starts, stacked):
+        [alone] = _CORES[core](p, fields, [x], t_grid, cfg)
+        for row, want_row in zip(by_x, alone):
+            assert len(row) == len(want_row) == len(t_grid)
+            for est, want in zip(row, want_row):
+                _same_estimate(est, want)
+    assert stacked[1][0][2].n_paths > 0
+
+
+@pytest.mark.parametrize("u_spec, field, bad, others", [
+    ("-x0^4", "x0", 3.0, (-0.25, 0.1)),  # the paths from 3 blow up
+    ("gaussian", "exp(800*x0)", 1.0, (-1.0, -0.75)),  # the values from 1 overflow
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_failure_stays_in_its_start_block(u_spec, field, bad, others):
+    p = make_problem(1, u_spec, "sqrt1sq")
+    cfg = MCConfig(n_paths=51, dt=0.01, seed=6)
+    f = parse_field(field, 1)
+    starts = np.array([[others[0]], [bad], [others[1]]])
+    noise = GaussianNoise(cfg.seed)
+    [(X, alive)] = _simulate_grid(p, starts, (0.1,), cfg, noise, (0,))
+    vals, ok = _endpoint_values(f, X, alive)
+    assert not ok[1].all()
+    for a in (0, 2):  # the other blocks are those of a call from their start alone
+        [(X_a, alive_a)] = _simulate_grid(p, starts[a : a + 1], (0.1,), cfg, noise, (0,))
+        vals_a, ok_a = _endpoint_values(f, X_a, alive_a)
+        assert ok_a.all()
+        assert np.array_equal(X[a], X_a[0]) and np.array_equal(alive[a], alive_a[0])
+        assert np.array_equal(vals[a], vals_a[0]) and np.array_equal(ok[a], ok_a[0])
+    for core in _CORES.values():
+        with pytest.raises(AggregatePathFailure, match=rf" from x = \[{bad}\] at t = 0\.1: "):
+            core(p, [parse_field("1 + x0*x0", 1), f], starts, (0.1,), cfg)
+
+
+@pytest.mark.parametrize("u_spec", ["gaussian", "x0^4/4 + x1^2 + x0*x1/3"])
+def test_em_step_on_a_stack_matches_reference_steps(u_spec):
+    # three start blocks, one shared noise block: each block steps as alone
+    p = make_problem(2, u_spec, "sqrt1sq")
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(3, 40, 2))
+    alive = np.ones((3, 40), dtype=bool)
+    alive[1, [3, 17]] = False
+    X[2, 11] = [0.9999 * _BLOWUP_RADIUS, 1.0]
+    xi = rng.normal(size=(40, 2))
+    xi[11, 0] = 1e8  # only block 2's path 11 crosses the guard
+    for dt in (0.01, 0.003):
+        X_new, alive_new = X.copy(), alive.copy()
+        _em_step(p, X_new, alive_new, dt, xi.copy())
+        for a in range(3):
+            X_ref, alive_ref = X[a].copy(), alive[a].copy()
+            _em_step_reference(p, X_ref, alive_ref, dt, xi)
+            assert np.array_equal(alive_new[a], alive_ref)
+            assert np.array_equal(X_new[a], X_ref)
+        assert not alive_new[2, 11] and alive_new[0, 11] and alive_new[1, 11]
+        assert np.array_equal(X_new[~alive_new], X[~alive_new])
+
+
+def test_grad_n_paths_is_the_smallest_direction_count():
+    # log(x0 + c) near its domain edge: the starts x -+ h e_0 lose more paths
+    # than x -+ h e_1, whose x0 coordinates follow the paths from x itself
+    p = gaussian_problem(2)
+    c, x, t, h = 0.34, np.array([0.0, 0.5]), 0.01, 1e-3
+    cfg = MCConfig(n_paths=40_000, dt=t, seed=34)
+    est = estimate_grad_Qt(p, parse_field(f"log(x0 + {c})", 2), x, t, cfg)
+    # one Euler-Maruyama step of x0 with the Gaussian drift, antithetic pairs
+    half = cfg.n_paths // 2
+    xi = GaussianNoise(cfg.seed).normals((1, 0), (half, 2))[:, 0]
+    xi = np.concatenate([xi, -xi])
+
+    def usable(x0):
+        return x0 - x0 * t + math.sqrt(2.0 * t) * xi + c > 0.0
+
+    def pairs(ok):
+        return int(np.sum(ok[:half] & ok[half:]))
+
+    along_x0 = pairs(usable(x[0] + h) & usable(x[0] - h))
+    along_x1 = pairs(usable(x[0]))
+    assert along_x0 < along_x1 < half
+    assert est.n_paths == along_x0

@@ -173,6 +173,35 @@ def test_battery_draws_noise_once_for_all_fields(p2, monkeypatch):
     assert battery_labels == labels
 
 
+@pytest.mark.parametrize("gaussian", [True, False])
+def test_each_noise_label_is_drawn_once_per_call(gaussian, monkeypatch):
+    # every start point of a call shares each (stream, step) block, so a
+    # check over two points draws each label once; t = 0.1 ends on a full
+    # step, so no short step reuses a label
+    labels = []
+    normals = GaussianNoise.normals
+
+    def counting(self, label, shape, out=None):
+        labels.append(label)
+        return normals(self, label, shape, out)
+
+    monkeypatch.setattr(GaussianNoise, "normals", counting)
+    p = gaussian_problem(2) if gaussian else make_problem(2, "normsq(x)/2 + 0.25*x0^2", "sqrt1sq")
+    cfg = MCConfig(n_paths=200, dt=0.02, seed=35)
+    grid = ((0.1,), ((0.0, 0.0), (1.0, 0.5)))
+    checks = [
+        (verify_commutation, (-1.0,), {}),
+        (verify_variance, (-1.0,), {"time_nodes": 5}),
+        (verify_sqrt_commutation, (1.0, 2.5), {}),
+    ]
+    for op, args, kwargs in checks:
+        labels.clear()
+        op(p, battery(2)[:2], *args, *grid, cfg, **kwargs)
+        assert labels and len(labels) == len(set(labels)), op.__name__
+        streams = {label[:-1] for label in labels}
+        assert ((1,) in streams) == (not gaussian and op is not verify_variance)
+
+
 @pytest.mark.parametrize(
     "op, gaussian, args, kwargs",
     [
