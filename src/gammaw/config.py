@@ -181,6 +181,9 @@ class RunConfig:
                 raise ConfigError(f"a vector {a} has wrong dimension (dim={self.dim})")
         if any(t < 0 for t in self.t_values):
             raise ConfigError("t values must be >= 0")
+        for key in ("t_values", "x_points"):
+            if not getattr(self, key):
+                raise ConfigError(f"grids.{key} is empty; give at least one value")
 
     def apply_overrides(self, overrides) -> None:
         for item in overrides:

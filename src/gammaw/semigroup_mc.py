@@ -26,22 +26,22 @@ evaluation order.  A label names no start point, so every start point of a
 call takes the same noise (common random numbers across x) and each noise
 block is drawn once for all of them.  An ensemble depends on U, the MC
 config, the stream and the time schedule, never on the test function, so the
-``*_many`` estimators take a grid of start points and simulate one stacked
+``*_many`` estimators take a grid of start points and walk one stacked
 ensemble, one block of paths per start, for a whole battery of fields and a
 whole t-grid; their results carry a leading [x] index.  The single-field
 estimators are those cores called with one start, one field and one t, and
-every number is bit-identical to a call with one start.  The ensemble's
-memory grows with the number of start points: the verify checks and the
-acceptance criteria stack at most 2.
+every number is bit-identical to a call with one start.  An ensemble is one
+state, k start blocks deep (at most 2 in the verify checks and criteria).
 
-Every estimator takes one route from ensemble to estimate:
-:func:`_simulate_grid` runs the ensemble, :func:`_endpoint_values`
-evaluates one field at its endpoints and marks the usable paths (inside the
-blow-up guard, no tape error code, so an overflowed value is a failed path),
-and :func:`_estimate` drops the paths whose sample is not finite (a replica
-product or a difference can overflow), checks the failure fraction, pairs
-the antithetic samples and takes the mean and standard error; its
-:class:`AggregatePathFailure` names the estimator, field, start point and t.
+Every estimator takes one route from ensemble to estimate: :func:`_walk`
+advances the ensemble in place and stops at each time, :func:`_endpoint_values`
+evaluates one field where the ensemble stands and marks the usable paths
+(inside the blow-up guard, no tape error code, so an overflowed value is a
+failed path), and :func:`_estimate` drops the paths whose sample is not
+finite (a replica product or a difference can overflow), checks the failure
+fraction, pairs the antithetic samples and takes the mean and standard
+error; its :class:`AggregatePathFailure` names the estimator, field, start
+point and t.
 The closed forms raise :class:`DomainError` where their values overflow.
 """
 
@@ -207,58 +207,50 @@ def _em_step(
         X[alive] = new_x[alive]
 
 
-def _simulate_grid(
-    p: ProblemSpec,
-    x0: np.ndarray,
-    t_grid,
-    cfg: MCConfig,
-    noise,
-    stream: tuple[int, ...],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Evolve one stacked ensemble through every time of ``t_grid``; returns
-    (endpoints (k, m, n), alive mask (k, m)) per time, in the order of
-    ``t_grid``.
+def _starts(x_grid, cfg: MCConfig) -> np.ndarray:
+    """The stacked start state (k, m, n) of k start points (k, n): each
+    point repeated over a block of :func:`_block_paths` paths."""
+    xs = np.asarray(x_grid, dtype=float)
+    return np.repeat(xs[:, None, :], _block_paths(cfg), axis=1)
 
-    ``x0`` is a grid of k start points (k, n), each broadcast to a block of
-    :func:`_block_paths` paths, or per-path starts (k, m, n).  Each (stream,
-    step) noise block is drawn once and drives every block, so block a is
-    bit for bit the ensemble a call from start a alone would simulate; its
-    memory is k such ensembles.
-    Times are visited in increasing order and share their full steps.  A
-    time that ends on a short step takes it from a copy of the full-step
-    state, under the (stream, step) label a simulation to that time alone
-    would use, so every snapshot is bit-identical to it.  The last time
-    takes the state itself, with no copy.
+
+def _walk(p: ProblemSpec, X: np.ndarray, t_grid, cfg: MCConfig, noise, stream: tuple[int, ...]):
+    """Advance the stacked ensemble ``X`` (k, m, n), one block of paths per
+    start point, in place through the times of ``t_grid`` in increasing
+    order, and yield (index into ``t_grid``, state, alive mask (k, m)) at
+    each.  Each (stream, step) noise block is drawn once and drives every
+    block, so block a is bit for bit a walk from start a alone.
+
+    The times share their full steps, and a full-step time yields ``X``
+    itself: read it before the walk resumes.  A time that ends on a short
+    step takes it under the label a walk to that time alone would use, from
+    a copy of the full-step state unless it is the last time.  The noise and
+    drift buffers live only while the walk steps, so a suspended walk holds
+    its state, and a short-step copy until it reaches its next time.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 2:
-        X = np.repeat(x0[:, None, :], _block_paths(cfg), axis=1)
-    else:
-        X = x0.copy()
     alive = np.ones(X.shape[:2], dtype=bool)
-    xi = np.empty(X.shape[1:])  # every step's noise, reused, shared by the blocks
-    new_x = np.empty(X.shape) if p.gaussian_U else None
-    snapshots: list = [None] * len(t_grid)
     order = sorted(range(len(t_grid)), key=lambda i: t_grid[i])
     done = 0
     for idx in order:
         k, rem = _split_steps(t_grid[idx], cfg.dt)
+        xi = np.empty(X.shape[1:])  # the noise of every step to this time, shared by the blocks
+        new_x = np.empty(X.shape) if p.gaussian_U else None
         for step in range(done, k):
             _em_step(p, X, alive, cfg.dt, _noise_block(noise, (*stream, step), xi, cfg.antithetic), new_x)
         done = k
-        Xt, alive_t = (X, alive) if idx == order[-1] else (X.copy(), alive.copy())
+        Xt, alive_t = (X, alive) if rem == 0.0 or idx == order[-1] else (X.copy(), alive.copy())
         if rem > 0.0:
             _em_step(p, Xt, alive_t, rem, _noise_block(noise, (*stream, k), xi, cfg.antithetic), new_x)
-        snapshots[idx] = (Xt, alive_t)
-    return snapshots
+        del xi, new_x
+        yield idx, Xt, alive_t
 
 
 def _endpoint_values(f: ScalarField, X: np.ndarray, alive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One field on one snapshot of :func:`_simulate_grid`, in one tape call
-    over every block: values and usable-path masks, both of ``alive``'s
-    shape [start, path].  A path is usable when it stayed inside the blow-up
-    guard and the field has no tape error code at its endpoint, so an
-    overflowed value counts as a failed path."""
+    """One field on one state of a :func:`_walk`, in one tape call over
+    every block: values and usable-path masks, both of ``alive``'s shape
+    [start, path].  A path is usable when it stayed inside the blow-up guard
+    and the field has no tape error code at its endpoint, so an overflowed
+    value counts as a failed path."""
     vals, err = _tape.eval_values(f, X.reshape(-1, X.shape[-1]))
     return vals.reshape(alive.shape), alive & (err.reshape(alive.shape) == 0)
 
@@ -313,30 +305,29 @@ def _replica_products(
     what: str,
 ) -> list[list[list[MCEstimate]]]:
     """[x][field][t] estimates of E[prod_k f(X^k_t)] with one independent
-    ensemble X^k per stream, so the mean is (Q_t f(x))^len(streams).  Each
-    ensemble is simulated once for all start points, fields and times, and
-    the fields are evaluated one at a time; t = 0 is exact."""
+    ensemble X^k per stream, so the mean is (Q_t f(x))^len(streams).  The
+    ensembles walk side by side, once for all start points, fields and
+    times, and each field is read where they stand; t = 0 is exact."""
     xs = np.asarray(x_grid, dtype=float)
-    noise = GaussianNoise(cfg.seed)
-    sampled_t = [t for t in t_grid if t != 0.0]
-    ensembles = [_simulate_grid(p, xs, sampled_t, cfg, noise, s) for s in streams]
-    out = [[[] for _ in fields] for _ in xs]
-    for i, f in enumerate(fields):
-        sampled = []  # per sampled t: the replicas' product and usable mask, [start, path]
-        for snapshots in zip(*ensembles):
-            replicas = [_endpoint_values(f, X, alive) for X, alive in snapshots]
+    out = [[[MCEstimate(math.prod([f.value(x)] * len(streams)), 0.0, 0, cfg.dt) if t == 0.0 else None
+             for t in t_grid] for f in fields] for x in xs]
+
+    def read(j, states):
+        """Every field at t_grid[j] from the replicas' (X, alive); the
+        values, masks and products die on return, before the walks step on."""
+        for i, f in enumerate(fields):
+            replicas = [_endpoint_values(f, X, alive) for X, alive in states]
             with np.errstate(over="ignore"):  # an overflowed product is a failed path
                 prod = reduce(operator.mul, (vals for vals, _ in replicas))
-            sampled.append((prod, reduce(operator.and_, (good for _, good in replicas))))
-        for a, x in enumerate(xs):
-            by_t = iter(sampled)
-            for t in t_grid:
-                if t == 0.0:
-                    exact = math.prod([f.value(x)] * len(streams))
-                    out[a][i].append(MCEstimate(mean=exact, stderr=0.0, n_paths=0, dt=cfg.dt))
-                else:
-                    prod, ok = next(by_t)
-                    out[a][i].append(_estimate(prod[a], ok[a], cfg, (what, i, f, x, t)))
+            ok = reduce(operator.and_, (good for _, good in replicas))
+            for a, x in enumerate(xs):
+                out[a][i][j] = _estimate(prod[a], ok[a], cfg, (what, i, f, x, t_grid[j]))
+
+    noise = GaussianNoise(cfg.seed)
+    walks = [_walk(p, _starts(xs, cfg), t_grid, cfg, noise, s) for s in streams]
+    for states in zip(*walks):
+        if t_grid[states[0][0]] != 0.0:
+            read(states[0][0], [state[1:] for state in states])
     return out
 
 
@@ -532,12 +523,12 @@ def estimate_fk_term_many(
 
     def add_node(j, Y, alive):
         """Node j: two independent continuations Z, Z' of the outer
-        endpoints Y to time t; each field's samples 2 w_j W^2(Y) f(Z) f(Z')
-        join its totals.  The continuations are freed on return, before the
-        next node simulates."""
+        endpoints Y to time t, each from a copy of Y; each field's samples
+        2 w_j W^2(Y) f(Z) f(Z') join its totals.  The continuations are
+        freed on return, before the outer walk steps on."""
         w2, w2_ok = _endpoint_values(w_sq, Y, alive)
-        [z] = _simulate_grid(p, Y, (t - s_nodes[j],), cfg, noise, (4, j, 0))
-        [zp] = _simulate_grid(p, Y, (t - s_nodes[j],), cfg, noise, (4, j, 1))
+        [(_, *z)] = _walk(p, Y.copy(), (t - s_nodes[j],), cfg, noise, (4, j, 0))
+        [(_, *zp)] = _walk(p, Y.copy(), (t - s_nodes[j],), cfg, noise, (4, j, 1))
         for i, f in enumerate(fields):
             fz, z_ok = _endpoint_values(f, *z)
             fzp, zp_ok = _endpoint_values(f, *zp)
@@ -546,9 +537,9 @@ def estimate_fk_term_many(
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowed total is a failed path
                 acc[i] += np.where(node_ok, 2.0 * weights[j] * w2 * fz * fzp, 0.0)
 
-    Y, s_prev = xs, 0.0  # node 0 is a zero-length segment: no steps, no noise
+    Y, s_prev = _starts(xs, cfg), 0.0  # walked in place; node 0 is a zero-length segment, with no steps
     for j, s_j in enumerate(s_nodes):
-        [(Y, alive)] = _simulate_grid(p, Y, (s_j - s_prev,), cfg, noise, (3, j))
+        [(_, _, alive)] = _walk(p, Y, (s_j - s_prev,), cfg, noise, (3, j))
         s_prev = s_j
         add_node(j, Y, alive)
     return [
@@ -653,31 +644,34 @@ def estimate_grad_Qt_many(
     """:func:`estimate_grad_Qt` for every start point, field and t; entry
     [a][i][j] is fields[i] from x_grid[a] at t_grid[j].  The 2 dim k shifted
     starts x +- h e_d of the k start points are one ensemble on stream (1,),
-    simulated once for all fields and times.  Each direction counts its own
+    walked once for all fields and times.  Each direction counts its own
     usable pairs; ``n_paths`` is the smallest count."""
     xs = np.asarray(x_grid, dtype=float)
     k, n = xs.shape
     shifts = _GRAD_H * np.eye(n)
     # [sign, x, direction] flattened: every x + h e_d, then every x - h e_d
     starts = np.concatenate([(xs[:, None, :] + shifts).reshape(-1, n), (xs[:, None, :] - shifts).reshape(-1, n)])
-    snapshots = _simulate_grid(p, starts, t_grid, cfg, GaussianNoise(cfg.seed), (1,))
-    out = [[[] for _ in fields] for _ in xs]
-    for i, f in enumerate(fields):
-        for t, (X, alive) in zip(t_grid, snapshots):
+    out = [[[None] * len(t_grid) for _ in fields] for _ in xs]
+
+    def read(j, X, alive):
+        """Every field at t_grid[j]; the values, masks and differences die
+        on return, before the walk steps on."""
+        for i, f in enumerate(fields):
             vals, good = _endpoint_values(f, X, alive)
             vals, good = vals.reshape(2, k, n, -1), good.reshape(2, k, n, -1)
             with np.errstate(over="ignore"):  # an overflowed difference is a failed path
                 diffs = (vals[0] - vals[1]) / (2.0 * _GRAD_H)
             ok = good[0] & good[1]
             for a, x in enumerate(xs):
-                per_dir = [_estimate(diffs[a, d], ok[a, d], cfg, ("estimate_grad_Qt", i, f, x, t)) for d in range(n)]
-                out[a][i].append(GradEstimate(
-                    grad=np.array([est.mean for est in per_dir]),
-                    stderr=np.array([est.stderr for est in per_dir]),
-                    n_paths=min(est.n_paths for est in per_dir),
-                    dt=cfg.dt,
-                    h=_GRAD_H,
-                ))
+                case = ("estimate_grad_Qt", i, f, x, t_grid[j])
+                per_dir = [_estimate(diffs[a, d], ok[a, d], cfg, case) for d in range(n)]
+                out[a][i][j] = GradEstimate(
+                    grad=np.array([est.mean for est in per_dir]), stderr=np.array([est.stderr for est in per_dir]),
+                    n_paths=min(est.n_paths for est in per_dir), dt=cfg.dt, h=_GRAD_H,
+                )
+
+    for j, X, alive in _walk(p, _starts(starts, cfg), t_grid, cfg, GaussianNoise(cfg.seed), (1,)):
+        read(j, X, alive)
     return out
 
 

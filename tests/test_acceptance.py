@@ -26,6 +26,21 @@ ARTIFACT_SHA256 = {
     10: "85e3b50dab03054992ee8e916118e46a749e685d9db8f373aebd6b5b095ddac0",
 }
 
+# The same for the Monte Carlo criteria, run at ``mc.n_paths=2000`` to stay
+# cheap: every path's arithmetic and noise label is pinned, so a refactor of
+# the sampler that keeps the numbers keeps these bytes.
+MC_ARTIFACT_SHA256_2000_PATHS = {
+    6: "bf544583f649af47f34c5f02f2947d6873ff8003323ed7f153a3fa2a10b65270",
+    7: "99962622c107851cb90a392c44f302211f46a66f7ca16e150247ac79d4e7a4ad",
+    8: "cc9338c62df6762fc0e2af896768002278fa97a02fbc1c0ff775b03b1d41e026",
+    9: "3b5ced6653c792643f5f568e6c90a597cbe2f28d8e3a2954a6b0af9eead45b74",
+}
+
+
+def _digest(res: acceptance.CriterionResult) -> str:
+    text = "\n".join(res.csv_lines) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 def _run(cid: int) -> acceptance.CriterionResult:
     res = acceptance.run_criterion(cid)
@@ -35,8 +50,7 @@ def _run(cid: int) -> acceptance.CriterionResult:
 
 
 def _assert_artifact_pinned(res: acceptance.CriterionResult) -> None:
-    text = "\n".join(res.csv_lines) + "\n"
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == ARTIFACT_SHA256[res.cid]
+    assert _digest(res) == ARTIFACT_SHA256[res.cid]
 
 
 def test_ac1_curvature_constants():
@@ -102,6 +116,11 @@ def test_ac10_taylor_consistency():
     assert not res.inconclusive
     assert res.passed
     _assert_artifact_pinned(res)
+
+
+def test_mc_artifacts_at_2000_paths_are_pinned():
+    results, _ = acceptance.run_all([6, 7, 8, 9], overrides=("mc.n_paths=2000",))
+    assert {res.cid: _digest(res) for res in results} == MC_ARTIFACT_SHA256_2000_PATHS
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -172,6 +172,8 @@ def test_bad_config_file_exits_2(fast_config, capsys, edit, key):
 @pytest.mark.parametrize("override, key", [
     ("mc.antithetic=maybe", "mc.antithetic"),
     ("search.radii=-5,10", "search.radii"),
+    ("grids.x_points=", "grids.x_points"),
+    ("grids.t_values=", "grids.t_values"),
 ])
 def test_bad_override_exits_2(override, key, capsys):
     assert main(["check-curvature", "--override", override]) == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,8 @@ from gammaw.semigroup_mc import (
     _em_step,
     _endpoint_values,
     _estimate,
-    _simulate_grid,
+    _starts,
+    _walk,
     estimate_fk_term,
     estimate_fk_term_many,
     estimate_grad_Qt,
@@ -81,8 +83,8 @@ class ZeroNoise:
 
 def _drift_path(p, x0, t, cfg):
     """The endpoint and alive flag of one path from x0 with no noise."""
-    start = np.asarray(x0, dtype=float)[None, None, :]
-    [(X, alive)] = _simulate_grid(p, start, (t,), replace(cfg, antithetic=False), ZeroNoise(), (0,))
+    start = np.array(x0, dtype=float)[None, None, :]  # a copy: the walk advances its start in place
+    [(_, X, alive)] = _walk(p, start, (t,), replace(cfg, antithetic=False), ZeroNoise(), (0,))
     return X[0, 0], alive[0, 0]
 
 
@@ -361,7 +363,7 @@ def test_overflowed_products_are_failed_paths():
     f, x, t = parse_field("exp(400*x0)", 2), np.array([1.0, 0.0]), 0.02
     cfg = MCConfig(n_paths=200, dt=0.01)
     for stream in ((7,), (8,)):
-        [(X, alive)] = _simulate_grid(p, [x], (t,), cfg, GaussianNoise(cfg.seed), stream)
+        [(_, X, alive)] = _walk(p, _starts([x], cfg), (t,), cfg, GaussianNoise(cfg.seed), stream)
         vals, ok = _endpoint_values(f, X, alive)
         assert ok.all() and np.isfinite(vals).all()
     with pytest.raises(AggregatePathFailure, match="of paths failed"):
@@ -597,11 +599,11 @@ def test_failure_stays_in_its_start_block(u_spec, field, bad, others):
     f = parse_field(field, 1)
     starts = np.array([[others[0]], [bad], [others[1]]])
     noise = GaussianNoise(cfg.seed)
-    [(X, alive)] = _simulate_grid(p, starts, (0.1,), cfg, noise, (0,))
+    [(_, X, alive)] = _walk(p, _starts(starts, cfg), (0.1,), cfg, noise, (0,))
     vals, ok = _endpoint_values(f, X, alive)
     assert not ok[1].all()
     for a in (0, 2):  # the other blocks are those of a call from their start alone
-        [(X_a, alive_a)] = _simulate_grid(p, starts[a : a + 1], (0.1,), cfg, noise, (0,))
+        [(_, X_a, alive_a)] = _walk(p, _starts(starts[a : a + 1], cfg), (0.1,), cfg, noise, (0,))
         vals_a, ok_a = _endpoint_values(f, X_a, alive_a)
         assert ok_a.all()
         assert np.array_equal(X[a], X_a[0]) and np.array_equal(alive[a], alive_a[0])
@@ -656,3 +658,73 @@ def test_grad_n_paths_is_the_smallest_direction_count():
     along_x1 = pairs(usable(x[0]))
     assert along_x0 < along_x1 < half
     assert est.n_paths == along_x0
+
+
+# ---------------------------------------------------------------------------
+# The walk: one stacked ensemble advanced in place and read where it stands
+# ---------------------------------------------------------------------------
+
+
+def _walk_alone(p, xs, t, cfg):
+    """The state of a walk from ``xs`` to the one time ``t``."""
+    [(_, X, alive)] = _walk(p, _starts(xs, cfg), (t,), cfg, GaussianNoise(cfg.seed), (0,))
+    return X, alive
+
+
+@pytest.mark.parametrize("gaussian", [True, False])
+def test_walk_yields_its_stack_at_full_step_times(gaussian):
+    p = gaussian_problem(2) if gaussian else make_problem(2, NON_GAUSSIAN_U, "sqrt1sq")
+    cfg = MCConfig(n_paths=40, dt=0.02, seed=35)
+    xs = np.array([[0.0, 0.0], [1.0, 0.5]])
+    X = _starts(xs, cfg)
+    seen = []
+    for j, X_t, alive_t in _walk(p, X, (0.04, 0.0, 0.1, 0.02), cfg, GaussianNoise(cfg.seed), (0,)):
+        assert X_t is X  # the start stack itself, advanced in place
+        seen.append((j, X_t.copy(), alive_t.copy()))
+    assert [j for j, _, _ in seen] == [1, 3, 0, 2]  # in increasing time
+    assert np.array_equal(seen[0][1], _starts(xs, cfg))
+    assert np.array_equal(X, seen[-1][1]) and not np.array_equal(X, _starts(xs, cfg))
+    for j, X_t, alive_t in seen:
+        X_alone, alive_alone = _walk_alone(p, xs, (0.04, 0.0, 0.1, 0.02)[j], cfg)
+        assert np.array_equal(X_t, X_alone) and np.array_equal(alive_t, alive_alone)
+
+
+@pytest.mark.parametrize("gaussian", [True, False])
+def test_walk_copies_a_short_step_time_that_is_not_the_last(gaussian):
+    # dt = 0.02: t = 0.05 and t = 0.07 end on a short step from t = 0.04 and 0.06
+    p = gaussian_problem(2) if gaussian else make_problem(2, NON_GAUSSIAN_U, "sqrt1sq")
+    cfg = MCConfig(n_paths=40, dt=0.02, seed=35)
+    xs = np.array([[0.0, 0.0], [1.0, 0.5]])
+    X = _starts(xs, cfg)
+    walk = _walk(p, X, (0.07, 0.05), cfg, GaussianNoise(cfg.seed), (0,))
+    j, X_t, alive_t = next(walk)
+    assert j == 1 and X_t is not X  # a copy, which took the short step
+    assert np.array_equal(X_t, _walk_alone(p, xs, 0.05, cfg)[0])
+    assert np.array_equal(X, _walk_alone(p, xs, 0.04, cfg)[0])  # the stack stands at the full step
+    j, X_t, alive_t = next(walk)
+    assert j == 0 and X_t is X  # the last time takes its short step on the stack itself
+    X_alone, alive_alone = _walk_alone(p, xs, 0.07, cfg)
+    assert np.array_equal(X, X_alone) and np.array_equal(alive_t, alive_alone)
+    assert next(walk, None) is None
+
+
+@pytest.mark.parametrize("gaussian", [True, False])
+def test_more_times_hold_no_more_memory(gaussian):
+    # reading each time where the ensemble stands: a three-time full-step
+    # grid peaks where a one-time grid does.  A snapshot of the state per
+    # time but the last would add two ensemble states.
+    p = gaussian_problem(2) if gaussian else make_problem(2, NON_GAUSSIAN_U, "sqrt1sq")
+    cfg = MCConfig(n_paths=20_000, dt=0.02, seed=36)
+    f, xs = parse_field("x0*x1 + 1", 2), [[0.0, 0.0], [1.0, 0.5]]
+    state = len(xs) * cfg.n_paths * 2 * 8  # bytes of one stacked ensemble (k, m, n)
+
+    def peak(t_grid):
+        estimate_Qt_many(p, [f], xs, t_grid, cfg)  # tapes compiled and cached
+        tracemalloc.start()
+        try:
+            estimate_Qt_many(p, [f], xs, t_grid, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak((0.02, 0.04, 0.06)) < peak((0.06,)) + 0.5 * state
