@@ -1,33 +1,38 @@
 """Batch evaluation of scalar fields over many points.
 
-An expression DAG is flattened once into a register tape, one register per
-distinct node, then a numpy interpreter runs the tape over a batch of points,
-one opcode at a time, vectorized over chunks of points.  Values and
-gradients share that one loop.  A register lives in a buffer row that is
-reused after the register's last read, so the memory per chunk is the peak
-live set of the tape, not its length: L(L GammaW(f)) in three dimensions has
-2,971 registers and needs 174 rows, allocated afresh for each chunk.
-Forward-mode gradients are held component-major,
-``dreg[row, component, point]``, so each product of a value row with a
-gradient runs over contiguous rows of points; every opcode writes into its
-row through ufunc ``out=``, and only the CONST and COORD gradient rows are
-zeroed.  The test suite pins the tape against the recursive evaluator and
-the jets of :mod:`gammaw.field_expr`, and bit for bit against the
-point-major interpreter it replaced.
+A list of fields is flattened once into one register tape, one register per
+distinct node, with one output per field; then a numpy interpreter runs the
+tape over a batch of points, one opcode at a time, vectorized over chunks of
+points, each opcode writing into its row through ufunc ``out=``.  There is
+one interpreter loop, for values only.  Gradients are more outputs: the
+gradient tape of f has the roots f, d0 f, ..., d(n-1) f, the symbolic
+partials of :meth:`ScalarField.diff`, which share their registers with f
+because nodes are interned; Hessian entries are outputs the same way.  A
+register lives in a buffer row that is reused after the register's last
+read, so the memory per chunk is the peak live set of the tape, not its
+length: L(L GammaW(f)) in three dimensions has 2,971 registers and needs 174
+rows, allocated afresh for each chunk.  Each root holds its own row from its
+op to the end of the tape.  The test suite pins the values against the
+recursive evaluator, the jets of :mod:`gammaw.field_expr` and, bit for bit,
+a point-major reference interpreter, and each gradient column bit for bit
+against the values of that partial's own tape.
 
 Domain violations do not raise here; each point gets an error code (0 ok,
 1 division by zero, 2 log domain, 3 sqrt domain, 4 power domain, 5 overflow)
-and a NaN value, so callers can skip or report bad points in bulk.  A point
-whose value, or in gradient mode whose gradient, is not finite and that has
-no other code gets code 5.  DIV, LOG, SQRT and POW build their masked
-operands only when the chunk has a bad row, so a row without errors gets
-the same bits either way.
+and a NaN in every output, so callers can skip or report bad points in bulk.
+An op's code flags the point for every output of the tape, and a point where
+some output is not finite and that has no other code gets code 5.  So sqrt
+at 0 has the value 0, but its gradient tape flags code 1, from the division
+in d sqrt(u) = du / (2 sqrt(u)).  DIV, LOG, SQRT and POW build their masked
+operands only when the chunk has a bad row, so a row without errors gets the
+same bits either way.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +54,15 @@ from .field_expr import (
     Sub,
 )
 
-__all__ = ["Tape", "compile_tape", "eval_values", "eval_values_grads", "backend_name"]
+__all__ = [
+    "Tape",
+    "compile_tape",
+    "compile_outputs",
+    "eval_values",
+    "eval_values_grads",
+    "eval_outputs",
+    "backend_name",
+]
 
 OP_CONST = 0
 OP_COORD = 1
@@ -91,7 +104,8 @@ def err_message(code: int) -> str:
 @dataclass
 class Tape:
     """Flattened expression: one register per distinct node, each held in a
-    buffer row that later registers reuse after its last read."""
+    buffer row that later registers reuse after its last read, and one or
+    more outputs, each the row of a root."""
 
     ops: list[int]  # (K,) opcodes
     a1: list[int]  # (K,) first operand (register or table index)
@@ -101,6 +115,7 @@ class Tape:
     dim: int
     slot: list[int]  # (K,) buffer row of each register
     n_slots: int  # rows a chunk allocates
+    outputs: list[int]  # buffer row of each root, in the order given
 
     @property
     def n_registers(self) -> int:
@@ -108,17 +123,25 @@ class Tape:
 
 
 def compile_tape(f: ScalarField) -> Tape:
-    """Flatten ``f`` into a tape, one register per distinct node.
+    """The one-output tape of ``f``, cached on the field, which is safe
+    because fields are immutable."""
+    if f._tape is None:
+        f._tape = compile_outputs([f])
+    return f._tape
 
-    Nodes are interned, so deduplication is an identity lookup.  Each
-    register lives in a buffer row that is reused after the register's last
-    read, so the memory per chunk is the peak live set, not the tape length.
-    No op's row is one of its operands' rows, and the root keeps row 0.  The
-    result is cached on the field, which is safe because fields are
-    immutable.
+
+def compile_outputs(fields: Sequence[ScalarField]) -> Tape:
+    """Flatten ``fields`` into one tape, one register per distinct node and
+    one output per field.
+
+    Nodes are interned, so deduplication is an identity lookup, and fields
+    that share subexpressions (a field and its symbolic partials, say) share
+    their registers.  Each register lives in a buffer row that is reused
+    after the register's last read, so the memory per chunk is the peak live
+    set, not the tape length.  No op's row is one of its operands' rows.
+    Each distinct root holds a row of its own, rows 0, 1, ... in order of
+    first appearance, from its op to the end of the tape.  Not cached.
     """
-    if f._tape is not None:
-        return f._tape
     ops: list[int] = []
     a1: list[int] = []
     a2: list[int] = []
@@ -171,15 +194,17 @@ def compile_tape(f: ScalarField) -> Tape:
         seen[n] = reg
         return reg
 
-    visit(f.root)
+    roots = [visit(f.root) for f in fields]
     # one backward scan over the ops: a register takes a free row at its last
     # read, the first one met going backward, and gives the row back at its
     # own op, after that op's operands have taken theirs, so no op writes a
-    # row it reads; the root, which nothing reads, holds row 0 from the start
+    # row it reads; the roots, read at the end, hold their rows from the start
     slot = [-1] * len(ops)
-    slot[-1] = 0
+    distinct = dict.fromkeys(roots)
+    for row, reg in enumerate(distinct):
+        slot[reg] = row
     free: list[int] = []
-    fresh = itertools.count(1)
+    fresh = itertools.count(len(distinct))
     for k in range(len(ops) - 1, -1, -1):
         reads = _READS[ops[k]]
         if reads:
@@ -188,20 +213,18 @@ def compile_tape(f: ScalarField) -> Tape:
             if reads == 2 and slot[a2[k]] < 0:
                 slot[a2[k]] = free.pop() if free else next(fresh)
         free.append(slot[k])
-    tape = Tape(
+    dim = fields[0].dim
+    return Tape(
         ops=ops,
         a1=a1,
         a2=a2,
         consts=consts,
-        vecs=np.asarray(vecs, dtype=np.float64).reshape(len(vecs), f.dim)
-        if vecs
-        else np.zeros((0, f.dim)),
-        dim=f.dim,
+        vecs=np.asarray(vecs, dtype=np.float64).reshape(len(vecs), dim) if vecs else np.zeros((0, dim)),
+        dim=dim,
         slot=slot,
         n_slots=next(fresh),
+        outputs=[slot[reg] for reg in roots],
     )
-    f._tape = tape
-    return tape
 
 
 def backend_name() -> str:
@@ -216,8 +239,17 @@ def eval_values(f: ScalarField, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def eval_values_grads(f: ScalarField, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate values and gradients of ``f`` at each row of ``pts``."""
+    """Evaluate values and gradients of ``f`` at each row of ``pts``: the
+    outputs of one tape whose roots are f and its symbolic partials."""
     return _run(f, pts, want_grads=True)
+
+
+def eval_outputs(tape: Tape, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate every output of ``tape`` at each row of ``pts``; returns
+    (values (outputs, points), error codes)."""
+    pts = _as_points(pts, tape.dim)
+    vals = np.empty((len(tape.outputs), len(pts)))
+    return vals, _run_tape(tape, pts, vals)
 
 
 def _as_points(pts: np.ndarray, dim: int) -> np.ndarray:
@@ -235,33 +267,39 @@ _CHUNK = 8192
 
 
 def _run(f: ScalarField, pts: np.ndarray, want_grads: bool):
-    tape = compile_tape(f)
+    if not want_grads:
+        tape = compile_tape(f)
+    elif f._grad_tape is None:
+        tape = f._grad_tape = compile_outputs([f, *(f.diff(i) for i in range(f.dim))])
+    else:
+        tape = f._grad_tape
     pts = _as_points(pts, tape.dim)
     m, n = pts.shape
     out = np.empty(m)
     grads = np.empty((m, n)) if want_grads else None
-    err = np.zeros(m, dtype=np.int64)
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
-        out[lo:hi], g, err[lo:hi] = _run_chunk(tape, pts[lo:hi], want_grads)
-        if want_grads:
-            for i in range(n):  # a column at a time: g[:, i] is one contiguous row of the chunk
-                grads[lo:hi, i] = g[:, i]
-        del g  # frees the chunk's gradient rows before the next chunk allocates its own
+    # the partials go straight into the columns of the gradient array
+    err = _run_tape(tape, pts, [out, *grads.T] if want_grads else [out])
     return out, grads, err
 
 
-def _run_chunk(tape: Tape, pts: np.ndarray, want_grads: bool):
-    m, n = pts.shape
+def _run_tape(tape: Tape, pts: np.ndarray, dests) -> np.ndarray:
+    """Run ``tape`` over ``pts`` a chunk at a time, writing output k into the
+    (points,) array ``dests[k]``; returns the error codes.  A point with a
+    nonzero code reads NaN in every output."""
+    err = np.zeros(len(pts), dtype=np.int64)
+    for lo in range(0, len(pts), _CHUNK):
+        hi = lo + _CHUNK
+        _run_chunk(tape, pts[lo:hi], [d[lo:hi] for d in dests], err[lo:hi])
+    bad = err != 0
+    if bad.any():
+        for d in dests:
+            d[bad] = np.nan
+    return err
+
+
+def _run_chunk(tape: Tape, pts: np.ndarray, dests, err: np.ndarray) -> None:
     S = tape.slot
-    rows = tape.n_slots
-    R = list(np.empty((rows, m)))
-    if want_grads:
-        # component-major: dreg[s, i] is d reg[s] / dx_i; tmp holds MUL's
-        # second product and du the derivative of a unary op
-        D = list(np.empty((rows, n, m)))
-        tmp, du = np.empty((n, m)), np.empty(m)
-    err = np.zeros(m, dtype=np.int64)
+    R = list(np.empty((tape.n_slots, pts.shape[0])))
 
     def flag(bad: np.ndarray, code: int) -> None:
         fresh = bad & (err == 0)
@@ -273,106 +311,57 @@ def _run_chunk(tape: Tape, pts: np.ndarray, want_grads: bool):
             r = R[k]
             if op == OP_CONST:
                 r.fill(tape.consts[i1])
-                if want_grads:
-                    D[k].fill(0.0)
             elif op == OP_COORD:
                 r[:] = pts[:, i1]
-                if want_grads:
-                    D[k].fill(0.0)
-                    D[k][i1] = 1.0
             elif op == OP_ADD:
-                i1, i2 = S[i1], S[i2]
-                np.add(R[i1], R[i2], out=r)
-                if want_grads:
-                    np.add(D[i1], D[i2], out=D[k])
+                np.add(R[S[i1]], R[S[i2]], out=r)
             elif op == OP_SUB:
-                i1, i2 = S[i1], S[i2]
-                np.subtract(R[i1], R[i2], out=r)
-                if want_grads:
-                    np.subtract(D[i1], D[i2], out=D[k])
+                np.subtract(R[S[i1]], R[S[i2]], out=r)
             elif op == OP_MUL:
-                i1, i2 = S[i1], S[i2]
-                np.multiply(R[i1], R[i2], out=r)
-                if want_grads:
-                    np.multiply(R[i1], D[i2], out=D[k])
-                    np.multiply(R[i2], D[i1], out=tmp)
-                    np.add(D[k], tmp, out=D[k])
+                np.multiply(R[S[i1]], R[S[i2]], out=r)
             elif op == OP_DIV:
-                i1, i2 = S[i1], S[i2]
-                denom = R[i2]
+                denom = R[S[i2]]
                 bad = denom == 0.0
                 if bad.any():
                     flag(bad, ERR_DIV)
                     denom = np.where(bad, 1.0, denom)
-                np.divide(R[i1], denom, out=r)
-                if want_grads:
-                    np.multiply(r, D[i2], out=D[k])
-                    np.subtract(D[i1], D[k], out=D[k])
-                    np.divide(D[k], denom, out=D[k])
+                np.divide(R[S[i1]], denom, out=r)
             elif op == OP_POW:
-                i1 = S[i1]
-                _pow(R[i1], tape.consts[i2], r, du if want_grads else None, flag)
-                if want_grads:
-                    np.multiply(du, D[i1], out=D[k])
+                _pow(R[S[i1]], tape.consts[i2], r, flag)
             elif op == OP_EXP:
-                i1 = S[i1]
-                np.exp(R[i1], out=r)
-                if want_grads:
-                    np.multiply(r, D[i1], out=D[k])
+                np.exp(R[S[i1]], out=r)
             elif op == OP_LOG:
-                i1 = S[i1]
-                safe = R[i1]
+                safe = R[S[i1]]
                 bad = safe <= 0.0
                 if bad.any():
                     flag(bad, ERR_LOG)
                     safe = np.where(bad, 1.0, safe)
                 np.log(safe, out=r)
-                if want_grads:
-                    np.divide(D[i1], safe, out=D[k])
             elif op == OP_SQRT:
-                i1 = S[i1]
-                # sqrt has a value at 0 but no derivative there
-                v = R[i1]
-                bad = (v <= 0.0) if want_grads else (v < 0.0)
+                v = R[S[i1]]
+                bad = v < 0.0
                 if bad.any():
                     flag(bad, ERR_SQRT)
-                    r[:] = np.where(v < 0.0, np.nan, np.sqrt(np.where(v < 0.0, 0.0, v)))
-                    root = np.sqrt(np.where(v <= 0.0, 1.0, v))
+                    r[:] = np.where(bad, np.nan, np.sqrt(np.where(bad, 0.0, v)))
                 else:
-                    root = np.sqrt(v, out=r)
-                if want_grads:
-                    np.divide(0.5, root, out=du)
-                    np.multiply(du, D[i1], out=D[k])
+                    np.sqrt(v, out=r)
             elif op == OP_NORMSQ:
                 # einsum, not a column sum: the two round differently for n = 3
                 np.einsum("ij,ij->i", pts, pts, out=r)
-                if want_grads:
-                    np.multiply(pts.T, 2.0, out=D[k])
             else:  # OP_DOT
-                c = tape.vecs[i1]
-                np.matmul(pts, c, out=r)
-                if want_grads:
-                    D[k][:] = c[:, None]
+                np.matmul(pts, tape.vecs[i1], out=r)
 
-        # the root's row, a view of this chunk's rows: _run copies it out
-        out = R[0]
-        g = D[0].T if want_grads else None
-        # one sum tells whether any row is not finite (a sum that overflows
+        outs = [R[k] for k in tape.outputs]
+        # one sum tells whether any output is not finite (a sum that overflows
         # trips it too, harmlessly); only then are the rows scanned
-        if not math.isfinite(out.sum() + (g.sum() if want_grads else 0.0)):
-            overflow = ~np.isfinite(out)
-            if want_grads:
-                overflow |= ~np.isfinite(g).all(axis=1)
-            flag(overflow, ERR_OVERFLOW)
-    bad = err != 0
-    out[bad] = np.nan
-    if want_grads:
-        g[bad] = np.nan
-    return out, g, err
+        if not math.isfinite(sum(o.sum() for o in outs)):
+            flag(~np.isfinite(outs).all(axis=0), ERR_OVERFLOW)
+    for d, o in zip(dests, outs):
+        d[:] = o
 
 
-def _pow(v: np.ndarray, e: float, out: np.ndarray, du: np.ndarray | None, flag) -> None:
-    """v**e into ``out`` and, when ``du`` is given, e*v**(e-1) into it."""
+def _pow(v: np.ndarray, e: float, out: np.ndarray, flag) -> None:
+    """v**e into ``out``."""
     # constant folding guarantees the tape never holds integer exponents 0 or 1
     ei = int(round(e))
     is_int = abs(e - ei) < 1e-12
@@ -385,11 +374,5 @@ def _pow(v: np.ndarray, e: float, out: np.ndarray, du: np.ndarray | None, flag) 
     # in-place ** takes numpy's scalar-power shortcuts exactly as safe**expo does
     out[:] = safe
     out **= expo
-    if du is not None:
-        du[:] = safe
-        du **= expo - 1
-        du *= float(e)
     if safe is not v:
         out[bad] = np.nan
-        if du is not None:
-            du[bad] = np.nan

@@ -221,20 +221,18 @@ def estimate_rho(p: ProblemSpec, s: SearchConfig) -> BoundEstimate:
     if p.gaussian_U:
         return _exact(1.0, np.zeros(p.dim), s)
     n = p.dim
-    entries = [[p.U.diff(i).diff(j) for j in range(n)] for i in range(n)]
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    tape = _tape.compile_outputs([p.U.diff(i).diff(j) for i, j in upper])
 
     def batch(pts: np.ndarray) -> np.ndarray:
-        m = pts.shape[0]
-        hess = np.empty((m, n, n))
-        bad = np.zeros(m, dtype=bool)
-        for i in range(n):
-            for j in range(i, n):
-                vals, err = _tape.eval_values(entries[i][j], pts)
-                hess[:, i, j] = hess[:, j, i] = vals
-                bad |= err != 0
-        out = np.full(m, np.nan)
-        if (~bad).any():
-            out[~bad] = np.linalg.eigvalsh(hess[~bad])[:, 0]
+        entries, err = _tape.eval_outputs(tape, pts)
+        hess = np.empty((pts.shape[0], n, n))
+        for (i, j), vals in zip(upper, entries):
+            hess[:, i, j] = hess[:, j, i] = vals
+        ok = err == 0
+        out = np.full(pts.shape[0], np.nan)
+        if ok.any():
+            out[ok] = np.linalg.eigvalsh(hess[ok])[:, 0]
         return out
 
     return _extremize_min(batch, n, s)
@@ -317,10 +315,8 @@ def check_pointwise_cd(
     parts = []
     for (_, points), (g2w_f, gw_f) in zip(cases, gamma2_w_sweep(p, (f for f, _ in cases))):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        g2w, err2 = _tape.eval_values(g2w_f, pts)
-        gw, err1 = _tape.eval_values(gw_f, pts)
-        ok = (err2 == 0) & (err1 == 0)
-        parts.append((pts, g2w, gw, ok))
+        (g2w, gw), err = _tape.eval_outputs(_tape.compile_outputs([g2w_f, gw_f]), pts)
+        parts.append((pts, g2w, gw, err == 0))
     pts, g2w, gw, ok = (np.concatenate(a) for a in zip(*parts))
     pts, g2w, gw = pts[ok], g2w[ok], gw[ok]
     margin = g2w - kappa * gw

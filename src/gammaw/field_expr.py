@@ -658,7 +658,7 @@ class ScalarField:
     pure, so instances are safe to share across workers.
     """
 
-    __slots__ = ("root", "dim", "_tape")
+    __slots__ = ("root", "dim", "_tape", "_grad_tape")
 
     def __init__(self, root: Node, dim: int):
         if dim <= 0:
@@ -671,9 +671,10 @@ class ScalarField:
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_tape", None)
+        object.__setattr__(self, "_grad_tape", None)
 
-    def __setattr__(self, name, value):  # immutability guard (tape cache excepted)
-        if name == "_tape":
+    def __setattr__(self, name, value):  # immutability guard (tape caches excepted)
+        if name in ("_tape", "_grad_tape"):
             object.__setattr__(self, name, value)
         else:
             raise AttributeError("ScalarField is immutable")

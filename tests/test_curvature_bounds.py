@@ -71,6 +71,13 @@ def test_rho_diverging(fast_search):
     assert est.trace[0] > est.trace[1] > est.trace[2]
 
 
+def test_rho_search_is_pinned():
+    # the Hessian entries are the outputs of one tape; its search value is
+    # pinned bit for bit to the one that evaluated each entry on its own tape
+    est = estimate_rho(pq_problem(1.5, 1, 2), SearchConfig(seed=1))
+    assert est.value.hex() == "0x1.b3acca6455147p-7"
+
+
 @pytest.mark.parametrize(
     "dim,expected,witness_r2",
     [(1, -1.25, 3.0), (2, -1.0625, 7.0), (3, -1.0, None)],

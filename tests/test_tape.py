@@ -71,11 +71,12 @@ def test_error_codes_cover_div_sqrt_pow():
     g = parse_field("sqrt(x0)", 1)
     _, err = _tape.eval_values(g, np.array([[-1.0]]))
     assert "sqrt" in _tape.err_message(err[0])
-    # sqrt has a value at 0 but no derivative, as for g.value and g.jet
+    # sqrt has a value at 0 but no derivative, as for g.value and g.jet: the
+    # gradient tape divides by 2 sqrt(x0) = 0
     vals, err = _tape.eval_values(g, np.array([[0.0]]))
     assert vals[0] == 0.0 and err[0] == _tape.ERR_NONE
     vals, grads, err = _tape.eval_values_grads(g, np.array([[0.0]]))
-    assert err[0] == _tape.ERR_SQRT
+    assert err[0] == _tape.ERR_DIV
     assert np.isnan(vals[0]) and np.isnan(grads[0, 0])
     h = parse_field("x0^0.5", 1)
     _, err = _tape.eval_values(h, np.array([[-1.0]]))
@@ -142,6 +143,15 @@ def _assert_rows_hold(tape):
     """Replay the row map op by op: every read finds its register still in
     its row, no op writes a row it reads, and the root's row ends holding
     the root."""
+    holder = _replay_rows(tape)
+    root = tape.n_registers - 1
+    assert tape.slot[root] == 0  # the row the interpreter returns
+    assert holder[0] == root
+
+
+def _replay_rows(tape):
+    """Every read finds its register still in its row and no op writes a
+    row it reads; returns the register each row ends holding."""
     assert len(tape.slot) == tape.n_registers
     assert set(tape.slot) == set(range(tape.n_slots))
     holder = {}  # row -> register whose value it holds
@@ -152,15 +162,27 @@ def _assert_rows_hold(tape):
             rows_read.add(tape.slot[x])
         assert tape.slot[k] not in rows_read, f"op {k} writes a row it reads"
         holder[tape.slot[k]] = k
-    root = tape.n_registers - 1
-    assert tape.slot[root] == 0  # the row the interpreter returns
-    assert holder[0] == root
+    return holder
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rows_hold_every_opcode(n):
     for src in _every_opcode_fields(n):
         _assert_rows_hold(_tape.compile_tape(parse_field(src, n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rows_hold_gradient_tapes(n):
+    # f, d0 f, ... keep rows of their own, 0, 1, ... by first appearance;
+    # that each row ends holding its root is checked through the values by
+    # _assert_grads_are_partials
+    for src in _every_opcode_fields(n):
+        f = parse_field(src, n)
+        tape = _tape.compile_outputs([f, *(f.diff(i) for i in range(n))])
+        holder = _replay_rows(tape)
+        assert len(tape.outputs) == n + 1
+        assert list(dict.fromkeys(tape.outputs)) == list(range(len(set(tape.outputs))))
+        assert len({holder[row] for row in tape.outputs}) == len(set(tape.outputs))
 
 
 def test_rows_hold_random_gamma2_w_fields():
@@ -239,16 +261,15 @@ def test_single_point_promoted():
 
 
 # ---------------------------------------------------------------------------
-# The point-major interpreter the component-major one replaced, kept as the
-# reference it must match bit for bit
+# A point-major interpreter with one row per register, kept as the reference
+# the values must match bit for bit
 # ---------------------------------------------------------------------------
 
 
-def _run_chunk_reference(tape, pts, want_grads):
-    m, n = pts.shape
+def _run_chunk_reference(tape, pts):
+    m = pts.shape[0]
     k_regs = tape.n_registers
     reg = np.empty((k_regs, m))
-    dreg = np.zeros((k_regs, m, n)) if want_grads else None
     err = np.zeros(m, dtype=np.int64)
 
     def flag(bad, code):
@@ -263,71 +284,39 @@ def _run_chunk_reference(tape, pts, want_grads):
                 reg[k] = tape.consts[i1]
             elif op == _tape.OP_COORD:
                 reg[k] = pts[:, i1]
-                if want_grads:
-                    dreg[k, :, i1] = 1.0
             elif op == _tape.OP_ADD:
                 reg[k] = reg[i1] + reg[i2]
-                if want_grads:
-                    dreg[k] = dreg[i1] + dreg[i2]
             elif op == _tape.OP_SUB:
                 reg[k] = reg[i1] - reg[i2]
-                if want_grads:
-                    dreg[k] = dreg[i1] - dreg[i2]
             elif op == _tape.OP_MUL:
                 reg[k] = reg[i1] * reg[i2]
-                if want_grads:
-                    dreg[k] = reg[i1][:, None] * dreg[i2] + reg[i2][:, None] * dreg[i1]
             elif op == _tape.OP_DIV:
                 flag(reg[i2] == 0.0, _tape.ERR_DIV)
                 denom = np.where(reg[i2] == 0.0, 1.0, reg[i2])
                 reg[k] = reg[i1] / denom
-                if want_grads:
-                    dreg[k] = (dreg[i1] - reg[k][:, None] * dreg[i2]) / denom[:, None]
             elif op == _tape.OP_POW:
-                reg[k], u1 = _pow_reference(reg[i1], tape.consts[i2], err)
-                if want_grads:
-                    dreg[k] = u1[:, None] * dreg[i1]
+                reg[k] = _pow_reference(reg[i1], tape.consts[i2], err)
             elif op == _tape.OP_EXP:
                 reg[k] = np.exp(reg[i1])
-                if want_grads:
-                    dreg[k] = reg[k][:, None] * dreg[i1]
             elif op == _tape.OP_LOG:
                 flag(reg[i1] <= 0.0, _tape.ERR_LOG)
                 safe = np.where(reg[i1] <= 0.0, 1.0, reg[i1])
                 reg[k] = np.log(safe)
-                if want_grads:
-                    dreg[k] = dreg[i1] / safe[:, None]
             elif op == _tape.OP_SQRT:
                 v = reg[i1]
                 flag(v < 0.0, _tape.ERR_SQRT)
-                if want_grads:
-                    flag(v == 0.0, _tape.ERR_SQRT)
-                safe = np.where(v <= 0.0, 1.0, v)
                 reg[k] = np.where(v < 0.0, np.nan, np.sqrt(np.where(v < 0.0, 0.0, v)))
-                if want_grads:
-                    dreg[k] = (0.5 / np.sqrt(safe))[:, None] * dreg[i1]
             elif op == _tape.OP_NORMSQ:
                 reg[k] = np.einsum("ij,ij->i", pts, pts)
-                if want_grads:
-                    dreg[k] = 2.0 * pts
             else:  # OP_DOT
                 c = tape.vecs[i1]
                 reg[k] = pts @ c
-                if want_grads:
-                    dreg[k] = np.broadcast_to(c, (m, n)).copy()
 
         out = reg[k_regs - 1].copy()
-        g = dreg[k_regs - 1].copy() if want_grads else None
-        if not math.isfinite(out.sum() + (g.sum() if want_grads else 0.0)):
-            overflow = ~np.isfinite(out)
-            if want_grads:
-                overflow |= ~np.isfinite(g).all(axis=1)
-            flag(overflow, _tape.ERR_OVERFLOW)
-    bad = err != 0
-    out[bad] = np.nan
-    if want_grads:
-        g[bad] = np.nan
-    return out, g, err
+        if not math.isfinite(out.sum()):
+            flag(~np.isfinite(out), _tape.ERR_OVERFLOW)
+    out[err != 0] = np.nan
+    return out, err
 
 
 def _pow_reference(v, e, err):
@@ -336,26 +325,15 @@ def _pow_reference(v, e, err):
     bad = ((v == 0.0) & (ei < 0)) if is_int else (v <= 0.0)
     err[bad & (err == 0)] = _tape.ERR_POW
     safe = np.where(bad, 1.0, v)
-    if is_int:
-        val = safe**ei
-        u1 = float(e) * safe ** (ei - 1)
-    else:
-        val = safe**e
-        u1 = e * safe ** (e - 1.0)
-    return np.where(bad, np.nan, val), np.where(bad, np.nan, u1)
+    val = safe**ei if is_int else safe**e
+    return np.where(bad, np.nan, val)
 
 
-def _eval_reference(f, pts, want_grads):
+def _eval_reference(f, pts):
     # chunked like the public entry points, so a batch crosses the same boundaries
     tape = _tape.compile_tape(f)
-    parts = [
-        _run_chunk_reference(tape, pts[lo:lo + _tape._CHUNK], want_grads)
-        for lo in range(0, len(pts), _tape._CHUNK)
-    ]
-    vals = np.concatenate([v for v, _, _ in parts])
-    err = np.concatenate([e for _, _, e in parts])
-    grads = np.concatenate([g for _, g, _ in parts]) if want_grads else None
-    return vals, grads, err
+    parts = [_run_chunk_reference(tape, pts[lo:lo + _tape._CHUNK]) for lo in range(0, len(pts), _tape._CHUNK)]
+    return np.concatenate([v for v, _ in parts]), np.concatenate([e for _, e in parts])
 
 
 def _every_opcode_fields(n):
@@ -391,14 +369,29 @@ def _edge_points(rng, m, n):
 
 
 def _assert_matches_reference(f, pts):
-    for want_grads in (False, True):
-        vals, grads, err = _tape._run(f, pts, want_grads)
-        ref_vals, ref_grads, ref_err = _eval_reference(f, pts, want_grads)
-        assert np.array_equal(err, ref_err)
-        assert np.array_equal(vals, ref_vals, equal_nan=True)
-        if want_grads:
-            assert grads.shape == ref_grads.shape == pts.shape
-            assert np.array_equal(grads, ref_grads, equal_nan=True)
+    vals, err = _tape.eval_values(f, pts)
+    ref_vals, ref_err = _eval_reference(f, pts)
+    assert np.array_equal(err, ref_err)
+    assert np.array_equal(vals, ref_vals, equal_nan=True)
+    _assert_grads_are_partials(f, pts)
+
+
+def _assert_grads_are_partials(f, pts):
+    """The gradient tape's outputs are the values of f and of each symbolic
+    partial, bit for bit, on the rows where none of them has an error code;
+    those rows, and only those, have a code, and read NaN throughout."""
+    vals, grads, err = _tape.eval_values_grads(f, pts)
+    assert grads.shape == pts.shape
+    ref_vals, ok = _tape.eval_values(f, pts)
+    ok = ok == 0
+    partials = [_tape.eval_values(f.diff(i), pts) for i in range(f.dim)]
+    for _, d_err in partials:
+        ok &= d_err == 0
+    assert np.array_equal(err != 0, ~ok)
+    assert np.array_equal(vals[ok], ref_vals[ok])
+    for i, (d_vals, _) in enumerate(partials):
+        assert np.array_equal(grads[ok, i], d_vals[ok])
+    assert np.isnan(vals[~ok]).all() and np.isnan(grads[~ok]).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -443,7 +436,7 @@ def test_normsq_rounds_like_einsum():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(2000, 3)) * np.array([1e-3, 1.0, 1e3])
     column_sum = pts[:, 0] ** 2 + pts[:, 1] ** 2 + pts[:, 2] ** 2
-    ref, _, _ = _eval_reference(normsq_field(3), pts, False)
+    ref, _ = _eval_reference(normsq_field(3), pts)
     assert not np.array_equal(column_sum, ref)
     vals, _ = _tape.eval_values(normsq_field(3), pts)
     assert np.array_equal(vals, ref)
