@@ -10,7 +10,7 @@ partials of :meth:`ScalarField.diff`, which share their registers with f
 because nodes are interned; Hessian entries are outputs the same way.  A
 register lives in a buffer row that is reused after the register's last
 read, so the memory per chunk is the peak live set of the tape, not its
-length: L(L GammaW(f)) in three dimensions has 2,971 registers and needs 174
+length: L(L GammaW(f)) in three dimensions has 2,967 registers and needs 174
 rows, allocated afresh for each chunk.  Each root holds its own row from its
 op to the end of the tape.  The test suite pins the values against the
 recursive evaluator, the jets of :mod:`gammaw.field_expr` and, bit for bit,
@@ -52,6 +52,7 @@ from .field_expr import (
     ScalarField,
     Sqrt,
     Sub,
+    _as_int_exponent,
 )
 
 __all__ = [
@@ -234,14 +235,22 @@ def backend_name() -> str:
 
 def eval_values(f: ScalarField, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate ``f`` at each row of ``pts``; returns (values, error codes)."""
-    out, _, err = _run(f, pts, want_grads=False)
-    return out, err
+    pts = _as_points(pts, f.dim)
+    out = np.empty(len(pts))
+    return out, _run_tape(compile_tape(f), pts, [out])
 
 
 def eval_values_grads(f: ScalarField, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate values and gradients of ``f`` at each row of ``pts``: the
-    outputs of one tape whose roots are f and its symbolic partials."""
-    return _run(f, pts, want_grads=True)
+    outputs of one tape whose roots are f and its symbolic partials, cached
+    on the field."""
+    if f._grad_tape is None:
+        f._grad_tape = compile_outputs([f, *(f.diff(i) for i in range(f.dim))])
+    pts = _as_points(pts, f.dim)
+    out = np.empty(len(pts))
+    grads = np.empty(pts.shape)
+    # the partials go straight into the columns of the gradient array
+    return out, grads, _run_tape(f._grad_tape, pts, [out, *grads.T])
 
 
 def eval_outputs(tape: Tape, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,22 +273,6 @@ def _as_points(pts: np.ndarray, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _CHUNK = 8192
-
-
-def _run(f: ScalarField, pts: np.ndarray, want_grads: bool):
-    if not want_grads:
-        tape = compile_tape(f)
-    elif f._grad_tape is None:
-        tape = f._grad_tape = compile_outputs([f, *(f.diff(i) for i in range(f.dim))])
-    else:
-        tape = f._grad_tape
-    pts = _as_points(pts, tape.dim)
-    m, n = pts.shape
-    out = np.empty(m)
-    grads = np.empty((m, n)) if want_grads else None
-    # the partials go straight into the columns of the gradient array
-    err = _run_tape(tape, pts, [out, *grads.T] if want_grads else [out])
-    return out, grads, err
 
 
 def _run_tape(tape: Tape, pts: np.ndarray, dests) -> np.ndarray:
@@ -363,10 +356,9 @@ def _run_chunk(tape: Tape, pts: np.ndarray, dests, err: np.ndarray) -> None:
 def _pow(v: np.ndarray, e: float, out: np.ndarray, flag) -> None:
     """v**e into ``out``."""
     # constant folding guarantees the tape never holds integer exponents 0 or 1
-    ei = int(round(e))
-    is_int = abs(e - ei) < 1e-12
-    bad = ((v == 0.0) & (ei < 0)) if is_int else (v <= 0.0)
-    expo = ei if is_int else e
+    k = _as_int_exponent(e)
+    bad = (v <= 0.0) if k is None else ((v == 0.0) & (k < 0))
+    expo = e if k is None else k
     safe = v
     if bad.any():
         flag(bad, ERR_POW)

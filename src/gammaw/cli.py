@@ -232,7 +232,7 @@ def cmd_optimality(cfg: RunConfig) -> int:
     with open(cfg.out_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(table.csv_lines()) + "\n")
     print(f"wrote {cfg.out_path}")
-    return EXIT_OK if table.check(1e-2) else EXIT_FAIL
+    return EXIT_OK if table.check() else EXIT_FAIL
 
 
 def _cpu_s() -> float:

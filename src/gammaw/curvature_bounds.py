@@ -13,14 +13,18 @@ axis endpoints, log-spaced radial rays) and random points, then a compass
 search in the box from the best few and some random starts, one tape batch
 per round for all of them.  Since sup max = max sup, c's objective is the
 larger of its two branches at each point.  The points of {W != 0} are those
-where W evaluates without an error code and |W| >= WEIGHT_EPS, one mask for
-gamma and c.  Extrema that keep escaping to larger radii are reported as
-diverging (value -inf or +inf) with the per-radius trace attached; the rule
-is a heuristic and the trace is always kept so callers can judge.
+where the objective evaluates without an error code and |W| >= WEIGHT_EPS,
+one mask for gamma and c.  W is read as a second output of the objective's
+own tape, so a search batch makes one tape call per objective: one for
+gamma, and two for c, whose branch 2 sup|grad W| runs over every x, W = 0
+included, on a tape of its own.  Extrema that keep escaping to larger radii
+are reported as diverging (value -inf or +inf) with the per-radius trace
+attached; the rule is a heuristic and the trace is always kept so callers
+can judge.
 
 ``check_pointwise_cd`` tests the curvature inequality Gamma2W >= kappa GammaW
-over a sweep of (field, points) cases, one tape batch of Gamma2W and one of
-GammaW per field, and reports the violations of the whole sweep.  The
+over a sweep of (field, points) cases, Gamma2W and GammaW as two outputs of
+one tape batch per field, and reports the violations of the whole sweep.  The
 U/W-only terms of Gamma2W are built once per sweep; each field's
 derivatives are built once for its Gamma2W and GammaW together.
 """
@@ -205,12 +209,6 @@ def _exact(value: float, witness: np.ndarray | None, s: SearchConfig) -> BoundEs
     return BoundEstimate(value, witness, diverging=False, trace=[value] * len(s.radii_schedule))
 
 
-def _in_weight_domain(p: ProblemSpec, pts: np.ndarray) -> np.ndarray:
-    """The points of {W != 0}: W has no error code and |W| >= WEIGHT_EPS."""
-    w_vals, w_err = _tape.eval_values(p.W, pts)
-    return (w_err == 0) & (np.abs(w_vals) >= WEIGHT_EPS)
-
-
 # ---------------------------------------------------------------------------
 # rho: infimum of the smallest Hessian eigenvalue of U
 # ---------------------------------------------------------------------------
@@ -247,11 +245,11 @@ def estimate_gamma(p: ProblemSpec, s: SearchConfig) -> BoundEstimate:
     """inf of the curvature integrand; +inf for W = 0 (empty domain)."""
     if p.W.is_zero():
         return _exact(math.inf, None, s)
-    integrand = gamma_integrand_field(p)
+    tape = _tape.compile_outputs([gamma_integrand_field(p), p.W])
 
     def batch(pts: np.ndarray) -> np.ndarray:
-        vals, err = _tape.eval_values(integrand, pts)
-        return np.where((err == 0) & _in_weight_domain(p, pts), vals, np.nan)
+        (vals, w), err = _tape.eval_outputs(tape, pts)
+        return np.where((err == 0) & (np.abs(w) >= WEIGHT_EPS), vals, np.nan)
 
     return _extremize_min(batch, p.dim, s)
 
@@ -273,13 +271,12 @@ def estimate_c(p: ProblemSpec, rho: float, s: SearchConfig) -> BoundEstimate:
     if p.W.is_zero():
         return _exact(0.0, np.zeros(p.dim), s)
     grad_norm_sq = gamma_field(p, p.W, p.W)
-    lw_over_w = apply_L_symbolic(p, p.W) / p.W
+    drift = _tape.compile_outputs([apply_L_symbolic(p, p.W) / p.W, p.W])
 
     def batch(pts: np.ndarray) -> np.ndarray:
-        g, g_err = _tape.eval_values(grad_norm_sq, pts)
-        lw, lw_err = _tape.eval_values(lw_over_w, pts)
-        grad_branch = np.where(g_err == 0, 2.0 * np.sqrt(np.maximum(g, 0.0)), np.nan)
-        in_domain = (lw_err == 0) & _in_weight_domain(p, pts)
+        grad_branch = 2.0 * np.sqrt(np.maximum(_tape.eval_values(grad_norm_sq, pts)[0], 0.0))
+        (lw, w), err = _tape.eval_outputs(drift, pts)
+        in_domain = (err == 0) & (np.abs(w) >= WEIGHT_EPS)
         drift_branch = np.where(in_domain, np.maximum(rho - lw, 0.0), np.nan)
         return -np.fmax(grad_branch, drift_branch)  # negated: the extremizer minimizes
 

@@ -581,8 +581,11 @@ def _diff_node(n: Node, i: int, memo: dict) -> Node:
     elif t is Sub:
         d = _sub(_diff_node(n.a, i, memo), _diff_node(n.b, i, memo))
     elif t is Div:
-        num = _sub(_mul(_diff_node(n.a, i, memo), n.b), _mul(n.a, _diff_node(n.b, i, memo)))
-        d = _div(num, _pow(n.b, 2.0))
+        if type(n.b) is Const:
+            d = _div(_diff_node(n.a, i, memo), n.b)
+        else:
+            num = _sub(_mul(_diff_node(n.a, i, memo), n.b), _mul(n.a, _diff_node(n.b, i, memo)))
+            d = _div(num, _pow(n.b, 2.0))
     elif t is Pow:
         inner = _diff_node(n.a, i, memo)
         d = _mul(_mul(Const(n.expo), _pow(n.a, n.expo - 1.0)), inner)

@@ -457,13 +457,11 @@ def mehler_Qt(p: ProblemSpec, f: ScalarField, x, t: float, quad_order: int = 40)
     return float(weights @ _strict_values(f, pts))
 
 
-def mehler_grad_Qt(p: ProblemSpec, f: ScalarField, x, t: float, quad_order: int = 40) -> np.ndarray:
+def mehler_grad_Qt(p: ProblemSpec, f: ScalarField, x, t: float) -> np.ndarray:
     """grad Q_t f(x) = e^{-t} Q_t(grad f)(x) for Gaussian U."""
     _require_gaussian(p, "mehler_grad_Qt")
     decay = math.exp(-t)
-    return np.array(
-        [decay * mehler_Qt(p, f.diff(i), x, t, quad_order) for i in range(p.dim)]
-    )
+    return np.array([decay * mehler_Qt(p, f.diff(i), x, t) for i in range(p.dim)])
 
 
 def _strict_values(f: ScalarField, pts: np.ndarray) -> np.ndarray:
@@ -566,28 +564,19 @@ def estimate_fk_term(
     return estimate_fk_term_many(p, [f], [x], t, time_nodes, cfg)[0][0]
 
 
-def mehler_fk_term(
-    p: ProblemSpec,
-    f: ScalarField,
-    x,
-    t: float,
-    s_nodes: int | None = None,
-    quad_order: int | None = None,
-) -> float:
+def mehler_fk_term(p: ProblemSpec, f: ScalarField, x, t: float) -> float:
     """Deterministic 2 int_0^t Q_s(W^2 (Q_{t-s} f)^2)(x) ds for Gaussian U.
 
-    The inner semigroup is closed-form for c e^{a.x} (dense Simpson grid);
-    general f falls back to nested Gauss-Hermite at reduced order.
+    The inner semigroup is closed-form for c e^{a.x}, on 201 Simpson nodes
+    with order-40 Gauss-Hermite in the outer integral; general f falls back
+    to nested Gauss-Hermite of order 20 on 41 nodes.
     """
     _require_gaussian(p, "mehler_fk_term")
     x = np.asarray(x, dtype=float)
     if t == 0.0 or p.W.is_zero():
         return 0.0
     fam = _exp_family(f.root)
-    if s_nodes is None:
-        s_nodes = 201 if fam is not None else 41
-    if quad_order is None:
-        quad_order = 40 if fam is not None else 20
+    s_nodes, quad_order = (201, 40) if fam is not None else (41, 20)
     grid, weights = _simpson_weights(t, s_nodes)
     w_sq = p.W * p.W
     total = 0.0

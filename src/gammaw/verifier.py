@@ -422,7 +422,8 @@ class OptimalityTable:
         r_max = max(self.radii)
         return min(r.ratio for r in self.rows if r.radius == r_max)
 
-    def check(self, tol: float = 1e-2) -> bool:
+    def check(self) -> bool:
+        tol = 1e-2  # for the ratios at the largest radius and the best kappa
         r_max = max(self.radii)
         at_limit = all(
             abs(r.ratio - r.limit) <= tol for r in self.rows if r.radius == r_max

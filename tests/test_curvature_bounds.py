@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gammaw import curvature_bounds
+from gammaw import _tape, curvature_bounds
 from gammaw.curvature_bounds import (
     BoundEstimate,
     SearchConfig,
@@ -16,7 +16,7 @@ from gammaw.curvature_bounds import (
     estimate_gamma,
     estimate_rho,
 )
-from gammaw.field_expr import DomainError, parse_field
+from gammaw.field_expr import DomainError, ProblemSpec, parse_field
 from gammaw.gamma_calculus import WEIGHT_EPS, gamma2_w, gamma_integrand, gamma_w, sqrt_defect
 from gammaw.presets import gaussian_problem, make_problem, pq_problem
 from gammaw.verifier import random_smooth_field
@@ -187,6 +187,37 @@ def test_estimate_c_is_one_search(fast_search, monkeypatch):
     monkeypatch.setattr(curvature_bounds, "_extremize_min", counted)
     estimate_c(gaussian_problem(2), 1.0, fast_search)
     assert calls == [2]
+
+
+@pytest.mark.parametrize("search, tape_calls", [
+    (estimate_gamma, 1),
+    (lambda p, s: estimate_c(p, 1.0, s), 2),  # the gradient branch has a tape of its own
+], ids=["gamma", "c"])
+def test_search_batch_reads_w_from_the_objective_tape(fast_search, monkeypatch, search, tape_calls):
+    batches = []
+
+    def first_batch(batch, dim, cfg):
+        batches.append(batch)
+        return BoundEstimate(0.0, np.zeros(dim), False, [0.0])
+
+    monkeypatch.setattr(curvature_bounds, "_extremize_min", first_batch)
+    search(gaussian_problem(2), fast_search)
+    runs = []
+    run_tape = _tape._run_tape
+    monkeypatch.setattr(_tape, "_run_tape", lambda *args: runs.append(1) or run_tape(*args))
+    [batch] = batches
+    batch(np.random.default_rng(0).uniform(-5.0, 5.0, size=(10, 2)))
+    assert len(runs) == tape_calls
+
+
+def test_c_gradient_branch_keeps_the_zeros_of_w():
+    # W = x0 exp(-x0^2) is 0 on the line x0 = 0, where |grad W| peaks at 1;
+    # with rho = -5 the drift branch is 2 - 6 x0^2, which reaches 2 only
+    # there, so c = 2 is attained where W = 0
+    p = ProblemSpec(2, parse_field("normsq(x)/2", 2), parse_field("x0*exp(-x0^2)", 2))
+    est = estimate_c(p, -5.0, SearchConfig(seed=1))
+    assert est.value == 2.0
+    assert est.witness.tolist() == [0.0, -10.0]
 
 
 def test_c_bounds_sqrt_defect(fast_search, rng):

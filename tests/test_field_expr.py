@@ -236,6 +236,11 @@ def test_constant_folding_and_identities():
     assert (coord_field(0, 1) * 0.0).is_zero()
 
 
+def test_derivative_of_a_quotient_by_a_constant():
+    # (a/c)' is a'/c, not the full quotient rule (a'c - a*0)/c^2
+    assert parse_field("x0^3/3", 2).diff(0).to_text() == "3.0*x0^2.0/3.0"
+
+
 def test_field_arithmetic_and_immutability():
     f = coord_field(0, 2)
     g = 1.0 + f * f

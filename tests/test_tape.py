@@ -121,7 +121,7 @@ def test_registers_are_the_distinct_nodes():
             seen.add(n)
             stack.extend(getattr(n, k) for k in ("a", "b") if hasattr(n, k))
     tape = _tape.compile_tape(ll_gw)
-    assert tape.n_registers == len(seen) == 2971
+    assert tape.n_registers == len(seen) == 2967
     # the rows are the peak live set, not one per register
     assert tape.n_slots <= 200
     _assert_rows_hold(tape)
@@ -194,7 +194,7 @@ def test_rows_hold_random_gamma2_w_fields():
 
 
 def test_values_batch_memory_is_the_live_set():
-    # one row per register would hold 2971 x 2048 doubles, 48.7 MB; the
+    # one row per register would hold 2967 x 2048 doubles, 48.6 MB; the
     # chunk's rows are allocated in the traced thread
     ll_gw = _ll_gamma_w_3d()
     _tape.compile_tape(ll_gw)
@@ -217,13 +217,13 @@ def test_threads_keep_their_own_rows():
     rng = np.random.default_rng(7)
     pts = _edge_points(rng, 3000, 3)
     fields = [_ll_gamma_w_3d()] + [parse_field(src, 3) for src in _every_opcode_fields(3)]
-    expected = [_tape._run(f, pts, True) for f in fields]
+    expected = [_tape.eval_values_grads(f, pts) for f in fields]
     results = {}
 
     def work(name, order):
         for _ in range(3):
             for i in order:
-                results[name, i] = _tape._run(fields[i], pts, True)
+                results[name, i] = _tape.eval_values_grads(fields[i], pts)
 
     threads = [
         threading.Thread(target=work, args=("up", range(len(fields)))),
@@ -424,8 +424,7 @@ def test_chunk_boundary_matches_reference():
 def test_error_rows_match_reference(src, x0, code):
     f = parse_field(src, 2)
     pts = np.array([[2.0, 1.0], [x0, 1.0], [0.5, -3.0]])
-    for want_grads in (False, True):
-        _, _, err = _tape._run(f, pts, want_grads)
+    for err in (_tape.eval_values(f, pts)[1], _tape.eval_values_grads(f, pts)[2]):
         assert err.tolist() == [0, code, 0]
     _assert_matches_reference(f, pts)
 

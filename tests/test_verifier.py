@@ -262,7 +262,7 @@ def test_optimality_study_reaches_limit(p2):
         if row.radius == 1000.0:
             assert abs(row.ratio - row.limit) <= 1e-2
     assert table.best_kappa == pytest.approx(-1.0, abs=1e-2)
-    assert table.check(1e-2)
+    assert table.check()
     header = table.csv_lines()[0]
     assert header == "a0,a1,radius,ratio,limit,abs_err"
 
