@@ -553,9 +553,10 @@ def run_all(criteria=None, overrides=()) -> tuple[list[CriterionResult], int]:
 
 
 def exit_code(results: list[CriterionResult]) -> int:
-    failed = [r.cid for r in results if not r.passed and not r.inconclusive]
-    if failed:
-        return min(failed)
+    """The CLI's uniform code: 1 when a criterion fails (``summary.txt``
+    names it), else 4 when one is inconclusive, else 0."""
+    if any(not r.passed and not r.inconclusive for r in results):
+        return 1
     if any(r.inconclusive for r in results):
         return 4
     return 0

@@ -33,8 +33,14 @@ oracle only.
 Domain policy: evaluating or differentiating past the boundary of a log /
 sqrt / fractional power raises :class:`DomainError` instead of propagating
 NaN, so downstream infimum searches never chase fake minima.  A point value
-or jet, or a folded constant, whose exp or power overflows raises
-:class:`DomainError` too.
+or jet whose exp or power overflows, and a folded constant that is not
+finite, raise :class:`DomainError` too; a number literal that is not finite
+(``1e400``) is a :class:`ParseError`.
+
+The grammar of the text language is one table, ``_BINARY_OPS`` for the
+operators and ``_FUNCTIONS`` for exp, log and sqrt.  The parser reads it to
+build nodes and :meth:`ScalarField.to_text` to print them, so printed text
+parses back to the same interned node.
 """
 
 from __future__ import annotations
@@ -264,15 +270,22 @@ def _is_const(n: Node, value: float | None = None) -> bool:
 # The constants that differentiation builds stay interned for the life of the module.
 _ZERO, _ONE, _TWO = Const(0.0), Const(1.0), Const(2.0)
 
-# Smart constructors: constant folding plus 0/1 identities.  No deeper
-# canonicalization; equality of fields is checked numerically, not
-# symbolically.  The hot three test ``type(x) is Const`` inline.
+# Smart constructors: constant folding plus 0/1 identities; a fold that is
+# not finite raises DomainError.  No deeper canonicalization; equality of
+# fields is checked numerically, not symbolically.  The hot three test
+# ``type(x) is Const`` inline.
+
+
+def _fold(v: float, a: float, op: str, b: float) -> Node:
+    if not math.isfinite(v):
+        raise DomainError(f"constant {a} {op} {b} is not finite")
+    return Const(v)
 
 
 def _add(a: Node, b: Node) -> Node:
     ca, cb = type(a) is Const, type(b) is Const
     if ca and cb:
-        return Const(a.c + b.c)
+        return _fold(a.c + b.c, a.c, "+", b.c)
     if ca and a.c == 0.0:
         return b
     if cb and b.c == 0.0:
@@ -283,7 +296,7 @@ def _add(a: Node, b: Node) -> Node:
 def _sub(a: Node, b: Node) -> Node:
     ca, cb = type(a) is Const, type(b) is Const
     if ca and cb:
-        return Const(a.c - b.c)
+        return _fold(a.c - b.c, a.c, "-", b.c)
     if cb and b.c == 0.0:
         return a
     return _binary(Sub, a, b)
@@ -292,7 +305,7 @@ def _sub(a: Node, b: Node) -> Node:
 def _mul(a: Node, b: Node) -> Node:
     ca, cb = type(a) is Const, type(b) is Const
     if ca and cb:
-        return Const(a.c * b.c)
+        return _fold(a.c * b.c, a.c, "*", b.c)
     if (ca and a.c == 0.0) or (cb and b.c == 0.0):
         return _ZERO
     if ca and a.c == 1.0:
@@ -307,7 +320,7 @@ def _div(a: Node, b: Node) -> Node:
         if b.c == 0.0:
             raise DomainError("division by constant zero")
         if isinstance(a, Const):
-            return Const(a.c / b.c)
+            return _fold(a.c / b.c, a.c, "/", b.c)
         if b.c == 1.0:
             return a
         if _is_const(a, 0.0):
@@ -606,10 +619,28 @@ def _diff_node(n: Node, i: int, memo: dict) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# Pretty printing (round-trips through the parser)
+# The text language: one grammar table, read by the parser and the printer
 # ---------------------------------------------------------------------------
 
-_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+# Binary operators: symbol -> (node class, smart constructor, precedence).
+# The parser folds every chain to the left, so the printer brackets a right
+# operand of the same precedence, and printed text parses back to the node
+# it came from.  Unary minus, ``^`` and atoms bind tighter than all four.
+_BINARY_OPS = {
+    "+": (Add, _add, 1),
+    "-": (Sub, _sub, 1),
+    "*": (Mul, _mul, 2),
+    "/": (Div, _div, 2),
+}
+# Functions: name -> (node class, smart constructor).
+_FUNCTIONS = {"exp": (Exp, _exp), "log": (Log, _log), "sqrt": (Sqrt, _sqrt)}
+_PREC_UNARY, _PREC_POW, _PREC_ATOM = 3, 4, 5
+
+# The printer's view of the same rows; + and - are printed with spaces.
+_BINARY_TEXT = {
+    cls: (f" {sym} " if prec == 1 else sym, prec) for sym, (cls, _, prec) in _BINARY_OPS.items()
+}
+_FUNCTION_NAMES = {cls: name for name, (cls, _) in _FUNCTIONS.items()}
 
 
 def _fmt_num(c: float) -> str:
@@ -617,35 +648,169 @@ def _fmt_num(c: float) -> str:
 
 
 def _pp(n: Node, parent: int) -> str:
-    if isinstance(n, Const):
-        s = _fmt_num(n.c)
-        prec = _PREC_UNARY if n.c < 0 else _PREC_ATOM
-    elif isinstance(n, Coord):
+    t = type(n)
+    if t in _BINARY_TEXT:
+        sym, prec = _BINARY_TEXT[t]
+        s = f"{_pp(n.a, prec)}{sym}{_pp(n.b, prec + 1)}"
+    elif t in _FUNCTION_NAMES:
+        s, prec = f"{_FUNCTION_NAMES[t]}({_pp(n.a, 0)})", _PREC_ATOM
+    elif t is Const:
+        s, prec = _fmt_num(n.c), _PREC_UNARY if n.c < 0 else _PREC_ATOM
+        if s == "-0.0":  # the text -0.0 reads back as 0.0 - 0.0 = +0.0
+            s, prec = "0.0*-1.0", _BINARY_OPS["*"][2]
+    elif t is Coord:
         s, prec = f"x{n.i}", _PREC_ATOM
-    elif isinstance(n, Add):
-        s, prec = f"{_pp(n.a, _PREC_ADD)} + {_pp(n.b, _PREC_ADD)}", _PREC_ADD
-    elif isinstance(n, Sub):
-        s, prec = f"{_pp(n.a, _PREC_ADD)} - {_pp(n.b, _PREC_ADD + 1)}", _PREC_ADD
-    elif isinstance(n, Mul):
-        s, prec = f"{_pp(n.a, _PREC_MUL)}*{_pp(n.b, _PREC_MUL)}", _PREC_MUL
-    elif isinstance(n, Div):
-        s, prec = f"{_pp(n.a, _PREC_MUL)}/{_pp(n.b, _PREC_MUL + 1)}", _PREC_MUL
-    elif isinstance(n, Pow):
+    elif t is Pow:
         s, prec = f"{_pp(n.a, _PREC_ATOM)}^{_fmt_num(n.expo)}", _PREC_POW
-    elif isinstance(n, Exp):
-        s, prec = f"exp({_pp(n.a, 0)})", _PREC_ATOM
-    elif isinstance(n, Log):
-        s, prec = f"log({_pp(n.a, 0)})", _PREC_ATOM
-    elif isinstance(n, Sqrt):
-        s, prec = f"sqrt({_pp(n.a, 0)})", _PREC_ATOM
-    elif isinstance(n, NormSq):
+    elif t is NormSq:
         s, prec = "normsq(x)", _PREC_ATOM
-    elif isinstance(n, Dot):
+    elif t is Dot:
         vec = ",".join(_fmt_num(c) for c in n.coeffs)
         s, prec = f"dot(({vec}),x)", _PREC_ATOM
     else:
         raise TypeError(f"unknown node {n!r}")
     return f"({s})" if prec < parent else s
+
+
+_TOKEN_RE = re.compile(
+    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^(),])"
+    r"|(?P<bad>\S)"
+)
+
+
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token, ending in an ``eof`` token.  Every
+    operator is one character, so a token's text alone tells an operator."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(src):
+        kind, text, at = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", at)
+        if kind == "num" and not math.isfinite(float(text)):
+            raise ParseError(f"number {text} is not finite", at)
+        tokens.append((kind, text, at))
+    if not tokens:
+        raise ParseError("empty input", 0)
+    tokens.append(("eof", "", len(src)))
+    return tokens
+
+
+class _Parser:
+    """Recursive descent over :func:`_tokenize`'s tokens.  Nothing is read
+    past the ``eof`` token: every method that can take it raises."""
+
+    def __init__(self, src: str, dim: int):
+        self.dim = dim
+        self.tokens = _tokenize(src)
+        self.pos = 0
+
+    def _peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def _next(self) -> tuple[str, str, int]:
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def _expect(self, *wants: str) -> None:
+        for want in wants:
+            _, text, at = self._next()
+            if text == want:
+                continue
+            if want == "x":
+                raise ParseError("expected the coordinate vector 'x'", at)
+            raise ParseError(f"expected {want!r}, found {text!r}" if text else f"expected {want!r}", at)
+
+    def parse(self) -> ScalarField:
+        node = self._expr()
+        kind, text, at = self._peek()
+        if kind != "eof":
+            raise ParseError(f"unexpected trailing input {text!r}", at)
+        return ScalarField(node, self.dim)
+
+    def _expr(self, min_prec: int = 1) -> Node:
+        # precedence climbing: the right operand takes only tighter operators
+        node = self._unary()
+        while (op := _BINARY_OPS.get(self._peek()[1])) is not None and op[2] >= min_prec:
+            self._next()
+            _, build, prec = op
+            node = build(node, self._expr(prec + 1))
+        return node
+
+    def _unary(self) -> Node:
+        text = self._peek()[1]
+        if text in ("-", "+"):
+            self._next()
+            node = self._unary()
+            return _sub(_ZERO, node) if text == "-" else node
+        return self._power()
+
+    def _power(self) -> Node:
+        base = self._atom()
+        if self._peek()[1] != "^":
+            return base
+        self._next()
+        expo_at = self._peek()[2]
+        expo = self._unary()
+        if not isinstance(expo, Const):
+            raise ParseError("power exponent must fold to a real constant", expo_at)
+        return _pow(base, expo.c)
+
+    def _atom(self) -> Node:
+        kind, text, at = self._next()
+        if kind == "num":
+            return Const(float(text))
+        if text == "(":
+            node = self._expr()
+            self._expect(")")
+            return node
+        if kind == "ident":
+            return self._ident(text, at)
+        raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", at)
+
+    def _ident(self, name: str, at: int) -> Node:
+        if name in _FUNCTIONS:
+            self._expect("(")
+            arg = self._expr()
+            self._expect(")")
+            return _FUNCTIONS[name][1](arg)
+        if name == "normsq":
+            self._expect("(", "x", ")")
+            return NormSq()
+        if name == "dot":
+            self._expect("(")
+            coeffs = self._vector()
+            self._expect(",", "x", ")")
+            if len(coeffs) != self.dim:
+                raise ParseError(f"dot vector has {len(coeffs)} components, expected {self.dim}", at)
+            return Dot(coeffs)
+        m = re.fullmatch(r"x(\d+)", name)
+        if m:
+            i = int(m.group(1))
+            if i >= self.dim:
+                raise ParseError(f"coordinate x{i} out of range for dim {self.dim}", at)
+            return Coord(i)
+        if name == "x":
+            raise ParseError("bare 'x' is only valid inside normsq(x) or dot(c,x)", at)
+        raise ParseError(f"unknown identifier {name!r}", at)
+
+    def _vector(self) -> tuple[float, ...]:
+        self._expect("(")
+        coeffs: list[float] = []
+        while True:
+            kind, text, at = self._next()
+            sign = -1.0 if text == "-" else 1.0
+            if text in ("-", "+"):
+                kind, text, at = self._next()
+            if kind != "num":
+                raise ParseError("expected a number in vector literal", at)
+            coeffs.append(sign * float(text))
+            _, text, at = self._next()
+            if text == ")":
+                return tuple(coeffs)
+            if text != ",":
+                raise ParseError("expected ',' or ')' in vector literal", at)
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +923,8 @@ class ScalarField:
         return _is_const(self.root, 0.0)
 
     def to_text(self) -> str:
+        """The field in the text language; :func:`parse_field` reads it back
+        to this field, node for node."""
         return _pp(self.root, 0)
 
     def __repr__(self) -> str:
@@ -894,180 +1061,3 @@ def _is_gaussian_potential(n: Node) -> bool:
     elif isinstance(n, Add) and isinstance(n.a, Const):
         n = n.b
     return _is_half_normsq(n)
-
-
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^(),]))"
-)
-
-_FUNCS = {"exp", "log", "sqrt"}
-
-
-class _Parser:
-    def __init__(self, src: str, dim: int):
-        self.src = src
-        self.dim = dim
-        self.tokens: list[tuple[str, str, int]] = []
-        self.pos = 0
-        self._tokenize()
-
-    def _tokenize(self) -> None:
-        i = 0
-        src = self.src
-        while i < len(src):
-            m = _TOKEN_RE.match(src, i)
-            if m is None or m.end() == i:
-                stripped = src[i:].lstrip()
-                if not stripped:
-                    break
-                at = len(src) - len(stripped)
-                raise ParseError(f"unexpected character {stripped[0]!r}", at)
-            if m.group("num") is not None:
-                self.tokens.append(("num", m.group("num"), m.start("num")))
-            elif m.group("ident") is not None:
-                self.tokens.append(("ident", m.group("ident"), m.start("ident")))
-            elif m.group("op") is not None:
-                self.tokens.append(("op", m.group("op"), m.start("op")))
-            i = m.end()
-        if not self.tokens:
-            raise ParseError("empty input", 0)
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else ("eof", "", len(self.src))
-
-    def _next(self):
-        tok = self._peek()
-        self.pos += 1
-        return tok
-
-    def _expect_op(self, op: str):
-        kind, text, at = self._next()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}, found {text!r}" if text else f"expected {op!r}", at)
-
-    def parse(self) -> ScalarField:
-        node = self._expr()
-        kind, text, at = self._peek()
-        if kind != "eof":
-            raise ParseError(f"unexpected trailing input {text!r}", at)
-        return ScalarField(node, self.dim)
-
-    def _expr(self) -> Node:
-        node = self._term()
-        while True:
-            kind, text, _ = self._peek()
-            if kind == "op" and text in "+-":
-                self._next()
-                rhs = self._term()
-                node = _add(node, rhs) if text == "+" else _sub(node, rhs)
-            else:
-                return node
-
-    def _term(self) -> Node:
-        node = self._unary()
-        while True:
-            kind, text, _ = self._peek()
-            if kind == "op" and text in "*/":
-                self._next()
-                rhs = self._unary()
-                node = _mul(node, rhs) if text == "*" else _div(node, rhs)
-            else:
-                return node
-
-    def _unary(self) -> Node:
-        kind, text, _ = self._peek()
-        if kind == "op" and text == "-":
-            self._next()
-            return _sub(_ZERO, self._unary())
-        if kind == "op" and text == "+":
-            self._next()
-            return self._unary()
-        return self._power()
-
-    def _power(self) -> Node:
-        base = self._atom()
-        kind, text, at = self._peek()
-        if kind == "op" and text == "^":
-            self._next()
-            expo_at = self._peek()[2]
-            expo = self._unary()
-            if not isinstance(expo, Const):
-                raise ParseError("power exponent must fold to a real constant", expo_at)
-            return _pow(base, expo.c)
-        return base
-
-    def _atom(self) -> Node:
-        kind, text, at = self._next()
-        if kind == "num":
-            return Const(float(text))
-        if kind == "op" and text == "(":
-            node = self._expr()
-            self._expect_op(")")
-            return node
-        if kind == "ident":
-            return self._ident(text, at)
-        raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", at)
-
-    def _ident(self, name: str, at: int) -> Node:
-        if name in _FUNCS:
-            self._expect_op("(")
-            arg = self._expr()
-            self._expect_op(")")
-            return {"exp": _exp, "log": _log, "sqrt": _sqrt}[name](arg)
-        if name == "normsq":
-            self._expect_op("(")
-            self._expect_x()
-            self._expect_op(")")
-            return NormSq()
-        if name == "dot":
-            self._expect_op("(")
-            coeffs = self._vector()
-            self._expect_op(",")
-            self._expect_x()
-            self._expect_op(")")
-            if len(coeffs) != self.dim:
-                raise ParseError(
-                    f"dot vector has {len(coeffs)} components, expected {self.dim}", at
-                )
-            return Dot(coeffs)
-        m = re.fullmatch(r"x(\d+)", name)
-        if m:
-            i = int(m.group(1))
-            if i >= self.dim:
-                raise ParseError(f"coordinate x{i} out of range for dim {self.dim}", at)
-            return Coord(i)
-        if name == "x":
-            raise ParseError("bare 'x' is only valid inside normsq(x) or dot(c,x)", at)
-        raise ParseError(f"unknown identifier {name!r}", at)
-
-    def _expect_x(self) -> None:
-        kind, text, at = self._next()
-        if kind != "ident" or text != "x":
-            raise ParseError("expected the coordinate vector 'x'", at)
-
-    def _vector(self) -> tuple[float, ...]:
-        self._expect_op("(")
-        coeffs: list[float] = []
-        while True:
-            coeffs.append(self._signed_number())
-            kind, text, at = self._next()
-            if kind == "op" and text == ")":
-                return tuple(coeffs)
-            if not (kind == "op" and text == ","):
-                raise ParseError("expected ',' or ')' in vector literal", at)
-
-    def _signed_number(self) -> float:
-        kind, text, at = self._next()
-        sign = 1.0
-        if kind == "op" and text in "+-":
-            sign = -1.0 if text == "-" else 1.0
-            kind, text, at = self._next()
-        if kind != "num":
-            raise ParseError("expected a number in vector literal", at)
-        return sign * float(text)

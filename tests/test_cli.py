@@ -565,6 +565,18 @@ def test_reproduce_paper_selected_criteria(tmp_path, capsys):
     assert (out_dir / "ac10_summary.txt").exists()
 
 
+def test_reproduce_paper_failing_criterion_exits_1(fake_criteria, monkeypatch, tmp_path):
+    # a failing criterion exits 1 whatever its id: exit 3 would read as a domain error
+    table = dict(acceptance.CRITERIA)
+    table[3] = (table[3][0], lambda ov: acceptance.CriterionResult(False, False))
+    monkeypatch.setattr(acceptance, "CRITERIA", table)
+    out_dir = tmp_path / "repro"
+    assert main(["reproduce-paper", "--criteria", "3", "--out", str(out_dir)]) == 1
+    summary = (out_dir / "summary.txt").read_text()
+    assert "AC3 (algebra-identity): FAIL" in summary
+    assert summary.strip().endswith("exit code: 1")
+
+
 def test_reproduce_paper_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["reproduce-paper", "--criteria", "5", "--out", str(a)]) == 0

@@ -29,6 +29,7 @@ from gammaw.field_expr import (
     normsq_field,
     parse_field,
 )
+from gammaw.verifier import random_smooth_field
 
 
 def test_parse_basic_value():
@@ -90,17 +91,27 @@ EXAMPLES = [
     ("exp(dot((0.3,-0.7),x))", 2),
     ("log(1 + x0^2) / (2 + sqrt(1+normsq(x)))", 2),
     ("-x1^3 + 4*x0*x1 - 7", 2),
+    # a right operand of the same precedence keeps its parentheses
+    ("x0 + (x1 + 1)", 2),
+    ("x0*(x1/x0)", 2),
+    ("x0 - (x1 - x0)", 2),
+    # a folded -0.0, which the text -0.0 would read back as +0.0
+    ("0*-1 - x0", 1),
 ]
 
 
 @pytest.mark.parametrize("src,dim", EXAMPLES)
 def test_to_text_round_trip(src, dim):
     f = parse_field(src, dim)
-    g = parse_field(f.to_text(), dim)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        x = rng.uniform(-2, 2, size=dim)
-        assert g.value(x) == pytest.approx(f.value(x), rel=1e-12, abs=1e-12)
+    assert parse_field(f.to_text(), dim) == f
+
+
+def test_to_text_round_trip_random_fields():
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 4))
+        f = random_smooth_field(rng, dim, depth=4)
+        assert parse_field(f.to_text(), dim) == f, (seed, f.to_text())
 
 
 def _random_field(rng: np.random.Generator, dim: int, depth: int) -> ScalarField:
@@ -224,6 +235,18 @@ def test_overflow_is_a_domain_error():
         with pytest.raises(DomainError):
             f.jet(x)
     for src in ("exp(1000)*x0", "1e200^2 + x0"):
+        with pytest.raises(DomainError):
+            parse_field(src, 1)
+
+
+def test_non_finite_numbers_do_not_parse():
+    # a literal that is not finite is a ParseError at its position; a
+    # constant fold that is not finite is a DomainError, as exp and ^ folds are
+    for src, at in (("1e400*x0", 0), ("x0^1e400", 3), ("dot((1e400,0),x)", 5)):
+        with pytest.raises(ParseError) as exc:
+            parse_field(src, 2)
+        assert exc.value.position == at
+    for src in ("1e300*1e300*x0", "1e308 + 1e308 + x0", "(-1e308 - 1e308)*x0", "1e300/1e-300 - x0"):
         with pytest.raises(DomainError):
             parse_field(src, 1)
 

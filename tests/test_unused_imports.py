@@ -1,10 +1,15 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+name is left that nothing reads.
 
-No linter ships with the project, so this scan stands in for one: every
-name that a module-level import binds in ``src/gammaw/*.py`` must be read
-somewhere in that module, in code or in a quoted annotation.  A name listed
-in the module's ``__all__`` counts as used, which covers the re-exports of
-``__init__.py``.
+No linter ships with the project, so these scans stand in for one:
+- every name that a module-level import binds in ``src/gammaw/*.py`` must
+  be read somewhere in that module, in code or in a quoted annotation.  A
+  name listed in the module's ``__all__`` counts as used, which covers the
+  re-exports of ``__init__.py``;
+- every private name (``_x``) that a module-level statement of
+  ``src/gammaw/*.py`` binds must be read somewhere in ``src/``, outside the
+  statement that binds it, by name or as an attribute.  Code that only the
+  tests or the benchmark call counts as dead.
 """
 
 import ast
@@ -68,3 +73,33 @@ def test_no_unused_module_imports(path):
 def test_scan_flags_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\n__all__ = ['tau']\nx: 'os.PathLike'\n")
     assert set(_bound_names(tree)) - _used_names(tree) == {"pi"}
+
+
+def _private_bindings(stmt: ast.stmt) -> set[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = {stmt.name}
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        names = {alias.asname or alias.name.split(".")[0] for alias in stmt.names}
+    else:
+        names = set()
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_private_name_is_read_in_src():
+    statements = [stmt for path in sorted(PACKAGE.glob("*.py"))
+                  for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    reads = [
+        {n.id if isinstance(n, ast.Name) else n.attr
+         for n in ast.walk(stmt) if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+        for stmt in statements
+    ]
+    unread = sorted(
+        name
+        for i, stmt in enumerate(statements)
+        for name in _private_bindings(stmt)
+        if not any(name in names for j, names in enumerate(reads) if j != i)
+    )
+    assert not unread, f"private names nothing in src/ reads: {', '.join(unread)}"
