@@ -10,12 +10,17 @@ partials of :meth:`ScalarField.diff`, which share their registers with f
 because nodes are interned; Hessian entries are outputs the same way.  A
 register lives in a buffer row that is reused after the register's last
 read, so the memory per chunk is the peak live set of the tape, not its
-length: L(L GammaW(f)) in three dimensions has 2,967 registers and needs 174
+length: L(L GammaW(f)) in three dimensions has 2,967 registers and needs 169
 rows, allocated afresh for each chunk.  Each root holds its own row from its
-op to the end of the tape.  The test suite pins the values against the
-recursive evaluator, the jets of :mod:`gammaw.field_expr` and, bit for bit,
-a point-major reference interpreter, and each gradient column bit for bit
-against the values of that partial's own tape.
+op to the end of the tape.  A constant that is not a root takes no row and
+no fill: the ops that read it take it from the literal pool as a Python
+float, the same IEEE operand as a filled row, so the bits are the same.  The
+literal pool is finite, because :mod:`gammaw.field_expr` raises on a
+constant, exponent or dot coefficient that is not.  The test suite pins the
+values against the recursive evaluator, the jets of :mod:`gammaw.field_expr`
+and, bit for bit, a point-major reference interpreter that fills every
+constant, masks every domain and sums normsq with einsum, and each gradient
+column bit for bit against the values of that partial's own tape.
 
 Domain violations do not raise here; each point gets an error code (0 ok,
 1 division by zero, 2 log domain, 3 sqrt domain, 4 power domain, 5 overflow)
@@ -25,7 +30,13 @@ some output is not finite and that has no other code gets code 5.  So sqrt
 at 0 has the value 0, but its gradient tape flags code 1, from the division
 in d sqrt(u) = du / (2 sqrt(u)).  DIV, LOG, SQRT and POW build their masked
 operands only when the chunk has a bad row, so a row without errors gets the
-same bits either way.
+same bits either way.  A scan that cannot fire is not run: a division by a
+constant has no zero to look for (``field_expr._div`` raises on a constant
+zero), a positive integer power has no domain edge, and the outputs are
+scanned for codes only when some chunk flagged a row.  Every other DIV, LOG,
+SQRT and POW scans its operand.  NORMSQ sums the squares in two lanes, the
+even and the odd coordinates, in the order np.einsum("ij,ij->i") takes them,
+so it rounds as einsum does at the cost of a few multiplies and adds.
 """
 
 from __future__ import annotations
@@ -105,8 +116,9 @@ def err_message(code: int) -> str:
 @dataclass
 class Tape:
     """Flattened expression: one register per distinct node, each held in a
-    buffer row that later registers reuse after its last read, and one or
-    more outputs, each the row of a root."""
+    buffer row that later registers reuse after its last read (a constant
+    that is not a root is a literal and holds none), and one or more
+    outputs, each the row of a root."""
 
     ops: list[int]  # (K,) opcodes
     a1: list[int]  # (K,) first operand (register or table index)
@@ -114,7 +126,7 @@ class Tape:
     consts: list[float]  # literal pool (values and exponents)
     vecs: np.ndarray  # (V, dim) float64 dot-product coefficient rows
     dim: int
-    slot: list[int]  # (K,) buffer row of each register
+    slot: list[int]  # (K,) buffer row of each register; n_slots + pool index for a literal
     n_slots: int  # rows a chunk allocates
     outputs: list[int]  # buffer row of each root, in the order given
 
@@ -199,7 +211,10 @@ def compile_outputs(fields: Sequence[ScalarField]) -> Tape:
     # one backward scan over the ops: a register takes a free row at its last
     # read, the first one met going backward, and gives the row back at its
     # own op, after that op's operands have taken theirs, so no op writes a
-    # row it reads; the roots, read at the end, hold their rows from the start
+    # row it reads; the roots, read at the end, hold their rows from the start.
+    # A constant that is not a root takes no row: it is a literal operand,
+    # and its slot indexes past the rows into the literal pool, which the
+    # interpreter appends to them
     slot = [-1] * len(ops)
     distinct = dict.fromkeys(roots)
     for row, reg in enumerate(distinct):
@@ -207,13 +222,19 @@ def compile_outputs(fields: Sequence[ScalarField]) -> Tape:
     free: list[int] = []
     fresh = itertools.count(len(distinct))
     for k in range(len(ops) - 1, -1, -1):
+        if slot[k] < 0:  # a literal
+            continue
         reads = _READS[ops[k]]
         if reads:
-            if slot[a1[k]] < 0:
+            if slot[a1[k]] < 0 and ops[a1[k]] != OP_CONST:
                 slot[a1[k]] = free.pop() if free else next(fresh)
-            if reads == 2 and slot[a2[k]] < 0:
+            if reads == 2 and slot[a2[k]] < 0 and ops[a2[k]] != OP_CONST:
                 slot[a2[k]] = free.pop() if free else next(fresh)
         free.append(slot[k])
+    n_slots = next(fresh)
+    for k in range(len(ops)):
+        if slot[k] < 0:
+            slot[k] = n_slots + a1[k]
     dim = fields[0].dim
     return Tape(
         ops=ops,
@@ -223,7 +244,7 @@ def compile_outputs(fields: Sequence[ScalarField]) -> Tape:
         vecs=np.asarray(vecs, dtype=np.float64).reshape(len(vecs), dim) if vecs else np.zeros((0, dim)),
         dim=dim,
         slot=slot,
-        n_slots=next(fresh),
+        n_slots=n_slots,
         outputs=[slot[reg] for reg in roots],
     )
 
@@ -280,91 +301,130 @@ def _run_tape(tape: Tape, pts: np.ndarray, dests) -> np.ndarray:
     (points,) array ``dests[k]``; returns the error codes.  A point with a
     nonzero code reads NaN in every output."""
     err = np.zeros(len(pts), dtype=np.int64)
-    for lo in range(0, len(pts), _CHUNK):
-        hi = lo + _CHUNK
-        _run_chunk(tape, pts[lo:hi], [d[lo:hi] for d in dests], err[lo:hi])
-    bad = err != 0
-    if bad.any():
+    flagged = False
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(pts), _CHUNK):
+            hi = lo + _CHUNK
+            flagged |= _run_chunk(tape, pts[lo:hi], [d[lo:hi] for d in dests], err[lo:hi])
+    if flagged:
+        bad = err != 0
         for d in dests:
             d[bad] = np.nan
     return err
 
 
-def _run_chunk(tape: Tape, pts: np.ndarray, dests, err: np.ndarray) -> None:
+def _run_chunk(tape: Tape, pts: np.ndarray, dests, err: np.ndarray) -> bool:
+    """Run ``tape`` over one chunk; returns False when no row was flagged."""
     S = tape.slot
-    R = list(np.empty((tape.n_slots, pts.shape[0])))
+    n = tape.n_slots
+    # rows 0..n-1, then the literal pool as Python floats: a literal operand
+    # is the same IEEE operand as a row filled with it
+    rows = np.empty((n, pts.shape[0]))
+    R = [*rows, *tape.consts]
+    flagged = False
 
     def flag(bad: np.ndarray, code: int) -> None:
+        nonlocal flagged
+        flagged = True
         fresh = bad & (err == 0)
         err[fresh] = code
 
-    with np.errstate(all="ignore"):
-        # k is the op's row; each branch maps its register operands to rows
-        for op, k, i1, i2 in zip(tape.ops, S, tape.a1, tape.a2):
-            r = R[k]
-            if op == OP_CONST:
+    # k is the op's row; each branch maps its register operands to rows
+    for op, k, i1, i2 in zip(tape.ops, S, tape.a1, tape.a2):
+        r = R[k]
+        if op == OP_CONST:
+            if k < n:  # a root; every other constant is a literal
                 r.fill(tape.consts[i1])
-            elif op == OP_COORD:
-                r[:] = pts[:, i1]
-            elif op == OP_ADD:
-                np.add(R[S[i1]], R[S[i2]], out=r)
-            elif op == OP_SUB:
-                np.subtract(R[S[i1]], R[S[i2]], out=r)
-            elif op == OP_MUL:
-                np.multiply(R[S[i1]], R[S[i2]], out=r)
-            elif op == OP_DIV:
-                denom = R[S[i2]]
+        elif op == OP_COORD:
+            r[:] = pts[:, i1]
+        elif op == OP_ADD:
+            np.add(R[S[i1]], R[S[i2]], out=r)
+        elif op == OP_SUB:
+            np.subtract(R[S[i1]], R[S[i2]], out=r)
+        elif op == OP_MUL:
+            np.multiply(R[S[i1]], R[S[i2]], out=r)
+        elif op == OP_DIV:
+            denom = R[S[i2]]
+            # a constant denominator is never 0: field_expr._div raises on one
+            if tape.ops[i2] != OP_CONST:
                 bad = denom == 0.0
                 if bad.any():
                     flag(bad, ERR_DIV)
                     denom = np.where(bad, 1.0, denom)
-                np.divide(R[S[i1]], denom, out=r)
-            elif op == OP_POW:
-                _pow(R[S[i1]], tape.consts[i2], r, flag)
-            elif op == OP_EXP:
-                np.exp(R[S[i1]], out=r)
-            elif op == OP_LOG:
-                safe = R[S[i1]]
-                bad = safe <= 0.0
-                if bad.any():
-                    flag(bad, ERR_LOG)
-                    safe = np.where(bad, 1.0, safe)
-                np.log(safe, out=r)
-            elif op == OP_SQRT:
-                v = R[S[i1]]
-                bad = v < 0.0
-                if bad.any():
-                    flag(bad, ERR_SQRT)
-                    r[:] = np.where(bad, np.nan, np.sqrt(np.where(bad, 0.0, v)))
-                else:
-                    np.sqrt(v, out=r)
-            elif op == OP_NORMSQ:
-                # einsum, not a column sum: the two round differently for n = 3
-                np.einsum("ij,ij->i", pts, pts, out=r)
-            else:  # OP_DOT
-                np.matmul(pts, tape.vecs[i1], out=r)
+            np.divide(R[S[i1]], denom, out=r)
+        elif op == OP_POW:
+            _pow(R[S[i1]], tape.consts[i2], r, flag)
+        elif op == OP_EXP:
+            np.exp(R[S[i1]], out=r)
+        elif op == OP_LOG:
+            safe = R[S[i1]]
+            bad = safe <= 0.0
+            if bad.any():
+                flag(bad, ERR_LOG)
+                safe = np.where(bad, 1.0, safe)
+            np.log(safe, out=r)
+        elif op == OP_SQRT:
+            v = R[S[i1]]
+            bad = v < 0.0
+            if bad.any():
+                flag(bad, ERR_SQRT)
+                r[:] = np.where(bad, np.nan, np.sqrt(np.where(bad, 0.0, v)))
+            else:
+                np.sqrt(v, out=r)
+        elif op == OP_NORMSQ:
+            _normsq(pts, r)
+        else:  # OP_DOT
+            np.matmul(pts, tape.vecs[i1], out=r)
 
-        outs = [R[k] for k in tape.outputs]
-        # one sum tells whether any output is not finite (a sum that overflows
-        # trips it too, harmlessly); only then are the rows scanned
-        if not math.isfinite(sum(o.sum() for o in outs)):
-            flag(~np.isfinite(outs).all(axis=0), ERR_OVERFLOW)
-    for d, o in zip(dests, outs):
-        d[:] = o
+    # the distinct roots hold rows 0, 1, ...: one sum over them tells
+    # whether any output is not finite (a sum that overflows trips it
+    # too, harmlessly); only then are the rows scanned
+    roots = rows[: max(tape.outputs) + 1]
+    if not math.isfinite(roots.sum()):
+        flag(~np.isfinite(roots).all(axis=0), ERR_OVERFLOW)
+    for d, k in zip(dests, tape.outputs):
+        d[:] = rows[k]
+    return flagged
+
+
+def _normsq(pts: np.ndarray, out: np.ndarray) -> None:
+    """Row sums of squares into ``out``, rounded as np.einsum("ij,ij->i")
+    rounds them: two lanes, the even and the odd coordinates, each summing
+    its squares in the order of einsum's two-double vector loop (each block
+    of eight coordinates from its last pair back to its first, then the
+    pairs after the last block in order), then the even lane plus the odd."""
+    dim = pts.shape[1]
+    full = dim - dim % 8
+    evens = [b + j for b in range(0, full, 8) for j in (6, 4, 2, 0)] + list(range(full, dim, 2))
+    odds = [i + 1 for i in evens if i + 1 < dim]
+
+    def square(i: int) -> np.ndarray:
+        c = pts[:, i]
+        return c * c
+
+    np.multiply(pts[:, evens[0]], pts[:, evens[0]], out=out)
+    for i in evens[1:]:
+        out += square(i)
+    if odds:
+        odd = square(odds[0])
+        for i in odds[1:]:
+            odd += square(i)
+        out += odd
 
 
 def _pow(v: np.ndarray, e: float, out: np.ndarray, flag) -> None:
     """v**e into ``out``."""
     # constant folding guarantees the tape never holds integer exponents 0 or 1
     k = _as_int_exponent(e)
-    bad = (v <= 0.0) if k is None else ((v == 0.0) & (k < 0))
-    expo = e if k is None else k
     safe = v
-    if bad.any():
-        flag(bad, ERR_POW)
-        safe = np.where(bad, 1.0, v)
+    # a positive integer power has no domain to check
+    if k is None or k < 0:
+        bad = (v <= 0.0) if k is None else (v == 0.0)
+        if bad.any():
+            flag(bad, ERR_POW)
+            safe = np.where(bad, 1.0, v)
     # in-place ** takes numpy's scalar-power shortcuts exactly as safe**expo does
     out[:] = safe
-    out **= expo
+    out **= e if k is None else k
     if safe is not v:
         out[bad] = np.nan

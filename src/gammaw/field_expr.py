@@ -33,9 +33,11 @@ oracle only.
 Domain policy: evaluating or differentiating past the boundary of a log /
 sqrt / fractional power raises :class:`DomainError` instead of propagating
 NaN, so downstream infimum searches never chase fake minima.  A point value
-or jet whose exp or power overflows, and a folded constant that is not
-finite, raise :class:`DomainError` too; a number literal that is not finite
-(``1e400``) is a :class:`ParseError`.
+or jet whose exp or power overflows, a folded constant that is not finite,
+and a constant, power exponent or dot coefficient given as a float that is
+not finite, raise :class:`DomainError` too; a number literal that is not
+finite (``1e400``) is a :class:`ParseError`.  So every number a field holds
+is finite.
 
 The grammar of the text language is one table, ``_BINARY_OPS`` for the
 operators and ``_FUNCTIONS`` for exp, log and sqrt.  The parser reads it to
@@ -197,6 +199,8 @@ class Const(Node):
     __slots__ = ("c",)
 
     def __new__(cls, c: float):
+        if not math.isfinite(c):
+            raise DomainError(f"constant {c} is not finite")
         return _interned(cls, (cls, _pack_double(c)), c=c)
 
 
@@ -257,6 +261,8 @@ class Dot(Node):
     __slots__ = ("coeffs",)
 
     def __new__(cls, coeffs: tuple[float, ...]):
+        if not all(map(math.isfinite, coeffs)):
+            raise DomainError(f"dot coefficients {coeffs} are not finite")
         key = (cls, struct.pack(f"<{len(coeffs)}d", *coeffs))
         return _interned(cls, key, -1, (len(coeffs),), coeffs=coeffs)
 
@@ -338,6 +344,8 @@ def _overflow_is_domain_error(at):
 
 
 def _pow(a: Node, expo: float) -> Node:
+    if not math.isfinite(expo):
+        raise DomainError(f"exponent {expo} is not finite")
     if expo == 1.0:
         return a
     if expo == 0.0:

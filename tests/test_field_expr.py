@@ -251,6 +251,24 @@ def test_non_finite_numbers_do_not_parse():
             parse_field(src, 1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda x0: x0 ** math.inf,
+    lambda x0: x0 ** math.nan,
+    lambda x0: x0 * math.inf,
+    lambda x0: x0 - math.nan,
+    lambda x0: const_field(-math.inf, 2) ** 2.0,
+    lambda x0: const_field(2.0, 2) ** math.nan,
+    lambda x0: dot_field([1.0, math.nan]),
+    lambda x0: dot_field([-math.inf, 0.0]),
+], ids=["x0^inf", "x0^nan", "x0*inf", "x0-nan", "const-inf", "2^nan", "dot-nan", "dot-inf"])
+def test_non_finite_floats_from_python_are_domain_errors(build):
+    # the Python API checks what the parser checks: x0**inf made the tape
+    # raise OverflowError, x0**nan made .value raise ValueError, and x0*inf
+    # printed as x0*inf, which does not parse
+    with pytest.raises(DomainError):
+        build(coord_field(0, 2))
+
+
 def test_constant_folding_and_identities():
     f = parse_field("0*x0 + 1*x1 + 0", 2)
     assert f.to_text() == "x1"

@@ -151,13 +151,19 @@ def _assert_rows_hold(tape):
 
 def _replay_rows(tape):
     """Every read finds its register still in its row and no op writes a
-    row it reads; returns the register each row ends holding."""
+    row it reads; a constant that is not a root is a literal, with no row;
+    returns the register each row ends holding."""
     assert len(tape.slot) == tape.n_registers
-    assert set(tape.slot) == set(range(tape.n_slots))
+    literals = {k for k, row in enumerate(tape.slot) if row >= tape.n_slots}
+    for k in literals:
+        assert tape.ops[k] == _tape.OP_CONST and tape.slot[k] == tape.n_slots + tape.a1[k]
+    assert {tape.slot[k] for k in range(tape.n_registers) if k not in literals} == set(range(tape.n_slots))
     holder = {}  # row -> register whose value it holds
     for k in range(tape.n_registers):
+        if k in literals:
+            continue
         rows_read = set()
-        for x in _operands(tape, k):
+        for x in set(_operands(tape, k)) - literals:
             assert holder[tape.slot[x]] == x, f"op {k} reads register {x} after its row was reused"
             rows_read.add(tape.slot[x])
         assert tape.slot[k] not in rows_read, f"op {k} writes a row it reads"
@@ -429,13 +435,62 @@ def test_error_rows_match_reference(src, x0, code):
     _assert_matches_reference(f, pts)
 
 
-def test_normsq_rounds_like_einsum():
-    # for n = 3 a column sum of squares rounds differently on about a
-    # quarter of these rows; the tape must keep einsum's rounding
-    rng = np.random.default_rng(3)
-    pts = rng.normal(size=(2000, 3)) * np.array([1e-3, 1.0, 1e3])
-    column_sum = pts[:, 0] ** 2 + pts[:, 1] ** 2 + pts[:, 2] ** 2
-    ref, _ = _eval_reference(normsq_field(3), pts)
-    assert not np.array_equal(column_sum, ref)
-    vals, _ = _tape.eval_values(normsq_field(3), pts)
-    assert np.array_equal(vals, ref)
+@pytest.mark.parametrize("n", range(1, 11))
+def test_normsq_rounds_like_einsum(n):
+    # rows from 1e-150 to 1e150, so squares run from underflow to overflow,
+    # and rows of +0.0 and -0.0; n = 8 on takes einsum's eight-coordinate blocks
+    rng = np.random.default_rng(3 + n)
+    pts = rng.normal(size=(4000, n)) * np.logspace(-150, 150, 4000)[:, None]
+    pts[:5] = 0.0
+    pts[5:10] = -0.0
+    pts[10:15] = rng.choice([0.0, -0.0], size=(5, n))
+    ref = np.einsum("ij,ij->i", pts, pts)
+    vals, err = _tape.eval_values(normsq_field(n), pts)
+    ok = np.isfinite(ref)
+    assert np.array_equal(err != 0, ~ok)
+    assert np.array_equal(vals[ok].view(np.int64), ref[ok].view(np.int64))
+    assert np.array_equal(vals, _eval_reference(normsq_field(n), pts)[0], equal_nan=True)
+    if n == 3:
+        # a column sum of squares in index order rounds differently
+        column_sum = pts[:, 0] ** 2 + pts[:, 1] ** 2 + pts[:, 2] ** 2
+        assert not np.array_equal(column_sum, ref)
+
+
+# fields for the branches that skip work: literal constants, division by a
+# constant, positive integer powers; and outputs that are constants
+LITERAL_FIELDS = ["x0/3", "3/x0", "x0^3", "x0^-2", "x0^2.5", "2*x0 + 0.5", "x1", "2.5"]
+
+
+def _special_points():
+    edge = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e200, 1.5, -2.0]
+    return np.array([(a, b) for a in edge for b in edge])
+
+
+@pytest.mark.parametrize("src", LITERAL_FIELDS)
+def test_literal_branches_match_reference(src):
+    f = parse_field(src, 2)
+    tape = _tape.compile_tape(f)
+    if len(tape.ops) > 1:
+        # every constant operand is a literal, with no row
+        assert all(tape.slot[k] >= tape.n_slots for k, op in enumerate(tape.ops) if op == _tape.OP_CONST)
+    _assert_matches_reference(f, _special_points())
+
+
+def test_constant_outputs_match_reference():
+    # d/dx1 of x1 is the constant output 1; the constant 2 is an output that
+    # is also an operand, and a denominator
+    fields = [parse_field(src, 2) for src in ("x1", "2*x0 + x1", "x0/2", "2", "1")]
+    fields += [fields[0].diff(1), fields[1].diff(0)]
+    tape = _tape.compile_outputs(fields)
+    pts = _special_points()
+    vals, err = _tape.eval_outputs(tape, pts)
+    ok = err == 0
+    ref_ok = np.ones(len(pts), dtype=bool)
+    for k, f in enumerate(fields):
+        ref_vals, ref_err = _eval_reference(f, pts)
+        assert np.array_equal(vals[k, ok], ref_vals[ok])
+        assert np.isnan(vals[k, ~ok]).all()
+        ref_ok &= ref_err == 0
+    # a code from any output flags the row for every output
+    assert np.array_equal(ok, ref_ok)
+    assert vals[-1, 0] == 2.0 and vals[-2, 0] == 1.0
