@@ -435,25 +435,25 @@ def test_error_rows_match_reference(src, x0, code):
     _assert_matches_reference(f, pts)
 
 
-@pytest.mark.parametrize("n", range(1, 11))
-def test_normsq_rounds_like_einsum(n):
+def test_normsq_rounds_like_einsum():
     # rows from 1e-150 to 1e150, so squares run from underflow to overflow,
     # and rows of +0.0 and -0.0; n = 8 on takes einsum's eight-coordinate blocks
-    rng = np.random.default_rng(3 + n)
-    pts = rng.normal(size=(4000, n)) * np.logspace(-150, 150, 4000)[:, None]
-    pts[:5] = 0.0
-    pts[5:10] = -0.0
-    pts[10:15] = rng.choice([0.0, -0.0], size=(5, n))
-    ref = np.einsum("ij,ij->i", pts, pts)
-    vals, err = _tape.eval_values(normsq_field(n), pts)
-    ok = np.isfinite(ref)
-    assert np.array_equal(err != 0, ~ok)
-    assert np.array_equal(vals[ok].view(np.int64), ref[ok].view(np.int64))
-    assert np.array_equal(vals, _eval_reference(normsq_field(n), pts)[0], equal_nan=True)
-    if n == 3:
-        # a column sum of squares in index order rounds differently
-        column_sum = pts[:, 0] ** 2 + pts[:, 1] ** 2 + pts[:, 2] ** 2
-        assert not np.array_equal(column_sum, ref)
+    for n in range(1, 11):
+        rng = np.random.default_rng(3 + n)
+        pts = rng.normal(size=(4000, n)) * np.logspace(-150, 150, 4000)[:, None]
+        pts[:5] = 0.0
+        pts[5:10] = -0.0
+        pts[10:15] = rng.choice([0.0, -0.0], size=(5, n))
+        ref = np.einsum("ij,ij->i", pts, pts)
+        vals, err = _tape.eval_values(normsq_field(n), pts)
+        ok = np.isfinite(ref)
+        assert np.array_equal(err != 0, ~ok), n
+        assert np.array_equal(vals[ok].view(np.int64), ref[ok].view(np.int64)), n
+        assert np.array_equal(vals, _eval_reference(normsq_field(n), pts)[0], equal_nan=True), n
+        if n == 3:
+            # a column sum of squares in index order rounds differently
+            column_sum = pts[:, 0] ** 2 + pts[:, 1] ** 2 + pts[:, 2] ** 2
+            assert not np.array_equal(column_sum, ref)
 
 
 # fields for the branches that skip work: literal constants, division by a
