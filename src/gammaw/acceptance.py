@@ -367,9 +367,8 @@ def ac8(ov: tuple[str, ...]) -> CriterionResult:
     rs = np.concatenate([[0.0], np.geomspace(1e-3, r_max, 20_000)])
     pts = np.column_stack([rs, np.zeros_like(rs)])
     # a point with an error code is NaN on the tape, and a NaN oracle fails
-    grad_sq, lw, w = (
-        _tape.eval_values(f, pts)[0] for f in (gamma_field(p, p.W, p.W), apply_L_symbolic(p, p.W), p.W)
-    )
+    radial = _tape.compile_outputs([gamma_field(p, p.W, p.W), apply_L_symbolic(p, p.W), p.W])
+    (grad_sq, lw, w), _ = _tape.eval_outputs(radial, pts)
     branch_a = 2.0 * np.sqrt(np.maximum(grad_sq, 0.0))
     branch_b = np.maximum(1.0 - lw / w, 0.0)
     oracle = float(np.max(np.maximum(branch_a, branch_b)))

@@ -462,7 +462,7 @@ def _pow_derivs(v: float, expo: float) -> list[float]:
         return out
     coeff = 1.0
     for m in range(3):
-        out.append(coeff * float(v ** (k - m)) if k - m >= 0 or v != 0.0 else 0.0)
+        out.append(coeff * float(v ** (k - m)))
         coeff *= k - m
     return out
 
@@ -912,7 +912,10 @@ class ScalarField:
     def value(self, x) -> float:
         x = _as_point(x, self.dim)
         with _overflow_is_domain_error(x):
-            return _eval_node(self.root, x, {})
+            v = _eval_node(self.root, x, {})
+        if not math.isfinite(v):
+            raise DomainError(f"overflow at {x}: the value is {v}")
+        return v
 
     __call__ = value
 
@@ -924,7 +927,10 @@ class ScalarField:
     def jet(self, x) -> Jet:
         x = _as_point(x, self.dim)
         with _overflow_is_domain_error(x):
-            return _jet_node(self.root, x, {})
+            j = _jet_node(self.root, x, {})
+        if not (math.isfinite(j.value) and np.isfinite(j.gradient).all() and np.isfinite(j.hessian).all()):
+            raise DomainError(f"overflow at {x}: the jet is not finite")
+        return j
 
     def is_zero(self) -> bool:
         """Structurally the zero field (after constant folding)."""

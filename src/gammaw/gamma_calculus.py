@@ -12,18 +12,24 @@ Weighted variants, for a nonnegative weight W:
                  = Gamma2(f) + f^2 (W lap W + |grad W|^2 - W grad W . grad U)
                    + W^2 |grad f|^2 + 4 f W grad W . grad f
 
+Every form the program reports is built symbolically (``_Builds``).
 ``gamma2_w_field`` builds the expanded form as a field, and
 ``gamma2_w_sweep`` builds it, with GammaW(f,f), for each field of a sweep;
 the sweep is the batch route that ``curvature_bounds.check_pointwise_cd``
-evaluates on the tape.  Their two oracles are ``gamma2_w``, the same
-expansion from order-2 jets at one point, and ``gamma2_w_definitional``, the
-definition through the symbolic route; they are pinned against each other
-in tests.
+and ``verifier.optimality_study`` evaluate on the tape.
+``gamma2_w_definitional`` builds the definition as fields and evaluates them
+at one point.
+
+The pointwise functions ``apply_L``, ``gamma``, ``gamma2``, ``gamma_w``,
+``gamma2_w``, ``gamma_integrand`` and ``sqrt_defect`` read order-2 jets.
+They are the independent oracle: ``gamma2_w`` is checked against the
+definition (AC3) and is AC10's target, and the tests pin the builders
+against them.  Nothing else in the package takes a jet.
 
 The field builders differentiate through one memo per coordinate for the
 whole call (``_Builds``), so a (node, coordinate) pair is differentiated once
-however often it recurs; the three symbolic steps of
-``gamma2_w_definitional`` share one set.  Nodes are hash-consed, so the roots
+however often it recurs; the symbolic steps of ``gamma2_w_definitional``
+share one set.  Nodes are hash-consed, so the roots
 are the ones a fresh ``diff`` per partial derivative builds.
 ``gamma2_w_sweep``, the pointwise sweep's builder, builds the U/W-only terms
 of Gamma2W once and gives each field fresh memos, so nothing outlives the
@@ -130,14 +136,14 @@ def gamma2_w(p: ProblemSpec, f: ScalarField, x) -> float:
 def gamma2_w_definitional(p: ProblemSpec, f: ScalarField, x) -> float:
     """Gamma2W(f)(x) = (1/2)(L GammaW(f,f) - 2 GammaW(f, Lf)), symbolically.
 
-    Serves as the independent oracle for :func:`gamma2_w`: GammaW(f,f) is
-    built as a field, L is applied symbolically, and the result is evaluated.
+    The definition, checked against the jet expansion :func:`gamma2_w`:
+    GammaW(f,f), Lf, L GammaW(f,f) and GammaW(f, Lf) are built as fields in
+    one ``_Builds`` and evaluated at x, so no jet is taken.
     """
     b = _Builds(p)
-    gw = b.gamma_w(f, f)
     lf = b.apply_L(f)
-    l_gw = b.apply_L(gw).value(x)
-    return 0.5 * (l_gw - 2.0 * gamma_w(p, f, lf, x))
+    l_gw = b.apply_L(b.gamma_w(f, f)).value(x)
+    return 0.5 * (l_gw - 2.0 * b.gamma_w(f, lf).value(x))
 
 
 def gamma_integrand(p: ProblemSpec, x) -> float:

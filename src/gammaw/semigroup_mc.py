@@ -57,7 +57,7 @@ import numpy as np
 from . import _tape
 from .field_expr import Const, DomainError, Dot, Exp, Mul, Node, ProblemSpec, ScalarField
 from .field_expr import _overflow_is_domain_error
-from .gamma_calculus import apply_L_symbolic
+from .gamma_calculus import _Builds
 
 __all__ = [
     "MCConfig",
@@ -475,8 +475,9 @@ def _strict_values(f: ScalarField, pts: np.ndarray) -> np.ndarray:
 
 def taylor_Qt(p: ProblemSpec, f: ScalarField, x, t: float) -> float:
     """Short-time expansion f + t Lf + (t^2/2) L(Lf) at x."""
-    lf = apply_L_symbolic(p, f)
-    llf = apply_L_symbolic(p, lf)
+    b = _Builds(p)
+    lf = b.apply_L(f)
+    llf = b.apply_L(lf)
     x = np.asarray(x, dtype=float)
     return f.value(x) + t * lf.value(x) + 0.5 * t * t * llf.value(x)
 

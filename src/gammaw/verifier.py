@@ -26,6 +26,11 @@ that produced it, and serializes to a fixed CSV schema
     check_id, t, x0..x{n-1}, f_label, lhs, lhs_se, rhs, rhs_se, margin, verdict
 
 with ``repr`` float formatting so reruns are byte-identical.
+
+``optimality_study`` tabulates Gamma2W(f)/GammaW(f) for the exponential
+family far out along rays.  Both forms are the fields of
+``gamma_calculus.gamma2_w_sweep`` on the tape, the route of
+``curvature_bounds.check_pointwise_cd``; the jet forms are its test oracle.
 """
 
 from __future__ import annotations
@@ -37,12 +42,7 @@ import numpy as np
 
 from . import _tape
 from .field_expr import DomainError, ProblemSpec, ScalarField, const_field, dot_field, normsq_field
-from .gamma_calculus import (
-    gamma2_w,
-    gamma_w,
-    gamma_w_field,
-    sqrt_gamma_w_field,
-)
+from .gamma_calculus import gamma2_w_sweep, gamma_w_field, sqrt_gamma_w_field
 from .semigroup_mc import (
     GradEstimate,
     MCConfig,
@@ -443,23 +443,30 @@ def optimality_study(p: ProblemSpec, a_list, radius_list) -> OptimalityTable:
 
     The exponential is recentered as e^{a.(x - x_r)} before evaluating; both
     operators are quadratic in f, so the ratio is unchanged and the huge
-    factor e^{2 a . x_r} never materializes.
+    factor e^{2 a . x_r} never materializes.  Gamma2W and GammaW are the
+    fields of ``gamma2_w_sweep``, evaluated at x_r as two outputs of one tape
+    per field, as ``check_pointwise_cd`` evaluates them; an error code there
+    raises DomainError.
     """
     if not p.gaussian_U:
         raise ValueError("the optimality study is for the Gaussian potential")
     if p.dim < 2:
         raise ValueError("the optimality study needs dim >= 2")
-    rows: list[OptimalityRow] = []
+    cases, fs = [], []
     for a in a_list:
         a = np.asarray(a, dtype=float)
         norm = float(np.linalg.norm(a))
         direction = a / norm if norm > 0 else np.eye(p.dim)[0]
-        limit = -1.0 + norm * norm
         for r in radius_list:
             x = float(r) * direction
-            f = (dot_field(a, p.dim) - float(a @ x)).exp()
-            ratio = gamma2_w(p, f, x) / gamma_w(p, f, f, x)
-            rows.append(OptimalityRow(a=a, radius=float(r), ratio=float(ratio), limit=limit))
+            cases.append((a, float(r), -1.0 + norm * norm, x))
+            fs.append((dot_field(a, p.dim) - float(a @ x)).exp())
+    rows: list[OptimalityRow] = []
+    for (a, r, limit, x), (g2w_f, gw_f) in zip(cases, gamma2_w_sweep(p, fs)):
+        (g2w, gw), err = _tape.eval_outputs(_tape.compile_outputs([g2w_f, gw_f]), x[None, :])
+        if err[0]:
+            raise DomainError(f"optimality study: {_tape.err_message(int(err[0]))} at {x!r}")
+        rows.append(OptimalityRow(a=a, radius=r, ratio=float(g2w[0]) / float(gw[0]), limit=limit))
     return OptimalityTable(rows=rows, radii=tuple(float(r) for r in radius_list))
 
 

@@ -237,6 +237,20 @@ def test_overflow_is_a_domain_error():
     for src in ("exp(1000)*x0", "1e200^2 + x0"):
         with pytest.raises(DomainError):
             parse_field(src, 1)
+    # float * and - give inf and nan without raising; the tape flags those
+    # rows with the overflow code, and values and jets raise there too
+    for src in ("x0*x0", "x0*x0 - x0*x0"):
+        f = parse_field(src, 1)
+        assert _tape.eval_values(f, np.array([[1e200]]))[1][0] == _tape.ERR_OVERFLOW
+        with pytest.raises(DomainError):
+            f.value([1e200])
+        with pytest.raises(DomainError):
+            f.jet([1e200])
+    # a finite value with a gradient that is not finite: d/dx1 (x1 x0 x0) = inf
+    f = parse_field("x1*x0*x0", 2)
+    assert f.value([1e200, 0.0]) == 0.0
+    with np.errstate(over="ignore"), pytest.raises(DomainError):
+        f.jet([1e200, 0.0])
 
 
 def test_non_finite_numbers_do_not_parse():

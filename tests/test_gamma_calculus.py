@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammaw import _tape, curvature_bounds, field_expr, gamma_calculus
+from gammaw import _tape, acceptance, curvature_bounds, field_expr, gamma_calculus
 from gammaw.field_expr import DomainError, coord_field, const_field, dot_field, parse_field
 from gammaw.gamma_calculus import (
     WeightVanishesError,
@@ -220,6 +220,35 @@ def test_iterated_L_stays_symbolic(p2):
     )
     drift = x @ lf.jet(x).gradient
     assert llf.value(x) == pytest.approx(lap - drift, rel=1e-5, abs=1e-4)
+
+
+def test_definitional_route_takes_no_jet(monkeypatch):
+    # AC3's 200 draws, the definitional side with jets switched off: it still
+    # meets the jet expansion as AC3 reports it, so AC3's two sides share no
+    # evaluator
+    def no_jet(self, x):
+        raise AssertionError("the definitional route took a jet")
+
+    want = acceptance.ac3(()).lines[0]
+    rng = np.random.default_rng(3)
+    worst, count, skipped = 0.0, 0, 0
+    while count < 200:
+        dim = int(rng.integers(1, 4))
+        p = random_problem(rng, dim)
+        f = random_smooth_field(rng, dim)
+        x = rng.uniform(-2.0, 2.0, dim)
+        try:
+            a = gamma2_w(p, f, x)
+            with monkeypatch.context() as m:
+                m.setattr(field_expr.ScalarField, "jet", no_jet)
+                b = gamma2_w_definitional(p, f, x)
+        except DomainError:
+            skipped += 1
+            continue
+        worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1.0))
+        count += 1
+    assert worst <= 1e-8
+    assert want == f"200 instances, worst relative gap {worst:.3e} (tol 1e-08), {skipped} resampled"
 
 
 def test_gamma2_w_overflow_is_a_domain_error():

@@ -9,7 +9,11 @@ No linter ships with the project, so these scans stand in for one:
 - every private name (``_x``) that a module-level statement of
   ``src/gammaw/*.py`` binds must be read somewhere in ``src/``, outside the
   statement that binds it, by name or as an attribute.  Code that only the
-  tests or the benchmark call counts as dead.
+  tests or the benchmark call counts as dead;
+- jets are the test oracle, not a production route: ``src/`` calls
+  ``.jet(`` or a pointwise jet function of ``gamma_calculus`` only from those
+  functions themselves and from the two criteria that check against jets,
+  ``acceptance.ac3`` (the expanded side) and ``acceptance.ac10`` (the target).
 """
 
 import ast
@@ -103,3 +107,46 @@ def test_every_private_name_is_read_in_src():
         if not any(name in names for j, names in enumerate(reads) if j != i)
     )
     assert not unread, f"private names nothing in src/ reads: {', '.join(unread)}"
+
+
+# the pointwise forms of gamma_calculus that read order-2 jets
+JET_FUNCTIONS = {"apply_L", "gamma", "gamma2", "gamma_w", "gamma2_w", "gamma_integrand", "sqrt_defect"}
+JET_CALLERS = {f"gamma_calculus.{name}" for name in JET_FUNCTIONS} | {"acceptance.ac3", "acceptance.ac10"}
+
+
+def _jet_calls(module: str, tree: ast.Module) -> set[str]:
+    """module.function (or module.Class.method) of each top-level definition
+    of ``tree`` that calls ``.jet(`` or a jet function by name; code outside
+    any definition counts as ``module.<module>``."""
+    callers = set()
+    for stmt in tree.body:
+        defs = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+        for node in defs:
+            name = getattr(node, "name", "<module>")
+            owner = f"{module}.{stmt.name}.{name}" if node is not stmt else f"{module}.{name}"
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                fn = call.func
+                if (isinstance(fn, ast.Attribute) and fn.attr == "jet") or (
+                    isinstance(fn, ast.Name) and fn.id in JET_FUNCTIONS
+                ):
+                    callers.add(owner)
+    return callers
+
+
+def test_jets_run_only_as_the_oracle():
+    callers = set().union(*(_jet_calls(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+                            for path in sorted(PACKAGE.glob("*.py"))))
+    stray = sorted(callers - JET_CALLERS)
+    assert not stray, f"jets evaluated outside the oracle: {', '.join(stray)}"
+
+
+def test_jet_scan_flags_calls_but_not_builder_methods():
+    tree = ast.parse(
+        "def a(p, f, x):\n    return gamma_w(p, f, f, x)\n"
+        "def b(f, x):\n    return f.jet(x).value\n"
+        "def c(bld, f):\n    return bld.gamma_w(f, f)\n"
+        "class K:\n    def d(self, f, x):\n        return [gamma2_w(self.p, f, y) for y in x]\n"
+    )
+    assert _jet_calls("m", tree) == {"m.a", "m.b", "m.K.d"}

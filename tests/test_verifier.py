@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from gammaw.field_expr import DomainError, const_field, parse_field
+from gammaw.field_expr import DomainError, const_field, dot_field, parse_field
+from gammaw.gamma_calculus import gamma2_w, gamma_w
 from gammaw.presets import gaussian_problem, make_problem
 from gammaw.semigroup_mc import GaussianNoise, MCConfig
 from gammaw.verifier import (
@@ -265,6 +267,28 @@ def test_optimality_study_reaches_limit(p2):
     assert table.check()
     header = table.csv_lines()[0]
     assert header == "a0,a1,radius,ratio,limit,abs_err"
+
+
+def test_optimality_study_matches_the_jet_route():
+    # AC5's 12 points: the tape ratios of the symbolic fields against
+    # Gamma2W/GammaW from jets
+    p = gaussian_problem(2)
+    a_list = [(0.0, 0.0), (0.1, 0.0), (0.5, 0.0), (1.0, 0.0)]
+    table = optimality_study(p, a_list, (10.0, 100.0, 1000.0))
+    assert len(table.rows) == 12
+    for row in table.rows:
+        norm = float(np.linalg.norm(row.a))
+        x = row.radius * (row.a / norm if norm > 0 else np.eye(2)[0])
+        f = (dot_field(row.a, 2) - float(row.a @ x)).exp()
+        want = gamma2_w(p, f, x) / gamma_w(p, f, f, x)
+        assert abs(row.ratio - want) <= 1e-12 * abs(want)
+
+
+def test_optimality_study_tape_error_is_a_domain_error():
+    # W = log(x0) has no value at x = (-10, 0), where a = (-1, 0) points
+    p = make_problem(2, "gaussian", "log(x0)")
+    with pytest.raises(DomainError):
+        optimality_study(p, [(-1.0, 0.0)], [10.0])
 
 
 def test_optimality_study_validation(p2):
