@@ -309,13 +309,10 @@ def check_pointwise_cd(
     (overflow included) is counted as a domain error and skipped.  The worst
     point is the first one with the smallest margin, in case order.
     """
-    parts = []
-    for (_, points), (g2w_f, gw_f) in zip(cases, gamma2_w_sweep(p, (f for f, _ in cases))):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        (g2w, gw), err = _tape.eval_outputs(_tape.compile_outputs([g2w_f, gw_f]), pts)
-        parts.append((pts, g2w, gw, err == 0))
-    pts, g2w, gw, ok = (np.concatenate(a) for a in zip(*parts))
-    pts, g2w, gw = pts[ok], g2w[ok], gw[ok]
+    values, err = zip(*gamma2_w_sweep(p, cases))
+    ok = np.concatenate(err) == 0
+    g2w, gw = np.concatenate(values, axis=1)[:, ok]
+    pts = np.vstack([np.asarray(points, dtype=float) for _, points in cases])[ok]
     margin = g2w - kappa * gw
     scale = np.maximum(np.maximum(1.0, np.abs(g2w)), np.abs(kappa * gw))
     worst = int(np.argmin(margin)) if margin.size else None

@@ -926,7 +926,8 @@ class ScalarField:
 
     def jet(self, x) -> Jet:
         x = _as_point(x, self.dim)
-        with _overflow_is_domain_error(x):
+        # numpy's overflow warnings would only precede the DomainError below
+        with _overflow_is_domain_error(x), np.errstate(over="ignore", invalid="ignore"):
             j = _jet_node(self.root, x, {})
         if not (math.isfinite(j.value) and np.isfinite(j.gradient).all() and np.isfinite(j.hessian).all()):
             raise DomainError(f"overflow at {x}: the jet is not finite")

@@ -13,12 +13,12 @@ Weighted variants, for a nonnegative weight W:
                    + W^2 |grad f|^2 + 4 f W grad W . grad f
 
 Every form the program reports is built symbolically (``_Builds``).
-``gamma2_w_field`` builds the expanded form as a field, and
-``gamma2_w_sweep`` builds it, with GammaW(f,f), for each field of a sweep;
-the sweep is the batch route that ``curvature_bounds.check_pointwise_cd``
-and ``verifier.optimality_study`` evaluate on the tape.
-``gamma2_w_definitional`` builds the definition as fields and evaluates them
-at one point.
+``gamma2_w_field`` builds the expanded form as a field.  ``gamma2_w_sweep``
+evaluates it, with GammaW(f,f), at each (field, points) case of a sweep as
+two outputs of one tape: ``curvature_bounds.check_pointwise_cd`` counts its
+values and ``verifier.optimality_study`` takes their ratios.
+``gamma2_w_definitional`` builds the definition as one field and evaluates
+it at one point.
 
 The pointwise functions ``apply_L``, ``gamma``, ``gamma2``, ``gamma_w``,
 ``gamma2_w``, ``gamma_integrand`` and ``sqrt_defect`` read order-2 jets.
@@ -51,6 +51,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
+from . import _tape
 from .field_expr import (
     FieldError,
     ProblemSpec,
@@ -136,14 +137,12 @@ def gamma2_w(p: ProblemSpec, f: ScalarField, x) -> float:
 def gamma2_w_definitional(p: ProblemSpec, f: ScalarField, x) -> float:
     """Gamma2W(f)(x) = (1/2)(L GammaW(f,f) - 2 GammaW(f, Lf)), symbolically.
 
-    The definition, checked against the jet expansion :func:`gamma2_w`:
-    GammaW(f,f), Lf, L GammaW(f,f) and GammaW(f, Lf) are built as fields in
-    one ``_Builds`` and evaluated at x, so no jet is taken.
+    The definition, checked against the jet expansion :func:`gamma2_w`: it is
+    built as one field in one ``_Builds`` and evaluated at x with one walk of
+    the shared DAG, so no jet is taken.
     """
     b = _Builds(p)
-    lf = b.apply_L(f)
-    l_gw = b.apply_L(b.gamma_w(f, f)).value(x)
-    return 0.5 * (l_gw - 2.0 * b.gamma_w(f, lf).value(x))
+    return (0.5 * (b.apply_L(b.gamma_w(f, f)) - 2.0 * b.gamma_w(f, b.apply_L(f)))).value(x)
 
 
 def gamma_integrand(p: ProblemSpec, x) -> float:
@@ -274,16 +273,17 @@ def gamma2_w_field(p: ProblemSpec, f: ScalarField) -> ScalarField:
     return _Builds(p).gamma2_w(f)
 
 
-def gamma2_w_sweep(p: ProblemSpec, fs: Iterable[ScalarField]) -> Iterator[tuple[ScalarField, ScalarField]]:
-    """(Gamma2W(f), GammaW(f,f)) as fields for each f of a sweep, in order.
+def gamma2_w_sweep(p: ProblemSpec, cases: Iterable[tuple[ScalarField, np.ndarray]]) -> Iterator[tuple]:
+    """((Gamma2W(f), GammaW(f,f)), tape error codes) at the points of each
+    (f, points) case, in order: two outputs of one tape per field.
 
     The U/W-only terms of Gamma2W are built once for the sweep; each field's
     derivatives are built once for its pair and dropped before the next.
     """
     sweep = _Builds(p)
-    for f in fs:
+    for f, points in cases:
         b = sweep.fresh()
-        yield b.gamma2_w(f), b.gamma_w(f, f)
+        yield _tape.eval_outputs(_tape.compile_outputs([b.gamma2_w(f), b.gamma_w(f, f)]), points)
 
 
 def sqrt_gamma_w_field(p: ProblemSpec, f: ScalarField) -> ScalarField:

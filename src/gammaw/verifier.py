@@ -28,8 +28,8 @@ that produced it, and serializes to a fixed CSV schema
 with ``repr`` float formatting so reruns are byte-identical.
 
 ``optimality_study`` tabulates Gamma2W(f)/GammaW(f) for the exponential
-family far out along rays.  Both forms are the fields of
-``gamma_calculus.gamma2_w_sweep`` on the tape, the route of
+family far out along rays.  Both forms come from
+``gamma_calculus.gamma2_w_sweep``, the route of
 ``curvature_bounds.check_pointwise_cd``; the jet forms are its test oracle.
 """
 
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import _tape
+from .config import ConfigError
 from .field_expr import DomainError, ProblemSpec, ScalarField, const_field, dot_field, normsq_field
 from .gamma_calculus import gamma2_w_sweep, gamma_w_field, sqrt_gamma_w_field
 from .semigroup_mc import (
@@ -232,9 +233,19 @@ def _battery_report(
     [x][field][t] pairs (lhs, lhs_se) over the whole grid, then the right
     sides are estimated from one ensemble for all x on stream (0,).  Cases
     come in (field, t, x) order; the report's meta is the sampling
-    configuration plus ``meta``."""
+    configuration plus ``meta``.  A coefficient that overflows, before any
+    path is drawn, makes the inequality carry no content: ConfigError."""
     t_grid, x_grid = list(t_grid), list(x_grid)
-    coefs = [coef(t) for t in t_grid]
+    coefs = []
+    for t in t_grid:
+        try:
+            coefs.append(coef(t))
+        except OverflowError:
+            rate = f"kappa = {meta['kappa']:g}" if "kappa" in meta else f"c - rho = {meta['c'] - meta['rho']:g}"
+            raise ConfigError(
+                f"{check_id}: the coefficient overflows at t = {t:g} with {rate}; "
+                "the inequality carries no content for this problem"
+            ) from None
     left = lhs(x_grid, t_grid)
     right = estimate_Qt_many(p, payloads, x_grid, t_grid, cfg, stream=(0,))
     meta = {"seed": cfg.seed, "n_paths": cfg.n_paths, "dt": cfg.dt, "antithetic": cfg.antithetic, **meta}
@@ -443,29 +454,29 @@ def optimality_study(p: ProblemSpec, a_list, radius_list) -> OptimalityTable:
 
     The exponential is recentered as e^{a.(x - x_r)} before evaluating; both
     operators are quadratic in f, so the ratio is unchanged and the huge
-    factor e^{2 a . x_r} never materializes.  Gamma2W and GammaW are the
-    fields of ``gamma2_w_sweep``, evaluated at x_r as two outputs of one tape
-    per field, as ``check_pointwise_cd`` evaluates them; an error code there
-    raises DomainError.
+    factor e^{2 a . x_r} never materializes.  Gamma2W and GammaW come from
+    ``gamma2_w_sweep`` at x_r, as ``check_pointwise_cd`` reads them; an error
+    code there, or GammaW(f_a) = 0 (a = 0 with W = 0), raises DomainError.
     """
     if not p.gaussian_U:
         raise ValueError("the optimality study is for the Gaussian potential")
     if p.dim < 2:
         raise ValueError("the optimality study needs dim >= 2")
-    cases, fs = [], []
+    keys, cases = [], []
     for a in a_list:
         a = np.asarray(a, dtype=float)
         norm = float(np.linalg.norm(a))
         direction = a / norm if norm > 0 else np.eye(p.dim)[0]
         for r in radius_list:
             x = float(r) * direction
-            cases.append((a, float(r), -1.0 + norm * norm, x))
-            fs.append((dot_field(a, p.dim) - float(a @ x)).exp())
+            keys.append((a, float(r), -1.0 + norm * norm, x))
+            cases.append(((dot_field(a, p.dim) - float(a @ x)).exp(), x[None, :]))
     rows: list[OptimalityRow] = []
-    for (a, r, limit, x), (g2w_f, gw_f) in zip(cases, gamma2_w_sweep(p, fs)):
-        (g2w, gw), err = _tape.eval_outputs(_tape.compile_outputs([g2w_f, gw_f]), x[None, :])
+    for (a, r, limit, x), ((g2w, gw), err) in zip(keys, gamma2_w_sweep(p, cases)):
         if err[0]:
             raise DomainError(f"optimality study: {_tape.err_message(int(err[0]))} at {x!r}")
+        if gw[0] == 0.0:
+            raise DomainError(f"optimality study: GammaW(f) = 0 for a = {a!r}, r = {r:g} at {x!r}; no ratio")
         rows.append(OptimalityRow(a=a, radius=r, ratio=float(g2w[0]) / float(gw[0]), limit=limit))
     return OptimalityTable(rows=rows, radii=tuple(float(r) for r in radius_list))
 

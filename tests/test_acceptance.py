@@ -1,7 +1,8 @@
 """One test per pinned acceptance criterion.
 
 Each test runs its criterion at the pinned configuration, prints the
-criterion's PASS/FAIL line, and asserts the verdict.  These are the slow
+criterion's PASS/FAIL line, and asserts the verdict; the Monte Carlo
+criteria AC6-AC9 share one run through the worker pool.  These are the slow
 end-to-end checks; the unit suites cover the same machinery at small scale.
 The deterministic criteria also pin the artifact they write, byte for byte,
 and write the same bytes when the criteria run in worker processes.
@@ -42,11 +43,22 @@ def _digest(res: acceptance.CriterionResult) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _run(cid: int) -> acceptance.CriterionResult:
-    res = acceptance.run_criterion(cid)
+def _show(res: acceptance.CriterionResult) -> acceptance.CriterionResult:
     print()
     print(res.summary_text())
     return res
+
+
+def _run(cid: int) -> acceptance.CriterionResult:
+    return _show(acceptance.run_criterion(cid))
+
+
+@pytest.fixture(scope="module")
+def mc_results() -> dict[int, acceptance.CriterionResult]:
+    """AC6-AC9 at their pinned configurations, run once through the worker
+    pool of ``reproduce-paper``, so the two slowest run side by side."""
+    results, _ = acceptance.run_all([6, 7, 8, 9])
+    return {res.cid: res for res in results}
 
 
 def _assert_artifact_pinned(res: acceptance.CriterionResult) -> None:
@@ -87,26 +99,26 @@ def test_ac5_optimality_limit():
     _assert_artifact_pinned(res)
 
 
-def test_ac6_commutation():
-    res = _run(6)
+def test_ac6_commutation(mc_results):
+    res = _show(mc_results[6])
     assert not res.inconclusive
     assert res.passed
 
 
-def test_ac7_variance():
-    res = _run(7)
+def test_ac7_variance(mc_results):
+    res = _show(mc_results[7])
     assert not res.inconclusive
     assert res.passed
 
 
-def test_ac8_sqrt_commutation():
-    res = _run(8)
+def test_ac8_sqrt_commutation(mc_results):
+    res = _show(mc_results[8])
     assert not res.inconclusive
     assert res.passed
 
 
-def test_ac9_oracle_stack():
-    res = _run(9)
+def test_ac9_oracle_stack(mc_results):
+    res = _show(mc_results[9])
     assert not res.inconclusive
     assert res.passed
 

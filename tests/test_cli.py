@@ -517,6 +517,23 @@ def test_verify_overflow_exits_3(name, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["verify", "commutation", "--override", "check.kappa=-1e20"], 2, "commutation: the coefficient overflows"),
+    (["verify", "variance", "--override", "check.kappa=-1e20"], 2, "variance: the coefficient overflows"),
+    (["verify", "sqrt", "--override", "check.rho=1", "--override", "check.c=1e20"], 2, "c - rho = 1e+20"),
+    (["optimality", "--override", "problem.W=zero"], 3, "GammaW(f) = 0 for a = array([0., 0.])"),
+], ids=["commutation", "variance", "sqrt", "optimality"])
+def test_unbounded_coefficients_and_empty_ratios_exit_with_one_line(argv, code, message, tmp_path, capsys):
+    # e^{-2 kappa t} and e^{(c - rho) t} overflow before any path is drawn;
+    # with W = 0 the default a = (0, 0) gives f = 1 and GammaW(f) = 0
+    grid = ["mc.n_paths=200", "mc.dt=0.05", "grids.t_values=0.1", "grids.x_points=(0,0)"]
+    argv = [*argv, *(a for o in grid for a in ("--override", o)), "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert "Traceback" not in err
+
+
 def test_optimality_command(fast_config, tmp_path, capsys):
     cfg = fast_config(
         grids="t_values = 0.1\nx_points = (0, 0)\na_vectors = (0, 0); (0.5, 0); (1, 0)",

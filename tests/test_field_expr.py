@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,10 +247,12 @@ def test_overflow_is_a_domain_error():
             f.value([1e200])
         with pytest.raises(DomainError):
             f.jet([1e200])
-    # a finite value with a gradient that is not finite: d/dx1 (x1 x0 x0) = inf
+    # a finite value with a gradient that is not finite: d/dx1 (x1 x0 x0) = inf;
+    # the DomainError reports the overflow, with no numpy warning before it
     f = parse_field("x1*x0*x0", 2)
     assert f.value([1e200, 0.0]) == 0.0
-    with np.errstate(over="ignore"), pytest.raises(DomainError):
+    with warnings.catch_warnings(), pytest.raises(DomainError):
+        warnings.simplefilter("error")
         f.jet([1e200, 0.0])
 
 

@@ -225,9 +225,15 @@ def test_iterated_L_stays_symbolic(p2):
 def test_definitional_route_takes_no_jet(monkeypatch):
     # AC3's 200 draws, the definitional side with jets switched off: it still
     # meets the jet expansion as AC3 reports it, so AC3's two sides share no
-    # evaluator
+    # evaluator; the definition is one field, so one .value walks its DAG
     def no_jet(self, x):
         raise AssertionError("the definitional route took a jet")
+
+    value, calls = field_expr.ScalarField.value, []
+
+    def counted_value(self, x):
+        calls.append(x)
+        return value(self, x)
 
     want = acceptance.ac3(()).lines[0]
     rng = np.random.default_rng(3)
@@ -241,10 +247,13 @@ def test_definitional_route_takes_no_jet(monkeypatch):
             a = gamma2_w(p, f, x)
             with monkeypatch.context() as m:
                 m.setattr(field_expr.ScalarField, "jet", no_jet)
+                m.setattr(field_expr.ScalarField, "value", counted_value)
+                calls.clear()
                 b = gamma2_w_definitional(p, f, x)
         except DomainError:
             skipped += 1
             continue
+        assert len(calls) == 1
         worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1.0))
         count += 1
     assert worst <= 1e-8
@@ -319,9 +328,16 @@ def test_builders_return_the_reference_root(seed):
         assert gamma_integrand_field(p).root is ref_integrand.root
     b = gamma_calculus._Builds(p)
     assert b.apply_L(b.gamma_w(f, f)).root is _ref_apply_L(p, _ref_gamma(p, f, f) + p.W * p.W * f * f).root
-    for h, (g2w, gw) in zip((f, g), gamma2_w_sweep(p, (f, g))):
+    # the sweep's fields, built as it builds them, and its values bit for bit
+    sweep = gamma_calculus._Builds(p)
+    pts = rng.uniform(-2.0, 2.0, (5, dim))
+    for h, (values, err) in zip((f, g), gamma2_w_sweep(p, [(f, pts), (g, pts)])):
+        fb = sweep.fresh()
+        g2w, gw = fb.gamma2_w(h), fb.gamma_w(h, h)
         assert g2w.root is _ref_gamma2_w(p, h).root
         assert gw.root is (_ref_gamma(p, h, h) + p.W * p.W * h * h).root
+        ref_values, ref_err = _tape.eval_outputs(_tape.compile_outputs([g2w, gw]), pts)
+        assert (values.tobytes(), err.tobytes()) == (ref_values.tobytes(), ref_err.tobytes())
 
 
 def _count_diffs(monkeypatch):
